@@ -9,14 +9,18 @@ Usage:
     python examples/run_experiments.py E2 --jobs 4    # parallel sweep
     python examples/run_experiments.py --jobs 1       # strictly serial (debug)
     python examples/run_experiments.py --times        # per-point wall times
+    python examples/run_experiments.py --store DIR    # reuse/persist results
 
 Experiments (E*) declare their run grids up front; one shared scheduler
 deduplicates identical (config, workload) points across experiments,
 simulates each unique point exactly once -- fanned out over ``--jobs``
 worker processes (default: all CPUs) -- and the tables are built from
 the cached results.  Every simulation point is deterministic, so the
-tables are bit-identical for any ``--jobs`` value.  Ablations (A*) run
-in-process after the sweep.
+tables are bit-identical for any ``--jobs`` value.  With ``--store DIR``
+every simulated point is also written to a persistent result store, and
+points already there are read back instead of simulated: repeating a
+run, or restarting one that was killed, simulates only what is missing.
+Ablations (A*) run in-process after the sweep.
 
 Each experiment prints an ASCII table; EXPERIMENTS.md records a full-
 scale run and compares it against the paper's claims.
@@ -60,6 +64,7 @@ def main(argv):
     argv = [a for a in argv if a not in ("--quick", "--times")]
     csv_dir, argv = _flag_value(argv, "--csv")
     jobs_arg, argv = _flag_value(argv, "--jobs")
+    store_dir, argv = _flag_value(argv, "--store")
     try:
         jobs = int(jobs_arg) if jobs_arg is not None else (os.cpu_count() or 1)
     except ValueError:
@@ -85,7 +90,12 @@ def main(argv):
     # Phase 1: declare every experiment's grid; the shared scheduler
     # dedups identical points across experiments and simulates each
     # unique point exactly once.
-    scheduler = SweepScheduler(jobs=jobs)
+    try:
+        scheduler = SweepScheduler(jobs=jobs, store_dir=store_dir)
+    except OSError as exc:
+        print(f"--store {store_dir}: cannot open result store: "
+              f"{exc.strerror or exc}")
+        return 1
     kwargs_for = {}
     for exp_id in targets:
         entry = registry[exp_id]

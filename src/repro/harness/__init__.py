@@ -2,7 +2,8 @@
 
 ``repro.harness.parallel`` supplies the sweep machinery (RunSpec,
 SweepScheduler) that deduplicates identical simulation points across
-experiments and fans unique points out over a process pool.
+experiments and fans unique points out over worker processes;
+``repro.harness.store`` persists their results across runs.
 """
 
 from repro.harness.runner import compare_configs, run_workload

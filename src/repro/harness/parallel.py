@@ -9,10 +9,14 @@ through one shared :class:`SweepScheduler` that
   comparison grids repeat ``base-rmo`` etc. constantly) via a stable
   content fingerprint of the configuration and the assembled programs,
 * **caches** every result in-process, so a scheduler reused across
-  experiments simulates each unique point exactly once, and
-* **fans out** unique points over a ``ProcessPoolExecutor`` when
-  ``jobs > 1``, shipping back picklable :class:`~repro.system.SystemResult`
-  summaries instead of live ``System`` objects.
+  experiments simulates each unique point exactly once -- and, given a
+  ``store_dir``, on disk through :class:`~repro.harness.store.ResultStore`,
+  so a repeated grid or a sweep restarted after a kill is served from
+  the store instead of simulated again, and
+* **fans out** unique points over per-point worker processes
+  (:class:`ResilientPointRunner`) when ``jobs > 1``, shipping back
+  picklable :class:`~repro.system.SystemResult` summaries instead of
+  live ``System`` objects.
 
 Determinism: each point is one single-process discrete-event simulation,
 so its result is bit-identical whether it ran in this process
@@ -25,24 +29,19 @@ initial_memory, fault_plan, node_plan)`` and validation runs in the
 parent on the returned memory/register snapshot.
 
 **Resilience** (see docs/ROBUSTNESS.md): constructing the scheduler with
-``point_timeout`` and/or ``retries`` switches execution to a managed
-per-point process path -- a point that hangs past its wall-clock budget
-or whose worker process dies is retried with exponential backoff and,
-once its attempts are exhausted, lands on an ``excluded`` skip list
-instead of sinking the whole grid.  ``checkpoint_dir`` persists each
-completed point's result to disk (atomically, keyed by fingerprint), so
-a killed sweep resumes from its cached points and still produces a
-table bit-identical to an uninterrupted run.
+``point_timeout`` and/or ``retries`` makes a point that hangs past its
+wall-clock budget, or whose worker process dies, retried with
+exponential backoff and, once its attempts are exhausted, land on an
+``excluded`` skip list instead of sinking the whole grid.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -161,18 +160,18 @@ def simulate_point(config: SystemConfig, programs, initial_memory,
                    shards: int = 0) -> Tuple[SystemResult, float]:
     """Run one point; returns the result and its wall-time in seconds.
 
-    Module-level so it is picklable as a process-pool task.  Used
-    unchanged by the serial path, keeping the two paths literally the
-    same code.  Harness points always run under the ``max_cycles``
-    safety cap, and fault-injected points (either axis: link faults or
-    node faults) additionally get a liveness
-    :class:`~repro.faults.Watchdog` -- a stuck point raises with a
-    diagnostic dump instead of hanging the sweep.
+    The default ``worker`` of both sweep paths, in-process and in a
+    worker process, keeping the two literally the same code.  Harness
+    points always run under the ``max_cycles`` safety cap, and
+    fault-injected points (either axis: link faults or node faults)
+    additionally get a liveness :class:`~repro.faults.Watchdog` -- a
+    stuck point raises with a diagnostic dump instead of hanging the
+    sweep.
 
     ``shards >= 2`` routes the point through the sharded engine
-    (:func:`repro.sim.sharded.run_sharded`).  Inside a process-pool
-    worker (daemonic) the sharded engine automatically falls back to its
-    bit-identical inline mode, so ``--shards`` composes with
+    (:func:`repro.sim.sharded.run_sharded`).  Inside a sweep's worker
+    process (daemonic) the sharded engine automatically falls back to
+    its bit-identical inline mode, so ``--shards`` composes with
     ``REPRO_JOBS``/``--jobs`` point-level parallelism: jobs spread
     points over processes, and each sharded point then partitions its
     own machine in-process.
@@ -210,11 +209,14 @@ def _worker_args(spec: RunSpec) -> tuple:
 
 
 def _isolated_point_worker(conn, worker, *args) -> None:
-    """Child-process entry for the resilient path: run one point, ship
-    the outcome back over ``conn``.  Exceptions become ("err", message)
-    -- the parent re-raises them as a :class:`SweepError` naming the
-    point -- and a crash (the process dying without sending) surfaces as
-    EOF on the parent's end."""
+    """Child-process entry of :class:`ResilientPointRunner`: run one
+    point, ship the outcome back over ``conn``.  Exceptions become
+    ("err", message) -- the parent re-raises them as a
+    :class:`SweepError` naming the point -- and a crash (the process
+    dying without sending) surfaces as EOF on the parent's end."""
+    # Keep the objects inherited from the parent out of this process's
+    # collections: traversing them would copy the parent's pages on write.
+    gc.freeze()
     try:
         payload = worker(*args)
         conn.send(("ok", payload))
@@ -228,18 +230,17 @@ def _isolated_point_worker(conn, worker, *args) -> None:
 
 
 class ResilientPointRunner:
-    """Managed per-point worker processes, reusable outside the scheduler.
+    """Managed per-point worker processes: the only out-of-process executor.
 
-    This is the fault-tolerant execution tier shared by
-    :class:`SweepScheduler` (its ``point_timeout``/``retries`` path) and
-    the resident experiment service (:mod:`repro.service.server`): one
-    :mod:`multiprocessing` process per in-flight point (up to ``jobs``),
-    talking back over a pipe.  Timeouts kill the process; crashes
-    surface as EOF; both requeue the point with exponential backoff and,
-    once attempts are exhausted, report it to ``on_exclude`` instead of
-    sinking the rest of the batch.  Deterministic worker exceptions go
-    straight to ``on_error`` -- retrying a deterministic simulation
-    cannot change its outcome.
+    :class:`SweepScheduler` runs every sweep through it except the
+    in-process ``jobs=1`` path: one daemonic :mod:`multiprocessing`
+    process per in-flight point (up to ``jobs``), talking back over a
+    pipe.  Timeouts kill the process; crashes surface as EOF; both
+    requeue the point with exponential backoff and, once attempts are
+    exhausted, report it to ``on_exclude`` instead of sinking the rest
+    of the batch.  Deterministic worker exceptions go straight to
+    ``on_error`` -- retrying a deterministic simulation cannot change
+    its outcome.
 
     Kill semantics: a timed-out worker gets SIGTERM, then up to
     ``term_grace`` seconds to die, then SIGKILL -- a worker wedged in a
@@ -274,9 +275,12 @@ class ResilientPointRunner:
     def _launch(self, spec: RunSpec):
         """Start one worker process; returns (parent_conn, process)."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
+        # Daemonic: a sharded point then runs its shards inline instead
+        # of forking jobs x shards processes (repro.sim.sharded, "auto").
         proc = self._ctx.Process(
             target=_isolated_point_worker,
-            args=(child_conn, self.worker) + _worker_args(spec))
+            args=(child_conn, self.worker) + _worker_args(spec),
+            daemon=True)
         proc.start()
         child_conn.close()
         return parent_conn, proc
@@ -396,8 +400,8 @@ class SweepReport:
     cached_hits: int
     wall_seconds: float
     point_seconds: Dict[str, float] = field(default_factory=dict)
-    #: points restored from the on-disk checkpoint directory
-    checkpoint_hits: int = 0
+    #: points restored from the on-disk result store
+    store_hits: int = 0
     #: timeout/crash retries performed during this run
     retries: int = 0
     #: label -> reason for points dropped after exhausting their retries
@@ -417,8 +421,8 @@ class SweepReport:
                 f"({self.duplicate_hits} deduplicated, "
                 f"{self.cached_hits} cached), jobs={self.jobs}, "
                 f"wall {self.wall_seconds:.1f}s")
-        if self.checkpoint_hits:
-            line += f", {self.checkpoint_hits} restored from checkpoint"
+        if self.store_hits:
+            line += f", {self.store_hits} from store"
         if self.retries:
             line += f", {self.retries} retried"
         if self.unique_points and self.wall_seconds:
@@ -442,13 +446,17 @@ class SweepScheduler:
         scheduler.run()                  # each unique point simulated once
         e1 = e1_build(scheduler.results_for("E1"))
 
-    ``jobs=1`` executes in-process and strictly serially (the debugging
-    path); ``jobs>1`` uses a process pool.  Results are cached by point
-    fingerprint, so calling :meth:`run` again after adding more
-    experiments only simulates points not seen before.
+    With ``jobs=1``, or a single point to simulate, and no resilience
+    option, points run in this process, strictly serially (the
+    debugging path).  Every other sweep runs each point in its own
+    worker process through a :class:`ResilientPointRunner`; a worker
+    that dies then fails :meth:`run` with a :class:`SweepError` naming
+    its point, unless a resilience option says to retry or exclude it.
+    Results are cached by point fingerprint, so calling :meth:`run`
+    again after adding more experiments only simulates points not seen
+    before.
 
-    Resilience options (any of them set switches execution to the
-    managed per-point-process path):
+    Resilience options:
 
     ``point_timeout``
         wall-clock seconds one point may take before its worker is
@@ -457,13 +465,14 @@ class SweepScheduler:
         how many times a timed-out or crashed point is re-attempted
         (with ``retry_backoff * 2**attempt`` seconds between attempts)
         before landing on the :attr:`excluded` skip list -- deterministic
-        Python exceptions are *not* retried, they raise immediately;
-    ``checkpoint_dir``
-        directory of per-fingerprint result records (the service store's
-        versioned, integrity-checked format), written atomically after
-        each completed point and loaded before simulating, so a killed
-        sweep resumes where it left off; records failing validation are
-        re-simulated rather than trusted.
+        Python exceptions are *not* retried, they raise immediately.
+
+    ``store_dir`` names a :class:`~repro.harness.store.ResultStore`
+    directory: every point found there is restored instead of
+    simulated, and every simulated point is written there, so a killed
+    sweep resumes where it left off and a repeated grid simulates
+    nothing.  Records that fail validation, or were written by other
+    simulator code, are re-simulated rather than trusted.
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -472,20 +481,20 @@ class SweepScheduler:
                  retries: int = 0,
                  retry_backoff: float = 0.25,
                  term_grace: float = 5.0,
-                 checkpoint_dir: Optional[str] = None):
-        if point_timeout is not None and point_timeout <= 0:
-            raise ValueError("point_timeout must be positive")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if term_grace <= 0:
-            raise ValueError("term_grace must be positive")
+                 store_dir: Optional[str] = None):
         self.jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
         self._worker = worker
-        self.point_timeout = point_timeout
-        self.retries = retries
-        self.retry_backoff = retry_backoff
-        self.term_grace = term_grace
-        self.checkpoint_dir = checkpoint_dir
+        self._runner = ResilientPointRunner(
+            worker=worker, jobs=self.jobs, point_timeout=point_timeout,
+            retries=retries, retry_backoff=retry_backoff,
+            term_grace=term_grace)
+        self._resilient = point_timeout is not None or retries > 0
+        self._store = None
+        if store_dir is not None:
+            # Late import: repro.harness.store imports result_fingerprint
+            # from this module.
+            from repro.harness.store import ResultStore
+            self._store = ResultStore(store_dir)
         #: fingerprint -> reason: points dropped after exhausting retries.
         self.excluded: Dict[str, str] = {}
         #: subset of :attr:`excluded` added during the current run() call.
@@ -541,19 +550,17 @@ class SweepScheduler:
                 if fp not in self._results]
         cached = len(self._points) - len(todo)
         pending = [(fp, spec) for fp, spec in todo if fp not in self.excluded]
-        checkpoint_hits = self._load_checkpoints(pending)
-        if checkpoint_hits:
+        store_hits = self._restore(pending)
+        if store_hits:
             pending = [(fp, spec) for fp, spec in pending
                        if fp not in self._results]
         self._retries_this_run = 0
         self._excluded_this_run = {}
         started = time.perf_counter()
-        if self.point_timeout is not None or self.retries > 0:
-            self._run_resilient(pending)
-        elif self.jobs == 1 or len(pending) <= 1:
+        if not self._resilient and (self.jobs == 1 or len(pending) <= 1):
             self._run_serial(pending)
         else:
-            self._run_pool(pending)
+            self._run_resilient(pending)
         wall = time.perf_counter() - started
         self._validate()
         self.last_report = SweepReport(
@@ -564,7 +571,7 @@ class SweepScheduler:
             wall_seconds=wall,
             point_seconds={self._points[fp].label: self._point_seconds[fp]
                            for fp, _ in pending if fp in self._point_seconds},
-            checkpoint_hits=checkpoint_hits,
+            store_hits=store_hits,
             retries=self._retries_this_run,
             # Only exclusions added by *this* run: a cumulative list would
             # re-report prior runs' drops as this run's.
@@ -586,103 +593,52 @@ class SweepScheduler:
                 result, seconds = self._worker(*_worker_args(spec))
             except Exception as exc:
                 raise self._point_error(spec, exc) from exc
-            self._store(fp, result, seconds)
-
-    def _run_pool(self, pending: List[Tuple[str, RunSpec]]) -> None:
-        workers = min(self.jobs, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                fp: pool.submit(self._worker, *_worker_args(spec))
-                for fp, spec in pending
-            }
-            for fp, spec in pending:
-                try:
-                    result, seconds = futures[fp].result()
-                except BrokenProcessPool as exc:
-                    raise SweepError(
-                        f"worker process died while simulating "
-                        f"{spec.label!r} (workload {spec.workload.name!r}, "
-                        f"{spec.config.describe()}); "
-                        "rerun with --jobs 1 to debug in-process") from exc
-                except Exception as exc:
-                    raise self._point_error(spec, exc) from exc
-                self._store(fp, result, seconds)
-
-    # ------------------------------------------------- resilient execution
+            self._record(fp, result, seconds)
 
     def _run_resilient(self, pending: List[Tuple[str, RunSpec]]) -> None:
-        """Delegate to a :class:`ResilientPointRunner` wired into this
-        scheduler's result store, exclusion list, and retry counter."""
-        runner = ResilientPointRunner(
-            worker=self._worker, jobs=self.jobs,
-            point_timeout=self.point_timeout, retries=self.retries,
-            retry_backoff=self.retry_backoff, term_grace=self.term_grace)
+        """Run ``pending`` through the :class:`ResilientPointRunner`,
+        wired into this scheduler's results, exclusion list, and retry
+        counter."""
 
         def on_result(fp, spec, result, seconds):
-            self._store(fp, result, seconds)
+            self._record(fp, result, seconds)
 
         def on_error(fp, spec, message):
             raise self._point_error(spec, RuntimeError(message))
 
         def on_exclude(fp, spec, reason):
+            if not self._resilient:
+                raise self._point_error(spec, RuntimeError(
+                    f"{reason}; rerun with --jobs 1 to debug in-process"))
             self.excluded[fp] = reason
             self._excluded_this_run[fp] = reason
 
         def on_retry(fp, spec, reason):
             self._retries_this_run += 1
 
-        runner.run(pending, on_result=on_result, on_error=on_error,
-                   on_exclude=on_exclude, on_retry=on_retry)
+        self._runner.run(pending, on_result=on_result, on_error=on_error,
+                         on_exclude=on_exclude, on_retry=on_retry)
 
-    # --------------------------------------------------------- checkpoints
+    # -------------------------------------------------------------- store
 
-    def _checkpoint_path(self, fp: str) -> str:
-        return os.path.join(self.checkpoint_dir, f"{fp}.pkl")
-
-    def _load_checkpoints(self, pending: List[Tuple[str, RunSpec]]) -> int:
-        """Restore completed points from ``checkpoint_dir``; returns the
-        number restored.  Checkpoints use the service store's versioned
-        record format (:mod:`repro.service.store`), so every restore is
-        validated -- format version, owning point fingerprint, and the
-        embedded ``result_fingerprint`` recomputed over the payload.  A
-        file that fails any check (truncated by the kill that
-        interrupted the previous sweep, written by a different code
-        version, or copied from a foreign point) is ignored and the
-        point is simply re-simulated."""
-        if self.checkpoint_dir is None:
+    def _restore(self, pending: List[Tuple[str, RunSpec]]) -> int:
+        """Restore pending points from the result store; returns the
+        number restored."""
+        if self._store is None:
             return 0
-        # Late import: repro.service.store imports result_fingerprint
-        # from this module.
-        from repro.service.store import RecordError, unpack_record
         hits = 0
         for fp, _spec in pending:
-            path = self._checkpoint_path(fp)
-            try:
-                with open(path, "rb") as fh:
-                    data = fh.read()
-            except OSError:
-                continue
-            try:
-                result, _rfp = unpack_record(data, expected_point=fp)
-            except RecordError:
-                continue
-            self._results[fp] = result
-            self._point_seconds.setdefault(fp, 0.0)
-            hits += 1
+            result = self._store.get(fp)
+            if result is not None:
+                self._results[fp] = result
+                hits += 1
         return hits
 
-    def _store(self, fp: str, result: SystemResult, seconds: float) -> None:
+    def _record(self, fp: str, result: SystemResult, seconds: float) -> None:
         self._results[fp] = result
         self._point_seconds[fp] = seconds
-        if self.checkpoint_dir is None:
-            return
-        from repro.service.store import pack_record
-        os.makedirs(self.checkpoint_dir, exist_ok=True)
-        path = self._checkpoint_path(fp)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as fh:
-            fh.write(pack_record(result, point_fp=fp))
-        os.replace(tmp, path)  # atomic: a kill leaves no partial checkpoint
+        if self._store is not None:
+            self._store.put(fp, result)
 
     def _validate(self) -> None:
         """Run each spec's workload validation once, in the parent."""

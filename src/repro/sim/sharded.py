@@ -585,7 +585,7 @@ def _run_inline(shards: List[_Shard], lookahead: int, max_events: int,
     """In-process reference driver: the same shard objects, the same
     barrier protocol, no processes.  Bit-identical to the forked mode
     (the determinism tests assert it) and the fallback when forking is
-    unavailable (e.g. inside daemonic pool workers)."""
+    unavailable (e.g. inside a sweep's daemonic worker processes)."""
     for shard in shards:
         shard.start()
     window_start = 0

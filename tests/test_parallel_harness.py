@@ -21,6 +21,8 @@ from repro.harness.parallel import (
     SweepScheduler,
     execute_specs,
     point_fingerprint,
+    result_fingerprint,
+    simulate_point,
 )
 from repro.isa.program import Assembler
 from repro.sim.config import SpeculationMode, SystemConfig
@@ -207,6 +209,76 @@ def test_check_false_skips_validation():
                  _trivial_workload(validate=bad_validate), check=False)],
         jobs=1)
     assert results["bad"].cycles > 0
+
+
+# ------------------------------------------------------ execution paths
+#
+# run() has exactly two paths: in this process (jobs=1 or one pending
+# point, no resilience option) and one worker process per point through
+# ResilientPointRunner (everything else).
+
+_PID_DIR_ENV = "REPRO_TEST_PID_DIR"
+
+
+def _pid_recording_worker(config, programs, initial_memory, fault_plan=None,
+                          node_plan=None):
+    path = os.path.join(os.environ[_PID_DIR_ENV], programs[0].name)
+    with open(path, "w") as fh:
+        fh.write(str(os.getpid()))
+    return simulate_point(config, programs, initial_memory, fault_plan)
+
+
+def _worker_pids(tmp_path, specs, **options):
+    scheduler = SweepScheduler(worker=_pid_recording_worker, **options)
+    scheduler.add("g", specs)
+    scheduler.run()
+    assert set(scheduler.results_for("g")) == {s.label for s in specs}
+    return [int((tmp_path / spec.workload.programs[0].name).read_text())
+            for spec in specs]
+
+
+def test_single_pending_point_runs_in_process(tmp_path, monkeypatch):
+    monkeypatch.setenv(_PID_DIR_ENV, str(tmp_path))
+    spec = RunSpec("only", small_config(1), _trivial_workload())
+    assert _worker_pids(tmp_path, [spec], jobs=4) == [os.getpid()]
+
+
+def test_parallel_sweep_runs_each_point_in_a_worker_process(tmp_path,
+                                                            monkeypatch):
+    monkeypatch.setenv(_PID_DIR_ENV, str(tmp_path))
+    specs = [RunSpec(name, small_config(1), _trivial_workload(name=name))
+             for name in ("a", "b", "c")]
+    pids = _worker_pids(tmp_path, specs, jobs=2)
+    assert os.getpid() not in pids
+    assert len(set(pids)) == 3
+
+
+def test_resilience_option_isolates_a_serial_sweep(tmp_path, monkeypatch):
+    # A timeout can only be enforced on a point in its own process.
+    monkeypatch.setenv(_PID_DIR_ENV, str(tmp_path))
+    spec = RunSpec("only", small_config(1), _trivial_workload())
+    [pid] = _worker_pids(tmp_path, [spec], jobs=1, point_timeout=30.0)
+    assert pid != os.getpid()
+
+
+def test_sharded_point_in_a_parallel_sweep_runs_inline():
+    # Sweep workers are daemonic, so a sharded point inside one runs its
+    # shards in the worker's own process, bit-identical to the forked
+    # shard driver.
+    from repro.workloads.protocols import gossip
+
+    config, wl = small_config(4), gossip(4)
+    scheduler = SweepScheduler(jobs=2)
+    scheduler.add("g", [RunSpec("sharded", config, wl, shards=2),
+                        RunSpec("plain", small_config(1),
+                                _trivial_workload())])
+    scheduler.run()
+    sharded = scheduler.results_for("g")["sharded"]
+    assert sharded.sharding["mode"] == "inline"
+    forked, _seconds = simulate_point(config, wl.programs,
+                                      wl.initial_memory, shards=2)
+    assert forked.sharding["mode"] == "fork"
+    assert result_fingerprint(sharded) == result_fingerprint(forked)
 
 
 # --------------------------------------------------------------- pickling

@@ -2,7 +2,8 @@
 
 These keep the quick-scale CLI path under tier-1 coverage: flag
 parsing, the cross-experiment scheduler, table building, CSV export,
-and the serial/parallel equivalence guarantee.
+the serial/parallel equivalence guarantee, and a repeated run served
+from the ``--store`` result store.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ def _tables_only(output: str) -> str:
     return "\n".join(
         line for line in output.splitlines()
         if not line.startswith("sweep:") and "s)" not in line)
+
+
+def _sweep_line(output: str) -> str:
+    return next(line for line in output.splitlines()
+                if line.startswith("sweep:"))
 
 
 def test_unknown_experiment_fails(cli, capsys):
@@ -69,3 +75,32 @@ def test_quick_sweep_dedups_across_experiments(cli, capsys):
 def test_csv_export(cli, capsys, tmp_path):
     assert cli.main(["E10", "--csv", str(tmp_path)]) == 0
     assert (tmp_path / "e10.csv").exists()
+
+
+def test_quick_e2_repeat_is_served_from_the_store(cli, capsys, tmp_path):
+    store = str(tmp_path / "store")
+    assert cli.main(["E2", "--quick", "--jobs", "2", "--store", store]) == 0
+    first = capsys.readouterr().out
+    assert cli.main(["E2", "--quick", "--jobs", "2", "--store", store]) == 0
+    second = capsys.readouterr().out
+    simulated = int(_sweep_line(first).split()[1])
+    assert simulated > 0
+    assert _sweep_line(second).startswith("sweep: 0 unique points")
+    assert f", {simulated} from store" in _sweep_line(second)
+    assert _tables_only(first) == _tables_only(second)
+
+
+def test_store_that_is_not_a_directory_fails(cli, capsys, tmp_path):
+    path = tmp_path / "a-file"
+    path.write_text("")
+    assert cli.main(["E10", "--store", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert out.startswith(f"--store {path}: cannot open result store")
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--store"])
+def test_flag_without_value_fails(cli, flag):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["E10", flag])
+    assert info.value.code == f"{flag} needs an argument"

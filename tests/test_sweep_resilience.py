@@ -1,7 +1,7 @@
-"""Resilient sweep execution: timeouts, retries, exclusion, checkpoints.
+"""Resilient sweep execution: timeouts, retries, exclusion, store resume.
 
 The acceptance bar: a sweep interrupted mid-run and resumed from its
-checkpoint directory must reuse the already-completed points and still
+result store must reuse the already-completed points and still
 produce tables bit-identical to an uninterrupted run; hung or crashing
 points must be retried with backoff and then excluded instead of
 sinking the grid; deterministic failures must raise immediately, naming
@@ -10,6 +10,7 @@ the offending (config, workload) point.
 
 from __future__ import annotations
 
+import glob
 import os
 import pickle
 import shutil
@@ -28,6 +29,7 @@ from repro.harness.parallel import (
     result_fingerprint,
     simulate_point,
 )
+from repro.harness.store import STORE_FORMAT_VERSION, ResultStore
 from repro.isa.program import Assembler
 from repro.workloads.base import Workload
 from tests.conftest import small_config
@@ -67,6 +69,28 @@ def _broken_worker(config, programs, initial_memory, fault_plan=None, node_plan=
     raise ValueError("intentionally broken point")
 
 
+def _fails_on_w1_worker(config, programs, initial_memory, fault_plan=None,
+                        node_plan=None):
+    if programs[0].name == "w1.t0":
+        raise ValueError("intentionally broken point")
+    return simulate_point(config, programs, initial_memory, fault_plan)
+
+
+def _hangs_on_w1_worker(config, programs, initial_memory, fault_plan=None,
+                        node_plan=None):
+    if programs[0].name == "w1.t0":
+        time.sleep(60)
+    return simulate_point(config, programs, initial_memory, fault_plan)
+
+
+def _records(store_dir: str):
+    return glob.glob(os.path.join(store_dir, "*", "*", "*.res"))
+
+
+def _record_path(store_dir: str, spec: RunSpec) -> str:
+    return ResultStore(store_dir)._path(spec.fingerprint())
+
+
 # ------------------------------------------------------------- fingerprints
 
 def test_runspec_fingerprint_matches_legacy_without_plan():
@@ -95,13 +119,13 @@ def test_fault_injected_point_runs_through_the_scheduler():
     assert result.read_word(0x1_0000) == 1
 
 
-# ------------------------------------------------------ checkpoint / resume
+# ----------------------------------------------------------- store / resume
 
-def test_interrupted_sweep_resumes_from_checkpoints(tmp_path):
-    ckpt = str(tmp_path / "ckpt")
+def test_interrupted_sweep_resumes_from_the_store(tmp_path):
+    store = str(tmp_path / "store")
     grid = _grid(3)
 
-    # Reference: one uninterrupted run, no checkpointing involved.
+    # Reference: one uninterrupted run, no store involved.
     reference = SweepScheduler(jobs=1)
     reference.add("g", _grid(3))
     reference.run()
@@ -109,36 +133,36 @@ def test_interrupted_sweep_resumes_from_checkpoints(tmp_path):
             for label, result in reference.results_for("g").items()}
 
     # "Killed" sweep: only part of the grid completed before the kill.
-    first = SweepScheduler(jobs=1, checkpoint_dir=ckpt)
+    first = SweepScheduler(jobs=1, store_dir=store)
     first.add("g", grid[:2])
     first.run()
-    assert len(os.listdir(ckpt)) == 2
+    assert len(_records(store)) == 2
 
     # Resume in a fresh scheduler (fresh process in real life): the two
     # completed points come from disk, only the third is simulated.
-    resumed = SweepScheduler(jobs=1, checkpoint_dir=ckpt)
+    resumed = SweepScheduler(jobs=1, store_dir=store)
     resumed.add("g", _grid(3))
     report = resumed.run()
-    assert report.checkpoint_hits == 2
+    assert report.store_hits == 2
     assert report.unique_points == 1            # only p2 actually simulated
     got = {label: result_fingerprint(result)
            for label, result in resumed.results_for("g").items()}
     assert got == want
 
 
-def test_truncated_checkpoint_is_ignored_and_resimulated(tmp_path):
-    ckpt = str(tmp_path / "ckpt")
-    first = SweepScheduler(jobs=1, checkpoint_dir=ckpt)
+def test_truncated_record_is_ignored_and_resimulated(tmp_path):
+    store = str(tmp_path / "store")
+    first = SweepScheduler(jobs=1, store_dir=store)
     first.add("g", _grid(2))
     first.run()
-    victim = sorted(os.listdir(ckpt))[0]
-    with open(os.path.join(ckpt, victim), "wb") as fh:
+    victim = sorted(_records(store))[0]
+    with open(victim, "wb") as fh:
         fh.write(b"\x80truncated-by-a-kill")
 
-    resumed = SweepScheduler(jobs=1, checkpoint_dir=ckpt)
+    resumed = SweepScheduler(jobs=1, store_dir=store)
     resumed.add("g", _grid(2))
     report = resumed.run()
-    assert report.checkpoint_hits == 1          # the intact one
+    assert report.store_hits == 1               # the intact one
     resumed.results_for("g")                    # the other re-simulated fine
 
     reference = SweepScheduler(jobs=1)
@@ -147,6 +171,108 @@ def test_truncated_checkpoint_is_ignored_and_resimulated(tmp_path):
     for label, result in reference.results_for("g").items():
         assert result_fingerprint(resumed.results_for("g")[label]) == \
             result_fingerprint(result)
+
+
+def test_repeated_parallel_grid_is_served_from_the_store(tmp_path):
+    store = str(tmp_path / "store")
+    first = SweepScheduler(jobs=2, store_dir=store)
+    first.add("g", _grid(3))
+    report = first.run()
+    assert (report.unique_points, report.store_hits) == (3, 0)
+    want = {label: result_fingerprint(result)
+            for label, result in first.results_for("g").items()}
+
+    again = SweepScheduler(jobs=2, store_dir=store)
+    again.add("g", _grid(3))
+    report = again.run()
+    assert (report.unique_points, report.store_hits) == (0, 3)
+    assert ", 3 from store" in report.render()
+    got = {label: result_fingerprint(result)
+           for label, result in again.results_for("g").items()}
+    assert got == want
+
+
+def test_duplicate_points_are_simulated_and_stored_once(tmp_path):
+    store = str(tmp_path / "store")
+    spec = _grid(1)[0]
+    twin = RunSpec("twin", spec.config, spec.workload)
+    scheduler = SweepScheduler(jobs=1, store_dir=store)
+    scheduler.add("g", [spec, twin])
+    report = scheduler.run()
+    assert (report.unique_points, report.duplicate_hits) == (1, 1)
+    assert len(_records(store)) == 1
+    results = scheduler.results_for("g")
+    assert results["p0"] is results["twin"]
+
+
+def test_failed_sweep_keeps_completed_points_in_the_store(tmp_path):
+    store = str(tmp_path / "store")
+    failing = SweepScheduler(jobs=1, worker=_fails_on_w1_worker,
+                             store_dir=store)
+    failing.add("g", _grid(3))
+    with pytest.raises(SweepError, match="p1"):
+        failing.run()
+    assert len(_records(store)) == 1            # p0 finished before p1
+
+    fixed = SweepScheduler(jobs=1, store_dir=store)
+    fixed.add("g", _grid(3))
+    report = fixed.run()
+    assert (report.unique_points, report.store_hits) == (2, 1)
+    assert fixed.results_for("g")["p2"].read_word(0x1_0000) == 3
+
+
+def test_excluded_point_is_not_written_to_the_store(tmp_path):
+    store = str(tmp_path / "store")
+    scheduler = SweepScheduler(jobs=1, worker=_hangs_on_w1_worker,
+                               point_timeout=1.0, retries=0,
+                               term_grace=0.5, store_dir=store)
+    scheduler.add("g", _grid(3))
+    report = scheduler.run()
+    assert list(report.excluded) == ["p1"]
+    assert sorted(_records(store)) == sorted(
+        _record_path(store, spec) for spec in _grid(3) if spec.label != "p1")
+
+    # A later sweep over the same store retries only the excluded point.
+    retry = SweepScheduler(jobs=1, store_dir=store)
+    retry.add("g", _grid(3))
+    report = retry.run()
+    assert (report.unique_points, report.store_hits) == (1, 2)
+    assert retry.results_for("g")["p1"].read_word(0x1_0000) == 2
+
+
+def test_chaos_point_round_trips_through_the_store(tmp_path):
+    # A link-fault and node-fault point restores with its crashed core
+    # and its fault and recovery counters, as the live run produced them.
+    from repro.faults import CRASH, NodeFault, NodeFaultPlan
+    from repro.sim.config import SystemConfig
+    from repro.workloads.protocols import gossip
+
+    def chaos():
+        return RunSpec("chaos", SystemConfig(n_cores=4), gossip(4),
+                       check=False,
+                       fault_plan=FaultPlan(seed=2, drop_prob=0.05),
+                       node_plan=NodeFaultPlan(
+                           faults=(NodeFault(1, CRASH, 300),)))
+
+    spec = chaos()
+    direct, _seconds = simulate_point(spec.config, spec.workload.programs,
+                                      spec.workload.initial_memory,
+                                      spec.fault_plan, spec.node_plan)
+    store = str(tmp_path / "store")
+    first = SweepScheduler(jobs=1, store_dir=store)
+    first.add("g", [chaos()])
+    first.run()
+
+    restored = SweepScheduler(jobs=1, store_dir=store)
+    restored.add("g", [chaos()])
+    assert restored.run().store_hits == 1
+    result = restored.results_for("g")["chaos"]
+    assert result_fingerprint(result) == result_fingerprint(direct)
+    assert result.crashed_core_ids() == [1]
+    counters = result.stats.snapshot()
+    assert counters["nodefaults.crashes"] == 1
+    assert counters["faults.dropped"] >= 1
+    assert counters == direct.stats.snapshot()
 
 
 # -------------------------------------------------- timeouts and exclusion
@@ -319,40 +445,38 @@ def test_report_excluded_is_scoped_to_its_own_run():
     assert third.excluded == {}
 
 
-# --------------------------------------- regression: checkpoint validation
+# ------------------------------------------- regression: restore validation
 #
-# _load_checkpoints used to unpickle anything in the directory with no
-# integrity or version check.  Checkpoints now use the service store's
+# Restores used to unpickle anything in the directory with no integrity
+# or version check.  Every restore now goes through the store's
 # versioned record format: a foreign, tampered, stale-version, or
 # legacy raw-pickle file is rejected and the point re-simulated.
 
-def test_foreign_checkpoint_is_rejected_and_resimulated(tmp_path):
-    ckpt = str(tmp_path / "ckpt")
-    first = SweepScheduler(jobs=1, checkpoint_dir=ckpt)
+def test_foreign_record_is_rejected_and_resimulated(tmp_path):
+    store = str(tmp_path / "store")
+    first = SweepScheduler(jobs=1, store_dir=store)
     first.add("g", _grid(2))
     first.run()
 
-    fp0, fp1 = (spec.fingerprint() for spec in _grid(2))
-    # Pretend an operator synced p0's checkpoint onto p1's key.
-    shutil.copyfile(os.path.join(ckpt, f"{fp0}.pkl"),
-                    os.path.join(ckpt, f"{fp1}.pkl"))
+    p0, p1 = _grid(2)
+    # Pretend an operator synced p0's record onto p1's key.
+    shutil.copyfile(_record_path(store, p0), _record_path(store, p1))
 
-    resumed = SweepScheduler(jobs=1, checkpoint_dir=ckpt)
+    resumed = SweepScheduler(jobs=1, store_dir=store)
     resumed.add("g", _grid(2))
     report = resumed.run()
-    assert report.checkpoint_hits == 1          # only the genuine one
+    assert report.store_hits == 1               # only the genuine one
     # pre-fix: p1 silently resumed from p0's result (value 1, not 2)
     assert resumed.results_for("g")["p1"].read_word(0x1_0000) == 2
 
 
-def test_stale_format_version_checkpoint_is_rejected(tmp_path):
-    from repro.service.store import STORE_FORMAT_VERSION
-    ckpt = str(tmp_path / "ckpt")
-    first = SweepScheduler(jobs=1, checkpoint_dir=ckpt)
+def test_stale_format_version_record_is_rejected(tmp_path):
+    store = str(tmp_path / "store")
+    first = SweepScheduler(jobs=1, store_dir=store)
     first.add("g", _grid(1))
     first.run()
 
-    path = os.path.join(ckpt, f"{_grid(1)[0].fingerprint()}.pkl")
+    path = _record_path(store, _grid(1)[0])
     with open(path, "rb") as fh:
         header, payload = fh.read().split(b"\n", 1)
     parts = header.split(b"\x00")
@@ -360,42 +484,42 @@ def test_stale_format_version_checkpoint_is_rejected(tmp_path):
     with open(path, "wb") as fh:
         fh.write(b"\x00".join(parts) + b"\n" + payload)
 
-    resumed = SweepScheduler(jobs=1, checkpoint_dir=ckpt)
+    resumed = SweepScheduler(jobs=1, store_dir=store)
     resumed.add("g", _grid(1))
     report = resumed.run()
-    assert report.checkpoint_hits == 0
+    assert report.store_hits == 0
     assert report.unique_points == 1            # re-simulated
     resumed.results_for("g")
 
 
-def test_legacy_raw_pickle_checkpoint_is_rejected(tmp_path):
-    ckpt = str(tmp_path / "ckpt")
+def test_legacy_raw_pickle_record_is_rejected(tmp_path):
+    store = str(tmp_path / "store")
     reference = SweepScheduler(jobs=1)
     reference.add("g", _grid(1))
     reference.run()
     result = reference.results_for("g")["p0"]
 
-    # A checkpoint written by the pre-record-format code: bare pickle.
-    os.makedirs(ckpt)
-    fp = _grid(1)[0].fingerprint()
-    with open(os.path.join(ckpt, f"{fp}.pkl"), "wb") as fh:
+    # A record written by the pre-record-format code: bare pickle.
+    path = _record_path(store, _grid(1)[0])
+    os.makedirs(os.path.dirname(path))
+    with open(path, "wb") as fh:
         pickle.dump(result, fh)
 
-    resumed = SweepScheduler(jobs=1, checkpoint_dir=ckpt)
+    resumed = SweepScheduler(jobs=1, store_dir=store)
     resumed.add("g", _grid(1))
     report = resumed.run()
-    assert report.checkpoint_hits == 0          # no blind unpickling
+    assert report.store_hits == 0               # no blind unpickling
     assert result_fingerprint(resumed.results_for("g")["p0"]) == \
         result_fingerprint(result)
 
 
-def test_tampered_checkpoint_fingerprint_fails_integrity(tmp_path):
-    ckpt = str(tmp_path / "ckpt")
-    first = SweepScheduler(jobs=1, checkpoint_dir=ckpt)
+def test_tampered_record_fingerprint_fails_integrity(tmp_path):
+    store = str(tmp_path / "store")
+    first = SweepScheduler(jobs=1, store_dir=store)
     first.add("g", _grid(1))
     first.run()
 
-    path = os.path.join(ckpt, f"{_grid(1)[0].fingerprint()}.pkl")
+    path = _record_path(store, _grid(1)[0])
     with open(path, "rb") as fh:
         header, payload = fh.read().split(b"\n", 1)
     parts = header.split(b"\x00")
@@ -403,7 +527,7 @@ def test_tampered_checkpoint_fingerprint_fails_integrity(tmp_path):
     with open(path, "wb") as fh:
         fh.write(b"\x00".join(parts) + b"\n" + payload)
 
-    resumed = SweepScheduler(jobs=1, checkpoint_dir=ckpt)
+    resumed = SweepScheduler(jobs=1, store_dir=store)
     resumed.add("g", _grid(1))
-    assert resumed.run().checkpoint_hits == 0
+    assert resumed.run().store_hits == 0
     resumed.results_for("g")
