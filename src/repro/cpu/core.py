@@ -280,11 +280,32 @@ class Core:
         branch target); speculation-capable cores execute them when the
         fused closure falls back to per-instruction dispatch during an
         active episode (see :func:`_make_superblock`).
+
+        Each span's event cadence -- its per-slot deltas and the relay
+        entry that replays them (see :meth:`Simulator.make_relay`) -- is
+        built here, once, and handed to whichever executor runs the
+        span.  ``deltas[k]`` is the cycle count between the span's k-th
+        slot's event and its successor's.  Spans that may run more than
+        once per pass (``span.loops``) are trace-compiled; the rest run
+        at most once, where a ``compile()`` never pays back, so they get
+        the uncompiled :func:`_make_fused_span`.
         """
         decoded = self._decoded
         instructions = program.instructions
+        alu_latency = self._alu_latency
         for span in superblock_spans(program):
-            fused = _make_superblock(self, span, decoded)
+            deltas = []
+            for instr in instructions[span.start:span.stop]:
+                op = instr.op
+                if op in _BRANCHES or op is Opcode.NOP:
+                    deltas.append(1)  # branches and NOPs always retire in 1
+                elif op is Opcode.EXEC:
+                    deltas.append(instr.imm)
+                else:
+                    deltas.append(alu_latency)
+            relay = Simulator.make_relay(deltas)
+            make = _make_superblock if span.loops else _make_fused_span
+            fused = make(self, span, relay, decoded)
             decoded[span.start] = (fused, instructions[span.start])
 
     # ----------------------------------------------------------- lifecycle
@@ -1326,9 +1347,9 @@ def _make_load(core: Core, instr: Instruction) -> Callable:
     return exec_load
 
 
-def _make_superblock(core: Core, span: SuperblockSpan,
+def _make_superblock(core: Core, span: SuperblockSpan, relay: tuple,
                      decoded: list) -> Callable:
-    """Trace-compile one superblock span into a single fused closure.
+    """Trace-compile one loop superblock span into a single fused closure.
 
     The span's register work is code-generated into straight-line
     Python with the exact single-source semantics of
@@ -1362,32 +1383,22 @@ def _make_superblock(core: Core, span: SuperblockSpan,
     conservative-window countdown, batch-decremented by the executed
     count -- arithmetically identical to N ``note_instruction`` calls.
 
-    Only built for the real fast-path engine (callers guarantee it), so
-    every schedule is a raw calendar-bucket append.
+    ``relay`` carries the span's cadence, built once by
+    :meth:`Core._install_superblocks` and shared with the uncompiled
+    twin :func:`_make_fused_span`, which runs the spans that execute at
+    most once.  Only built for the real fast-path engine (callers
+    guarantee it), so every schedule is a raw calendar-bucket append.
     """
     assert core.sim.fastpath, "superblocks require the fast-path engine"
     instructions = core.program.instructions
     start, stop = span.start, span.stop
     spec = core.spec
-    alu_latency = core._alu_latency
+    payload = relay[1]
+    deltas = payload[0]
 
     M = semantics.WORD_MASK
     S = semantics.SIGN_BIT
     _SIGNED_MIN, _SIGNED_MAX = -(1 << 63), (1 << 63) - 1
-
-    # Per-slot latencies drive the relay cadence; deltas[k - start] is
-    # the cycle count between slot k's event and its successor's.
-    deltas = []
-    for k in range(start, stop):
-        op = instructions[k].op
-        if op in _BRANCHES or op is Opcode.NOP:
-            deltas.append(1)  # branches and NOPs always retire in 1
-        elif op is Opcode.EXEC:
-            deltas.append(instructions[k].imm)
-        else:
-            deltas.append(alu_latency)
-    payload = [tuple(deltas), 0, 0, None]
-    relay = (None, payload)
 
     bindings = {
         "_r": core.regs._regs,
@@ -1558,6 +1569,90 @@ def _make_superblock(core: Core, span: SuperblockSpan,
     namespace = dict(bindings)
     exec(code, namespace)
     return namespace["_superblock"]
+
+
+def _make_fused_span(core: Core, span: SuperblockSpan, relay: tuple,
+                     decoded: list) -> Callable:
+    """Run one straight-line superblock span fused, without compiling it.
+
+    For spans that run at most once per pass (``not span.loops``),
+    where the ~300 us ``compile()`` of a 25-line span would never pay
+    back.  The closure walks a per-span tuple of ``(evaluator, instr,
+    delta)`` steps through the shared ``repro.isa.semantics`` tables
+    and does exactly what a generated exit of :func:`_make_superblock`
+    does: the same register writes (none for NOP or ``rd == 0``, whose
+    evaluator is None), the same early exit at a taken branch, the same
+    busy, instruction and fusion counts and conservative-window
+    countdown, the same pc, and the same relay chain appended at the
+    same moment.  A speculation-capable core falls back to the head's
+    per-instruction closure while an episode is active.
+    """
+    assert core.sim.fastpath, "superblocks require the fast-path engine"
+    payload = relay[1]
+    steps = []
+    for instr, delta in zip(core.program.instructions[span.start:span.stop],
+                            payload[0]):
+        op = instr.op
+        if op in _BRANCHES:
+            evaluate = semantics._BRANCH_EVAL[op]
+        elif op is Opcode.NOP or not instr.rd:
+            evaluate = None
+        else:
+            evaluate = semantics._ALU_EVAL[op]
+        steps.append((evaluate, instr, delta))
+
+    def fused_span(instr, _steps=tuple(steps), _stop=span.stop,
+                   _d0=payload[0][0], _r=core.regs._regs,
+                   _busy=core.stat_busy, _icnt=core.stat_instructions,
+                   _core=core, _spec=core.spec, _plain=decoded[span.start][0],
+                   _step=core._step, _entries=core._entries, _sim=core.sim,
+                   _buckets=core.sim._buckets, _times=core.sim._times,
+                   _push=_heappush, _pl=payload, _relay=relay):
+        if _spec is not None and _spec.active:
+            _plain(instr)
+            return
+        n = lat = 0
+        pc = _stop
+        for evaluate, ins, delta in _steps:
+            n += 1
+            lat += delta
+            if ins.target is None:
+                if evaluate is not None:
+                    _r[ins.rd] = evaluate(ins, _r[ins.rs], _r[ins.rt])
+            elif evaluate(ins, _r[ins.rs], _r[ins.rt]):
+                pc = ins.target
+                break
+        _busy.value += lat
+        _icnt.value += n
+        _core.instructions += n
+        _core.fused_instructions += n
+        _core.fused_blocks += 1
+        if _spec is None:
+            item = _entries[pc]
+        else:
+            # Batched note_instruction(): idle episodes only tick the
+            # conservative-window countdown.
+            rem = _spec._conservative_remaining
+            if rem > 0:
+                _spec._conservative_remaining = rem - n if rem > n else 0
+            item = (_step, (_core.epoch,))
+        _core.pc = pc
+        if n > 1:
+            # Elided slots: the relay chain appends the successor.
+            _pl[1] = 1
+            _pl[2] = n
+            _pl[3] = item
+            item = _relay
+        t = _sim._now + _d0
+        b = _buckets.get(t)
+        if b is None:
+            _buckets[t] = [item]
+            _push(_times, t)
+        else:
+            b.append(item)
+        _sim._pending += 1
+
+    return fused_span
 
 
 _DISPATCH: Optional[dict] = None

@@ -86,6 +86,12 @@ def measure_point(spec: RunSpec, repeats: int = 1) -> BenchPoint:
 
     Simulation is deterministic, so every repeat produces the identical
     result; the minimum wall time is the least-noisy throughput sample.
+
+    Only ``System.run()`` is timed: building the ``System`` (program
+    decode, superblock preparation) happens before the clock starts, so
+    construction cost never shows in a bench document.  The repository
+    benchmark's traced run reports it as ``system.build_s``
+    (``perfbench/README.md``).
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")

@@ -12,6 +12,7 @@ litmus programs.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.isa.instructions import (
@@ -205,21 +206,32 @@ class SuperblockSpan:
     target -- a jump can enter a span only at its head, so executing a
     span's register work atomically at the head preserves every possible
     control-flow path.
+
+    ``loops`` marks a span whose head lies inside some backward branch's
+    range: a branch at slot ``b`` with target ``t <= b`` and
+    ``t <= start <= b``.  Any control-flow cycle through a slot ``s``
+    contains such a branch (pc only falls through upward, so returning
+    to ``s`` needs a jump from at or after ``s`` to at or before it).
+    A span without the flag therefore runs at most once per pass through
+    the program, apart from re-execution after a speculation rollback.
     """
 
-    __slots__ = ("start", "stop", "has_branch")
+    __slots__ = ("start", "stop", "has_branch", "loops")
 
-    def __init__(self, start: int, stop: int, has_branch: bool):
+    def __init__(self, start: int, stop: int, has_branch: bool,
+                 loops: bool):
         self.start = start
         self.stop = stop
         self.has_branch = has_branch
+        self.loops = loops
 
     @property
     def length(self) -> int:
         return self.stop - self.start
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        tail = "+branch" if self.has_branch else ""
+        tail = ("+branch" if self.has_branch else "") + (
+            "+loops" if self.loops else "")
         return f"<SuperblockSpan [{self.start},{self.stop}){tail}>"
 
 
@@ -229,6 +241,21 @@ def branch_targets(program: Program) -> FrozenSet[int]:
         instr.target for instr in program.instructions
         if instr.target is not None
     )
+
+
+def _loop_slots(instructions: Sequence[Instruction]) -> List[bool]:
+    """Per slot: does some backward branch's range ``[target, b]`` cover it?
+
+    One pass over the branches marks each range in a difference array,
+    one prefix sum reads it back -- O(n) however many ranges overlap.
+    """
+    diff = [0] * (len(instructions) + 1)
+    for b, instr in enumerate(instructions):
+        t = instr.target
+        if t is not None and t <= b:
+            diff[t] += 1
+            diff[b + 1] -= 1
+    return [depth > 0 for depth in accumulate(diff[:-1])]
 
 
 def superblock_spans(program: Program) -> Tuple[SuperblockSpan, ...]:
@@ -251,6 +278,9 @@ def superblock_spans(program: Program) -> Tuple[SuperblockSpan, ...]:
     * a span that can fall through never reaches the end of the program
       text, so the fall-through successor slot always exists.
 
+    Each span also records whether it may run more than once per pass
+    (``loops``, see :class:`SuperblockSpan`).
+
     The cache is stamped with the ``instructions`` tuple exactly like
     :func:`_dispatch_pairs`, so mutated/rebuilt programs re-detect.
     """
@@ -259,6 +289,7 @@ def superblock_spans(program: Program) -> Tuple[SuperblockSpan, ...]:
     if cached is not None and cached[0] is instructions:
         return cached[1]
     targets = branch_targets(program)
+    in_loop = _loop_slots(instructions)
     spans = []
     n = len(instructions)
     i = 0
@@ -286,7 +317,7 @@ def superblock_spans(program: Program) -> Tuple[SuperblockSpan, ...]:
             j += 1
         stop = j
         if stop - i >= 2 and (stop < n or not falls_through):
-            spans.append(SuperblockSpan(i, stop, has_branch))
+            spans.append(SuperblockSpan(i, stop, has_branch, in_loop[i]))
         i = max(stop, i + 1)
     result = tuple(spans)
     object.__setattr__(program, "_superblock_spans", (instructions, result))

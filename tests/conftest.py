@@ -33,6 +33,40 @@ def small_config(n_cores: int = 2, **spec_kwargs) -> SystemConfig:
     )
 
 
+#: Superblock executor selections for differential tests: the program
+#: text's own choice (``None``), every span trace-compiled (``True``),
+#: every span through the uncompiled fused executor (``False``).
+SPAN_EXECUTORS = {"default": None, "compiled": True, "uncompiled": False}
+
+
+def force_span_executor(monkeypatch, loops: bool) -> None:
+    """Make every superblock span the cores see carry ``loops``.
+
+    Cores trace-compile spans flagged ``loops`` and run the rest through
+    the uncompiled fused executor, so forcing the flag selects one
+    executor for every span without a configuration option.
+    """
+    import repro.cpu.core as core_module
+    from repro.isa.interpreter import SuperblockSpan, superblock_spans
+
+    def spans(program):
+        return tuple(SuperblockSpan(s.start, s.stop, s.has_branch, loops)
+                     for s in superblock_spans(program))
+
+    monkeypatch.setattr(core_module, "superblock_spans", spans)
+
+
+def run_each_executor(monkeypatch, run) -> dict:
+    """``run()`` once per :data:`SPAN_EXECUTORS` entry, by its name."""
+    results = {}
+    for name, loops in SPAN_EXECUTORS.items():
+        with monkeypatch.context() as patch:
+            if loops is not None:
+                force_span_executor(patch, loops)
+            results[name] = run()
+    return results
+
+
 @pytest.fixture
 def config2():
     return small_config(2)

@@ -5,6 +5,7 @@ The heavy full-grid measurements live in ``benchmarks/perf`` (marked
 documents and run the CLI's ``--check`` smoke mode once.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -25,6 +26,10 @@ from repro.harness.bench import (
     validate_bench,
     write_bench,
 )
+from repro.harness.parallel import RunSpec
+from repro.isa import Assembler
+from repro.sim.config import SystemConfig
+from repro.workloads.base import Workload
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -163,7 +168,32 @@ def test_cli_check_smoke_mode():
     assert proc.returncode == 0, proc.stderr
     assert "schema ok" in proc.stdout
     assert "fusion coverage nonzero" in proc.stdout
+    assert "loop spans compiled" in proc.stdout
     assert "E1-smoke" in proc.stdout
+
+
+def _run_bench_module():
+    spec = importlib.util.spec_from_file_location(
+        "run_bench", os.path.join(_REPO_ROOT, "examples", "run_bench.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_check_fails_when_no_span_would_be_compiled(monkeypatch, capsys):
+    """Straight-line code still fuses, through the uncompiled executor,
+    so nonzero coverage alone would pass; ``--check`` also demands a
+    loop span on every smoke point."""
+    asm = Assembler("straight").li(1, 1).li(2, 2).add(3, 1, 2)
+    program = asm.store(3, base=0).halt().build()
+    grid = {"E1-smoke": [RunSpec("straight|sc", SystemConfig(n_cores=1),
+                                 Workload("straight", [program]))]}
+    bench = _run_bench_module()
+    monkeypatch.setattr(bench, "check_grids", lambda: grid)
+    assert bench.main(["--check"]) == 1
+    out = capsys.readouterr().out
+    assert "no loop span to trace-compile on: straight|sc" in out
+    assert "zero superblock fusion coverage" not in out
 
 
 def test_cli_superblock_stats_prints_coverage_table():
@@ -178,6 +208,7 @@ def test_cli_superblock_stats_prints_coverage_table():
     assert proc.returncode == 0, proc.stderr
     assert "coverage" in proc.stdout
     assert "mean-len" in proc.stdout
+    assert "loop-spans/spans" in proc.stdout
     assert "locks-tas|sc" in proc.stdout
     assert "events/s" not in proc.stdout
 

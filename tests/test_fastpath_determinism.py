@@ -25,7 +25,9 @@ import pytest
 from repro.harness.bench import default_grids
 from repro.harness.experiments import e1_plan, e9_plan
 from repro.harness.parallel import result_fingerprint
+from repro.isa.interpreter import superblock_spans
 from repro.system import System
+from tests.conftest import run_each_executor
 
 _GOLDEN_PATH = os.path.join(os.path.dirname(__file__),
                             "golden_fingerprints.json")
@@ -134,13 +136,56 @@ def test_chaos_points_superblocks_on_off_match(spec):
 def test_superblock_fusion_engages_on_spin_workloads():
     """The on/off proof above is vacuous if fusion never fires: at
     least the spin-heavy E1 points must retire a meaningful fraction
-    of their dynamic instructions inside fused superblocks."""
+    of their dynamic instructions inside fused superblocks.  The fusion
+    counters cannot tell the two executors apart, so every spin program
+    must also carry a loop span -- one the core trace-compiles."""
     spin = [s for s in _DETERMINISM_SPECS if "locks-ticket" in s.label]
     assert spin, "expected locks-ticket points in the determinism grid"
     for spec in spin:
         result = _run(spec, fastpath=True)
         assert result.fusion_coverage() > 0.25, spec.label
         assert result.mean_superblock_length() >= 2.0, spec.label
+        for program in spec.workload.programs:
+            assert any(span.loops for span in superblock_spans(program)), \
+                (spec.label, program.name)
+
+
+def _executor_view(result):
+    """Everything the two superblock executors must agree on."""
+    return (result_fingerprint(result), result.events, result.cycles,
+            [(c.fused_instructions, c.fused_blocks) for c in result.cores])
+
+
+def _assert_executors_interchangeable(spec, monkeypatch):
+    results = run_each_executor(monkeypatch,
+                                lambda: _run(spec, fastpath=True))
+    views = {name: _executor_view(r) for name, r in results.items()}
+    assert views["compiled"] == views["default"]
+    assert views["uncompiled"] == views["default"]
+    assert results["default"].fused_instructions() > 0, "fusion never fired"
+    return results["default"]
+
+
+@pytest.mark.parametrize("spec", _DETERMINISM_SPECS + _CHAOS_SPECS,
+                         ids=[s.label for s in _DETERMINISM_SPECS
+                              + _CHAOS_SPECS])
+def test_compiled_and_uncompiled_span_executors_match(spec, monkeypatch):
+    """The trace-compiled and the uncompiled superblock executors are
+    interchangeable: running every span through either one reproduces
+    the default run's fingerprint, event and cycle counts, and each
+    core's fusion counters."""
+    _assert_executors_interchangeable(spec, monkeypatch)
+
+
+def test_span_executors_match_across_speculation_rollback(monkeypatch):
+    """Same proof on the rollback point of test_superblocks.py: fused
+    spans re-executed after a rollback count the same either way."""
+    spec = next(s for s in e9_plan(core_counts=(4,), scale=0.2)
+                if s.label == "4|barrier-stencil|if-sc")
+    result = _assert_executors_interchangeable(spec, monkeypatch)
+    violations = sum(v for k, v in result.stats.snapshot().items()
+                     if k.endswith(".violations"))
+    assert violations > 0, "expected at least one rollback on this point"
 
 
 def _golden():

@@ -7,6 +7,8 @@ invisible across speculation checkpoint/rollback.  These tests pin the
 structural rules directly and the timing-core behaviour end to end.
 """
 
+import builtins
+
 import pytest
 
 from repro.harness.experiments import e9_plan
@@ -14,12 +16,17 @@ from repro.harness.parallel import result_fingerprint
 from repro.isa import Assembler
 from repro.isa.instructions import Opcode
 from repro.isa.interpreter import _dispatch_pairs, superblock_spans
-from repro.sim.config import SystemConfig
+from repro.sim.config import SpeculationMode, SystemConfig
 from repro.system import System
+from tests.conftest import force_span_executor, run_each_executor
 
 
 def _spans(program):
     return [(s.start, s.stop, s.has_branch) for s in superblock_spans(program)]
+
+
+def _loops(program):
+    return [s.loops for s in superblock_spans(program)]
 
 
 def _run(config, programs, initial_memory=None):
@@ -47,6 +54,7 @@ class TestSpanDetection:
         program = asm.build()
         assert program.labels["loop"] == 2
         assert _spans(program) == [(0, 2, False), (2, 5, True)]
+        assert _loops(program) == [False, True]
 
     def test_span_head_may_be_a_branch_target(self):
         # The head is an entry point, not a mid-span entry: a span may
@@ -58,6 +66,35 @@ class TestSpanDetection:
         asm.jmp("spin")
         program = asm.build()
         assert _spans(program) == [(0, 3, True)]
+        assert _loops(program) == [True]
+
+    def test_straight_line_spans_are_not_loop_spans(self):
+        # Spans split by memory ops, and a forward branch: no back edge,
+        # so every span runs at most once.
+        asm = Assembler("t").li(1, 1).li(2, 2).store(1, base=2)
+        asm.add(3, 1, 2).beq(3, 0, "out").sub(4, 3, 1)
+        asm.label("out")
+        asm.li(5, 5).li(6, 6).halt()
+        program = asm.build()
+        assert _spans(program) == [(0, 2, False), (3, 6, True),
+                                   (6, 8, False)]
+        assert _loops(program) == [False, False, False]
+
+    def test_loop_flag_covers_the_back_edge_range_only(self):
+        # The back edge at slot 4 jumps to 0: every span whose head lies
+        # in [0, 4] may run again, including one headed mid-body after a
+        # load; the span after the back edge runs once.
+        asm = Assembler("t")
+        asm.label("top")
+        asm.li(1, 1).li(2, 2)
+        asm.load(3, base=2)
+        asm.add(4, 3, 1).bne(4, 0, "top")
+        asm.store(4, base=2)
+        asm.li(5, 5).li(6, 6).halt()
+        program = asm.build()
+        assert _spans(program) == [(0, 2, False), (3, 5, True),
+                                   (6, 8, False)]
+        assert _loops(program) == [True, True, False]
 
     @pytest.mark.parametrize("emit,opcode", [
         (lambda a: a.load(3, base=9), Opcode.LOAD),
@@ -142,6 +179,152 @@ def _alu_loop_program():
     asm.bne(1, 0, "loop")
     asm.halt()
     return asm.build()
+
+
+def _unrolled_program():
+    """Straight-line spans separated by stores, as the randmix and
+    streaming generators emit them: no back edge anywhere."""
+    asm = Assembler("t")
+    for k in range(4):
+        asm.li(1, k).addi(2, 1, 3).mul(3, 2, 2).store(3, base=0, offset=8 * k)
+    return asm.halt().build()
+
+
+def _count_compiles(monkeypatch):
+    calls = []
+    real = builtins.compile
+
+    def counting(*args, **kwargs):
+        calls.append(args[1] if len(args) > 1 else kwargs["filename"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counting)
+    return calls
+
+
+def test_straight_line_spans_never_reach_compile(monkeypatch):
+    program = _unrolled_program()
+    assert len(superblock_spans(program)) == 4
+    assert not any(_loops(program))
+    with monkeypatch.context() as patch:
+        calls = _count_compiles(patch)
+        system = System(SystemConfig(n_cores=2), [program, program])
+    assert calls == []
+    # Fused all the same: through the uncompiled executor.
+    assert system.run().fused_blocks() == 8
+
+
+def test_loop_span_is_compiled_once_per_core(monkeypatch):
+    program = _alu_loop_program()
+    assert _loops(program) == [False, True]
+    with monkeypatch.context() as patch:
+        calls = _count_compiles(patch)
+        System(SystemConfig(n_cores=2), [program, program])
+    assert calls == ["<superblock core0@3>", "<superblock core1@3>"]
+
+
+def test_forcing_the_loop_flag_selects_the_executor(monkeypatch):
+    """The differential tests force every span to one executor; check
+    that the forcing reaches the core."""
+    program = _unrolled_program()
+    for loops, expected in ((True, 4), (False, 0)):
+        with monkeypatch.context() as patch:
+            force_span_executor(patch, loops)
+            calls = _count_compiles(patch)
+            System(SystemConfig(n_cores=1), [program])
+        assert len(calls) == expected
+
+
+def _mid_exit_loop_program():
+    """Loop span [3, 8): the BNE at slot 5 leaves mid-span on odd
+    counts and falls through on even ones; the closing BNE is taken
+    until the count reaches zero, then the span falls through."""
+    asm = Assembler("t")
+    asm.li(1, 6).li(4, 1).li(2, 0)
+    asm.label("loop")
+    asm.addi(1, 1, -1)
+    asm.and_(3, 1, 4)
+    asm.bne(3, 0, "loop")
+    asm.addi(2, 2, 10)
+    asm.bne(1, 0, "loop")
+    asm.halt()
+    return asm.build()
+
+
+def _head_exit_loop_program():
+    """Loop span [2, 6) headed by a BEQ that is taken only on the last
+    visit: that dispatch retires one instruction and schedules its
+    successor directly, with no relay."""
+    asm = Assembler("t")
+    asm.li(1, 3).li(2, 0)
+    asm.label("loop")
+    asm.beq(1, 0, "done")
+    asm.addi(2, 2, 7)
+    asm.addi(1, 1, -1)
+    asm.jmp("loop")
+    asm.label("done")
+    asm.halt()
+    return asm.build()
+
+
+def _r0_write_program():
+    """A straight-line span that writes r0 and reads it back: the writes
+    are discarded, so r0 must still read 0."""
+    asm = Assembler("t")
+    asm.li(1, 9).addi(0, 1, 5).add(2, 0, 1).li(0, 3).add(2, 2, 0)
+    return asm.halt().build()
+
+
+@pytest.mark.parametrize("mode", [SpeculationMode.NONE,
+                                  SpeculationMode.ON_DEMAND],
+                         ids=lambda m: m.value)
+@pytest.mark.parametrize("build,spans,fused,r2", [
+    # [0,3) once (3), then odd counts exit at slot 5 (3 x 3 retired)
+    # and even counts run the whole span (3 x 5).
+    (_mid_exit_loop_program, [(0, 3, False), (3, 8, True)], (27, 7), 30),
+    # [0,2) once (2), three full passes (3 x 4), one head exit (1).
+    (_head_exit_loop_program, [(0, 2, False), (2, 6, True)], (15, 5), 21),
+    (_r0_write_program, [(0, 5, False)], (5, 1), 9),
+], ids=["mid-span-exit", "head-branch-exit", "r0-writes"])
+def test_hand_written_spans_match_unfused_on_both_executors(
+        build, spans, fused, r2, mode, monkeypatch):
+    program = build()
+    assert _spans(program) == spans
+    config = SystemConfig(n_cores=1).with_speculation(mode)
+    plain = _run(config.with_superblocks(False), [program])
+    assert plain.cores[0].registers[2] == r2
+    results = run_each_executor(monkeypatch, lambda: _run(config, [program]))
+    for name, result in results.items():
+        assert result.cores[0].registers == plain.cores[0].registers, name
+        assert (result.cycles, result.events) == \
+            (plain.cycles, plain.events), name
+        assert result_fingerprint(result) == result_fingerprint(plain), name
+        assert (result.fused_instructions(), result.fused_blocks()) == \
+            fused, name
+
+
+@pytest.mark.parametrize("window", [5, 1000])
+def test_fused_spans_tick_the_conservative_window_per_instruction(
+        window, monkeypatch):
+    """An idle speculation-capable core counts its conservative window
+    down once per retired instruction; a fused dispatch must take off
+    its executed count, clamped at zero, on either executor."""
+    program = _mid_exit_loop_program()
+    config = SystemConfig(n_cores=1).with_speculation(
+        SpeculationMode.ON_DEMAND)
+
+    def remaining(cfg):
+        system = System(cfg, [program])
+        system.cores[0].spec._conservative_remaining = window
+        result = system.run()
+        return system.cores[0].spec._conservative_remaining, result
+
+    expected, plain = remaining(config.with_superblocks(False))
+    assert expected == max(0, window - plain.cores[0].instructions)
+    results = run_each_executor(monkeypatch, lambda: remaining(config))
+    for name, (left, result) in results.items():
+        assert result.fused_blocks() > 0, name
+        assert left == expected, name
 
 
 def test_fused_execution_matches_unfused_registers_and_cycles():
