@@ -28,7 +28,7 @@ workers.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 _MASK64 = (1 << 64) - 1
 
@@ -81,6 +81,8 @@ class ConsistentHashHomeMap:
         points.sort()
         self._ring_keys = [key for key, _ in points]
         self._ring_homes = [home for _, home in points]
+        #: block address -> node id, filled on each block's first lookup
+        self._nodes: Dict[int, int] = {}
 
     def home_index(self, block_addr: int) -> int:
         keys = self._ring_keys
@@ -90,7 +92,11 @@ class ConsistentHashHomeMap:
         return self._ring_homes[index]
 
     def node_id(self, block_addr: int) -> int:
-        return self.first_node + self.home_index(block_addr)
+        node = self._nodes.get(block_addr)
+        if node is None:
+            node = self._nodes[block_addr] = \
+                self.first_node + self.home_index(block_addr)
+        return node
 
 
 def build_home_map(n_homes: int, first_node: int):

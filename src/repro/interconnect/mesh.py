@@ -10,16 +10,31 @@ Delivery between any (src, dst) pair remains FIFO -- XY routing is
 deterministic, every message of a pair follows the same path, and each
 link is a FIFO queue -- which is the property the coherence protocol
 requires.
+
+Each directed link has a static id, ``4 * tile index + direction``
+(tile index ``y * width + x``; directions east, west, south, north),
+so link state is one flat list and a route is a tuple of ints, cached
+per (src, dst) pair on its first send.  A message in flight is one
+mutable *flit* record, ``[links, index, dst, msg, arrived, entry]``:
+the route, the next link to claim, the destination, the payload, the
+cycle the flit reached its current tile, and the flit's one calendar
+entry.  Every hop is still its own event -- a link is claimed when the
+flit reaches the link's tile, in (arrival cycle, bucket position)
+order, and that order decides same-cycle races (docs/PERF.md, "Mesh
+hot path").
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heappush as _heappush
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatsRegistry
+
+#: (dx, dy) of each link direction; a link's id is 4 * tile + direction.
+_DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 
 class Mesh:
@@ -50,27 +65,23 @@ class Mesh:
         self.inflight = 0
         self._coords: Dict[int, Tuple[int, int]] = {}
         self._tiles: Dict[Tuple[int, int], int] = {}
-        self._link_free_at: Dict[Tuple[Tuple[int, int], Tuple[int, int]], int] = {}
+        #: link id -> first cycle the link is free again
+        self._link_free_at: List[int] = [0] * (4 * self.width * self.height)
+        #: (src, dst) -> link ids, filled on the pair's first send
+        self._routes: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._place(n_nodes)
 
         self.stat_messages = stats.counter(f"{name}.messages")
         self.stat_hops = stats.accumulator(f"{name}.hops")
         self.stat_link_wait = stats.accumulator(f"{name}.link_wait_cycles")
 
-        # Hot-path wiring, mirroring the crossbar: a message pays one
-        # scheduling round-trip *per hop*, so ``send``/``_traverse``
-        # inline the calendar-bucket append on the fast engine.  The
-        # compat engine (fastpath=False) swaps in the variants that
-        # route through the (shadowed, Event-allocating)
-        # schedule_fast/schedule_fast_at -- the determinism suite proves
-        # both paths byte-identical.  ``_traverse_h`` is the bound
-        # method each hop reschedules: late-bound through ``self`` so a
-        # subclass (the shard-boundary mesh) slots in transparently.
-        if sim.fastpath:
-            self._traverse_h = self._traverse
-        else:
-            self.send = self._send_compat  # type: ignore[method-assign]
-            self._traverse_h = self._traverse_compat
+        # ``_hop`` claims a flit's next link and re-appends the flit's
+        # entry (or, after the last link, its delivery).  The fast engine
+        # gets a closure with the calendar append inlined; the compat
+        # engine (fastpath=False) routes every hop through the shadowed,
+        # Event-allocating schedule_fast_at -- the determinism suite
+        # proves both byte-identical.
+        self._hop = self._make_hop() if sim.fastpath else self._hop_compat
 
     def _place(self, n_nodes: int) -> None:
         """Row-major placement, with the last node (the directory) swapped
@@ -111,86 +122,117 @@ class Mesh:
             path.append((x, y))
         return path
 
+    def links(self, src: int, dst: int) -> Tuple[int, ...]:
+        """The XY path as directed link ids, one per hop."""
+        path = self.route(src, dst)
+        width = self.width
+        return tuple(4 * (y * width + x) + _DIRECTIONS.index((bx - x, by - y))
+                     for (x, y), (bx, by) in zip(path, path[1:]))
+
+    def link_target(self, link: int) -> Tuple[int, int]:
+        """The tile a link enters."""
+        tile, direction = divmod(link, 4)
+        dx, dy = _DIRECTIONS[direction]
+        return tile % self.width + dx, tile // self.width + dy
+
     # ------------------------------------------------------------- sending
 
     def send(self, src: int, dst: int, msg: Any) -> None:
-        if src not in self._endpoints:
-            raise KeyError(f"unknown source node {src}")
-        if dst not in self._endpoints:
-            raise KeyError(f"unknown destination node {dst}")
-        path = self.route(src, dst)
+        links = self._routes.get((src, dst))
+        if links is None:
+            if src not in self._endpoints:
+                raise KeyError(f"unknown source node {src}")
+            if dst not in self._endpoints:
+                raise KeyError(f"unknown destination node {dst}")
+            links = self._routes[src, dst] = self.links(src, dst)
         self.stat_messages.value += 1
-        self.stat_hops.add(len(path) - 1)
+        self.stat_hops.add(len(links))
         self.inflight += 1
-        if len(path) == 1:
-            # Same-tile delivery (src == dst tile): one hop_latency, no
-            # link to claim.  Inlined schedule_fast(hop_latency, ...):
-            sim = self.sim
-            time = sim._now + self.hop_latency
-            buckets = sim._buckets
-            bucket = buckets.get(time)
-            if bucket is None:
-                buckets[time] = [(self._deliver, (dst, msg))]
-                _heappush(sim._times, time)
-            else:
-                bucket.append((self._deliver, (dst, msg)))
-            sim._pending += 1
+        now = self.sim._now
+        if not links:
+            # Same-tile delivery (src == dst): one hop_latency, no link.
+            self.sim.schedule_fast_at(now + self.hop_latency, self._deliver,
+                                      dst, msg)
             return
-        self._traverse(path, 0, dst, msg, self.sim._now)
+        # The first link is claimed now, inside the sender's event.
+        flit = [links, 0, dst, msg, now, None]
+        flit[5] = (self._hop, (flit,))
+        self._hop(flit)
 
-    def _traverse(self, path, index: int, dst: int, msg: Any,
-                  arrived_at: int) -> None:
-        """Claim the next link (FIFO per link) and hop across it."""
-        if index == len(path) - 1:
-            self._deliver(dst, msg)
-            return
-        link = (path[index], path[index + 1])
-        free_at = self._link_free_at.get(link, 0)
-        depart = arrived_at if arrived_at > free_at else free_at
-        self._link_free_at[link] = depart + self.link_issue_interval
-        self.stat_link_wait.add(depart - arrived_at)
-        arrive = depart + self.hop_latency
-        # Inlined schedule_fast_at(arrive, self._traverse_h, ...):
+    def _make_hop(self):
+        """The fast engine's hop: one closure over the mesh's constants."""
+        free_at = self._link_free_at
+        interval = self.link_issue_interval
+        latency = self.hop_latency
+        wait_stat = self.stat_link_wait
+        deliver = self._deliver
         sim = self.sim
         buckets = sim._buckets
-        bucket = buckets.get(arrive)
-        entry = (self._traverse_h, (path, index + 1, dst, msg, arrive))
-        if bucket is None:
-            buckets[arrive] = [entry]
-            _heappush(sim._times, arrive)
-        else:
-            bucket.append(entry)
-        sim._pending += 1
+        times = sim._times
 
-    def _send_compat(self, src: int, dst: int, msg: Any) -> None:
-        """``send`` for the compat engine: every hop goes through the
-        Event-allocating slow path."""
-        if src not in self._endpoints:
-            raise KeyError(f"unknown source node {src}")
-        if dst not in self._endpoints:
-            raise KeyError(f"unknown destination node {dst}")
-        path = self.route(src, dst)
-        self.stat_messages.increment()
-        self.stat_hops.add(len(path) - 1)
-        self.inflight += 1
-        if len(path) == 1:
-            self.sim.schedule_fast(self.hop_latency, self._deliver, dst, msg)
-            return
-        self._traverse_compat(path, 0, dst, msg, self.sim.now)
+        def hop(flit):
+            links, index, dst, msg, arrived, entry = flit
+            link = links[index]
+            free = free_at[link]
+            # Inlined Accumulator.add(depart - arrived).  Waits are never
+            # negative, so a zero wait moves the minimum only while it
+            # is unset or positive, and the maximum only while unset.
+            if arrived >= free:
+                depart = arrived
+                wait_stat.count += 1
+                if wait_stat.minimum != 0:
+                    if wait_stat.maximum is None:
+                        wait_stat.maximum = 0
+                    wait_stat.minimum = 0
+            else:
+                depart = free
+                wait = free - arrived
+                wait_stat.total += wait
+                wait_stat.count += 1
+                if wait_stat.minimum is None or wait < wait_stat.minimum:
+                    wait_stat.minimum = wait
+                if wait_stat.maximum is None or wait > wait_stat.maximum:
+                    wait_stat.maximum = wait
+            free_at[link] = depart + interval
+            arrive = depart + latency
+            index += 1
+            if index == len(links):
+                flit[5] = None          # the flit's last use: break the cycle
+                entry = (deliver, (dst, msg))
+            else:
+                flit[1] = index
+                flit[4] = arrive
+            # Inlined schedule_fast_at(arrive, ...):
+            bucket = buckets.get(arrive)
+            if bucket is None:
+                buckets[arrive] = [entry]
+                _heappush(times, arrive)
+            else:
+                bucket.append(entry)
+            sim._pending += 1
 
-    def _traverse_compat(self, path, index: int, dst: int, msg: Any,
-                         arrived_at: int) -> None:
-        if index == len(path) - 1:
-            self._deliver(dst, msg)
-            return
-        link = (path[index], path[index + 1])
-        free_at = self._link_free_at.get(link, 0)
-        depart = max(arrived_at, free_at)
+        return hop
+
+    def _hop_compat(self, flit: list) -> None:
+        """The hop on the compat engine and on shard meshes."""
+        links, index, dst, msg, arrived, _ = flit
+        link = links[index]
+        free = self._link_free_at[link]
+        depart = arrived if arrived > free else free
         self._link_free_at[link] = depart + self.link_issue_interval
-        self.stat_link_wait.add(depart - arrived_at)
-        arrive = depart + self.hop_latency
-        self.sim.schedule_fast_at(arrive, self._traverse_compat, path,
-                                  index + 1, dst, msg, arrive)
+        self.stat_link_wait.add(depart - arrived)
+        flit[5] = None
+        self._forward(flit, link, index + 1, depart + self.hop_latency)
+
+    def _forward(self, flit: list, link: int, index: int,
+                 arrive: int) -> None:
+        """Schedule the flit's next hop (or its delivery) at ``arrive``."""
+        if index == len(flit[0]):
+            self.sim.schedule_fast_at(arrive, self._deliver, flit[2], flit[3])
+        else:
+            flit[1] = index
+            flit[4] = arrive
+            self.sim.schedule_fast_at(arrive, self._hop, flit)
 
     def _deliver(self, dst: int, msg: Any) -> None:
         self.inflight -= 1

@@ -70,7 +70,7 @@ _INF = float("inf")
 
 #: boundary-record kinds
 _DELIVER = 0    # payload = destination node id
-_TRAVERSE = 1   # payload = (path, index, dst) -- mesh flit mid-route
+_TRAVERSE = 1   # payload = (links, index, dst) -- mesh flit mid-route
 
 
 class ShardingError(ValueError):
@@ -192,51 +192,37 @@ class _ShardMesh(Mesh):
     exactly once, in arrival order, with serial timing: the handoff
     record carries the flit's precise arrival cycle at the next tile.
     Tiles that host no node (padding on a non-square grid) belong to
-    shard 0.
+    shard 0.  Link ids are static, so a record's ``(links, index,
+    dst)`` names the same route in every shard process.
     """
 
     def __init__(self, sim, n_nodes, stats, hop_latency, link_issue_interval,
                  owner: List[int], me: int, outbox: List[tuple],
                  marks: Dict[int, int]):
-        self._owner = owner
         self._me = me
         self._outbox = outbox
         self._marks = marks
         super().__init__(sim, n_nodes, stats, hop_latency=hop_latency,
                          link_issue_interval=link_issue_interval)
-        self._tile_owner: Dict[Tuple[int, int], int] = {}
-        for tile, node in self._tiles.items():
-            self._tile_owner[tile] = owner[node]
-        for y in range(self.height):
-            for x in range(self.width):
-                self._tile_owner.setdefault((x, y), 0)
-        # The boundary-aware traverse replaces both engine variants
-        # (it schedules through sim.schedule_fast_at, which the compat
-        # engine shadows, so both modes stay covered).
-        self._traverse_h = self._traverse
-        self._traverse_compat = self._traverse  # type: ignore[method-assign]
+        tile_owner = {tile: owner[node] for tile, node in self._tiles.items()}
+        #: link id -> shard owning the tile the link enters
+        self._link_owner = [tile_owner.get(self.link_target(link), 0)
+                            for link in range(len(self._link_free_at))]
+        # The compat hop schedules through sim.schedule_fast_at, which
+        # the compat engine shadows, so it serves both engine modes.
+        self._hop = self._hop_compat
 
-    def _traverse(self, path, index: int, dst: int, msg: Any,
-                  arrived_at: int) -> None:
-        if index == len(path) - 1:
-            self._deliver(dst, msg)
-            return
-        nxt = path[index + 1]
-        link = (path[index], nxt)
-        free_at = self._link_free_at.get(link, 0)
-        depart = arrived_at if arrived_at > free_at else free_at
-        self._link_free_at[link] = depart + self.link_issue_interval
-        self.stat_link_wait.add(depart - arrived_at)
-        arrive = depart + self.hop_latency
-        owner = self._tile_owner[nxt]
+    def _forward(self, flit: list, link: int, index: int,
+                 arrive: int) -> None:
+        owner = self._link_owner[link]
         if owner != self._me:
+            links, _, dst, msg, _, _ = flit
             msg.uid  # materialise before pickling (see _ShardCrossbar)
             self.inflight -= 1
             self._outbox.append((owner, arrive, _TRAVERSE,
-                                 (path, index + 1, dst), msg))
+                                 (links, index, dst), msg))
             return
-        self.sim.schedule_fast_at(arrive, self._traverse, path, index + 1,
-                                  dst, msg, arrive)
+        super()._forward(flit, link, index, arrive)
         # Delivery-prefix mark, as in _ShardCrossbar._boundary_send.
         self._marks[arrive] = len(self.sim._buckets[arrive])
 
@@ -447,8 +433,12 @@ class _Shard:
             if kind == _DELIVER:
                 entry = (net._deliver, (payload, msg))
             else:
-                path, index, dst = payload
-                entry = (net._traverse, (path, index, dst, msg, arrive))
+                links, index, dst = payload
+                if index == len(links):
+                    entry = (net._deliver, (dst, msg))
+                else:
+                    entry = (net._hop, ([links, index, dst, msg, arrive,
+                                         None],))
             position = absorbed.get(arrive, 0)
             mark = marks.get(arrive, 0)
             if mark > position:

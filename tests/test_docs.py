@@ -1,13 +1,16 @@
-"""The docs name only files that exist.
+"""The docs name only files that exist, and quote artifacts exactly.
 
 Every ``examples/``, ``docs/``, ``tests/``, ``benchmarks/`` and
 ``src/repro/`` path named in the top-level docs, ``docs/*.md`` and the
 verification recipe must exist in the checkout, so deleting or renaming
-a file fails tier-1 until the docs that point at it are updated.
+a file fails tier-1 until the docs that point at it are updated.  So
+must every ``BENCH_<n>.json`` they name, and every figure they quote
+from one must read exactly as formatted from the artifact.
 """
 
 from __future__ import annotations
 
+import json
 import pathlib
 import re
 
@@ -42,3 +45,65 @@ def test_doc_names_only_existing_paths(doc):
     missing = [path for path in named_paths(doc.read_text())
                if not (_ROOT / path).exists()]
     assert not missing, f"{doc.relative_to(_ROOT)} names missing {missing}"
+
+
+_BENCH = re.compile(r"\bBENCH_(\d+)")
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda p: str(p.relative_to(_ROOT)))
+def test_doc_names_only_existing_bench_artifacts(doc):
+    missing = sorted({f"BENCH_{n}.json" for n in _BENCH.findall(doc.read_text())
+                      if not (_ROOT / f"BENCH_{n}.json").exists()})
+    assert not missing, f"{doc.relative_to(_ROOT)} names missing {missing}"
+
+
+#: (doc, artifact, JSON path, format): the doc must contain the value at
+#: the path, formatted.  A path step ``[x]`` picks the list element whose
+#: ``label`` is ``x``.
+QUOTED = [
+    ("docs/PERF.md", "BENCH_3.json", "grids.E1.totals.events_per_sec", "{:,.0f}"),
+    ("docs/PERF.md", "BENCH_3.json", "grids.E9.totals.events_per_sec", "{:,.0f}"),
+    ("docs/PERF.md", "BENCH_3.json", "grids.MEM.totals.events_per_sec", "{:,.0f}"),
+    ("docs/PERF.md", "BENCH_4.json", "grids.E1.totals.events_per_sec", "{:,.0f}"),
+    ("docs/PERF.md", "BENCH_4.json", "grids.E9.totals.events_per_sec", "{:,.0f}"),
+    ("docs/PERF.md", "BENCH_4.json", "grids.MEM.totals.events_per_sec", "{:,.0f}"),
+    ("docs/PERF.md", "BENCH_4.json", "speedup.E1.events_per_sec", "{:.2f}x"),
+    ("docs/PERF.md", "BENCH_4.json", "speedup.E9.events_per_sec", "{:.2f}x"),
+    ("docs/PERF.md", "BENCH_4.json", "speedup.MEM.events_per_sec", "{:.2f}x"),
+    ("docs/SHARDING.md", "BENCH_5.json",
+     "sharded.points.[mesh256-stencil].serial_wall_seconds", "serial {:.2f} s"),
+    ("docs/SHARDING.md", "BENCH_5.json",
+     "sharded.points.[mesh256-stencil].sharded_wall_seconds",
+     "measured wall {:.2f} s"),
+    ("docs/SHARDING.md", "BENCH_5.json",
+     "sharded.points.[mesh256-stencil].wall_speedup", "({:.2f}x)"),
+    ("docs/SHARDING.md", "BENCH_5.json",
+     "sharded.points.[mesh256-stencil].max_shard_busy_seconds",
+     "max shard busy {:.2f} s"),
+    ("docs/SHARDING.md", "BENCH_5.json",
+     "sharded.points.[mesh256-stencil].critical_path_speedup",
+     "{:.2f}x critical path"),
+]
+
+
+def artifact_value(doc, path):
+    for step in path.split("."):
+        if step.startswith("["):
+            doc = next(item for item in doc if item["label"] == step[1:-1])
+        else:
+            doc = doc[step]
+    return doc
+
+
+def _flat(text):
+    """Markdown with emphasis and runs of whitespace collapsed."""
+    return " ".join(text.replace("**", "").split())
+
+
+@pytest.mark.parametrize("doc,artifact,path,fmt", QUOTED,
+                         ids=[f"{d}:{a}:{p}" for d, a, p, _ in QUOTED])
+def test_doc_quotes_artifact_exactly(doc, artifact, path, fmt):
+    value = artifact_value(json.loads((_ROOT / artifact).read_text()), path)
+    quoted = fmt.format(value)
+    assert quoted in _flat((_ROOT / doc).read_text()), (
+        f"{doc} should quote {artifact} {path} as {quoted!r}")

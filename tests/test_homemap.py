@@ -115,3 +115,26 @@ def test_remapped_addresses_only_move_to_the_new_home():
         old, new = before.home_index(addr), after.home_index(addr)
         if old != new:
             assert new == 4, f"addr {addr:#x} moved {old}->{new}, not to 4"
+
+
+def test_memoized_node_id_matches_the_ring_on_every_call():
+    """``node_id`` memoizes per block; the memo must return the ring's
+    answer on the first lookup and on every repeat."""
+    hm = ConsistentHashHomeMap(n_homes=8, first_node=32)
+    addrs = _blocks(3000, stride=BLOCK * 5)
+    for _ in range(3):
+        for addr in addrs:
+            assert hm.node_id(addr) == 32 + hm.home_index(addr)
+
+
+def test_memo_is_per_map():
+    """Maps with different ``first_node`` keep separate memos: their
+    node ids stay disjoint whichever map saw a block first."""
+    low = ConsistentHashHomeMap(n_homes=4, first_node=8)
+    high = ConsistentHashHomeMap(n_homes=4, first_node=16)
+    addrs = _blocks(3000)
+    for addr in addrs[::2]:
+        low.node_id(addr)
+    for addr in addrs:
+        assert high.node_id(addr) != low.node_id(addr)
+        assert high.node_id(addr) - low.node_id(addr) == 8

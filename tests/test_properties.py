@@ -163,6 +163,31 @@ def test_mesh_routes_are_minimal_and_deterministic(n_nodes, data):
         assert abs(ax - bx) + abs(ay - by) == 1  # unit hops
 
 
+@given(st.integers(min_value=1, max_value=20), st.data())
+def test_mesh_links_chain_along_the_route(n_nodes, data):
+    """A link id is 4 * tile index + direction (east, west, south,
+    north): each link leaves the tile the previous one enters, the
+    chain walks ``route()`` from src to dst, and the ids depend only on
+    the grid, so two meshes of one size agree."""
+    from repro.interconnect.mesh import Mesh
+    from repro.sim.stats import StatsRegistry
+    mesh = Mesh(Simulator(), n_nodes, StatsRegistry())
+    src = data.draw(st.integers(0, n_nodes - 1))
+    dst = data.draw(st.integers(0, n_nodes - 1))
+    links = mesh.links(src, dst)
+    steps = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    tile = mesh.coordinates(src)
+    walked = [tile]
+    for link in links:
+        index, direction = divmod(link, 4)
+        assert (index % mesh.width, index // mesh.width) == tile
+        tile = (tile[0] + steps[direction][0], tile[1] + steps[direction][1])
+        assert mesh.link_target(link) == tile
+        walked.append(tile)
+    assert walked == mesh.route(src, dst)
+    assert links == Mesh(Simulator(), n_nodes, StatsRegistry()).links(src, dst)
+
+
 # ------------------------------------------- timing sim vs reference model
 
 @settings(deadline=None, max_examples=20)
