@@ -82,21 +82,22 @@ class CacheArray:
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        self._sets: List[Dict[int, CacheBlock]] = [dict() for _ in range(config.n_sets)]
+        n_sets = config.n_sets
+        self._sets: List[Dict[int, CacheBlock]] = [{} for _ in range(n_sets)]
         # Recency per set as an insertion-ordered dict (LRU first, MRU
         # last): move-to-end is del + reinsert, both O(1), instead of the
         # O(assoc) list.remove.  ``_mru`` caches each set's newest key so
         # the touch of an already-MRU block (spins hammering one block)
         # is a single compare; it must be kept exact -- a stale value
         # would silently change eviction order.
-        self._lru: List[Dict[int, None]] = [dict() for _ in range(config.n_sets)]
-        self._mru: List[int] = [-1] * config.n_sets
+        self._lru: List[Dict[int, None]] = [{} for _ in range(n_sets)]
+        self._mru: List[int] = [-1] * n_sets
         # Geometry scalars cached once: the config's block_of/set_index
         # recompute offset_bits/n_sets per call, and both sit on the
         # per-access hot path.
         self._block_mask = ~(config.block_bytes - 1)
         self._offset_bits = config.offset_bits
-        self._set_mask = config.n_sets - 1
+        self._set_mask = n_sets - 1
         self._word_mask = config.block_bytes - 1
 
     @property

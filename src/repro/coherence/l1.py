@@ -25,6 +25,7 @@ rollback.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from heapq import heappush as _heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -63,6 +64,20 @@ _GRANTED = {
 
 def _identity(data):
     return data
+
+
+@lru_cache(maxsize=None)
+def _stat_names(node_id: int) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """An L1's counter names and its fault-hardening counter names, in
+    the order ``L1Cache.__init__`` and
+    :meth:`L1Cache.enable_fault_hardening` unpack them, built once per
+    process per node id."""
+    prefix = f"l1.{node_id}"
+    return tuple(tuple(f"{prefix}.{name}" for name in names) for names in (
+        ("hits", "misses", "evictions", "writebacks", "clean_before_write",
+         "invalidations_received", "downgrades_received", "spec_relinquish",
+         "sm_demotions", "wb_surrenders", "committed_writethroughs"),
+        ("nacks_received", "retries", "dups_suppressed")))
 
 
 class ViolationReason(enum.Enum):
@@ -196,19 +211,12 @@ class L1Cache:
         self.forward_listener: Optional[Callable] = None
         self.fence_listener: Optional[Callable] = None
 
-        prefix = f"l1.{node_id}"
-        self.stat_hits = stats.counter(f"{prefix}.hits")
-        self.stat_misses = stats.counter(f"{prefix}.misses")
-        self.stat_evictions = stats.counter(f"{prefix}.evictions")
-        self.stat_writebacks = stats.counter(f"{prefix}.writebacks")
-        self.stat_clean_before_write = stats.counter(f"{prefix}.clean_before_write")
-        self.stat_inv_received = stats.counter(f"{prefix}.invalidations_received")
-        self.stat_downgrades = stats.counter(f"{prefix}.downgrades_received")
-        self.stat_spec_relinquish = stats.counter(f"{prefix}.spec_relinquish")
-        self.stat_sm_demotions = stats.counter(f"{prefix}.sm_demotions")
-        self.stat_wb_surrenders = stats.counter(f"{prefix}.wb_surrenders")
-        self.stat_committed_writethrough = stats.counter(
-            f"{prefix}.committed_writethroughs")
+        (self.stat_hits, self.stat_misses, self.stat_evictions,
+         self.stat_writebacks, self.stat_clean_before_write,
+         self.stat_inv_received, self.stat_downgrades,
+         self.stat_spec_relinquish, self.stat_sm_demotions,
+         self.stat_wb_surrenders, self.stat_committed_writethrough,
+         ) = stats.counters(_stat_names(node_id)[0])
 
         # Hot-path caches: core-side accesses are never cancelled (guards
         # neutralise squashed requests), so they ride the fast path.
@@ -607,13 +615,11 @@ class L1Cache:
         existed.  The hardened receive path shadows the plain one via an
         instance attribute, keeping the fault-free hot path untouched.
         """
-        prefix = f"l1.{self.node_id}"
         self._retry_plan = plan
         self._seen_uids = set()
         self._wb_blocked: Dict[int, List] = {}
-        self.stat_nacks = stats.counter(f"{prefix}.nacks_received")
-        self.stat_retries = stats.counter(f"{prefix}.retries")
-        self.stat_dups_suppressed = stats.counter(f"{prefix}.dups_suppressed")
+        self.stat_nacks, self.stat_retries, self.stat_dups_suppressed = \
+            stats.counters(_stat_names(self.node_id)[1])
         self._receive_handlers[MessageType.NACK] = self._on_nack
         self._receive_handlers[MessageType.PUT_ACK] = self._on_put_ack_hardened
         self.receive = self._receive_hardened  # type: ignore[method-assign]

@@ -17,7 +17,8 @@ bounds livelock even under adversarial conflict patterns.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional
+from functools import lru_cache
+from typing import Dict, Optional, Tuple
 
 from repro.coherence.l1 import ViolationReason
 from repro.core.checkpoint import Checkpoint
@@ -26,6 +27,22 @@ from repro.sim.stats import StatsRegistry
 
 #: Cap on the conservative-window growth factor after repeated violations.
 MAX_WINDOW_SCALE = 64
+
+_REASONS = tuple(ViolationReason)
+
+
+@lru_cache(maxsize=None)
+def _stat_names(core_id: int) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+    """A controller's counter names (in ``__init__``'s unpacking order)
+    and histogram names, built once per process per core id."""
+    prefix = f"spec.{core_id}"
+    counters = (f"{prefix}.episodes", f"{prefix}.commits",
+                f"{prefix}.violations", f"{prefix}.wasted_instructions",
+                f"{prefix}.conservative_entries",
+                *(f"{prefix}.violations.{reason.value}" for reason in _REASONS))
+    histograms = (f"{prefix}.episode_cycles", f"{prefix}.footprint_blocks",
+                  f"{prefix}.episode_stores")
+    return counters, histograms
 
 
 class SpecState(enum.Enum):
@@ -56,21 +73,16 @@ class InvisiFenceController:
         self._conservative_remaining = 0
         self._violations_at_pc: Dict[int, int] = {}
 
-        prefix = f"spec.{core_id}"
-        self.stat_episodes = stats.counter(f"{prefix}.episodes")
-        self.stat_commits = stats.counter(f"{prefix}.commits")
-        self.stat_violations = stats.counter(f"{prefix}.violations")
-        self.stat_violations_by_reason = {
-            reason: stats.counter(f"{prefix}.violations.{reason.value}")
-            for reason in ViolationReason
-        }
-        self.stat_wasted_instructions = stats.counter(f"{prefix}.wasted_instructions")
-        self.stat_episode_cycles = stats.histogram(f"{prefix}.episode_cycles", log2=True)
-        self.stat_footprint_blocks = stats.histogram(f"{prefix}.footprint_blocks", log2=True)
-        self.stat_conservative_entries = stats.counter(f"{prefix}.conservative_entries")
+        counter_names, (cycles, footprint, stores) = _stat_names(core_id)
+        (self.stat_episodes, self.stat_commits, self.stat_violations,
+         self.stat_wasted_instructions, self.stat_conservative_entries,
+         *by_reason) = stats.counters(counter_names)
+        self.stat_violations_by_reason = dict(zip(_REASONS, by_reason))
+        self.stat_episode_cycles = stats.histogram(cycles, log2=True)
+        self.stat_footprint_blocks = stats.histogram(footprint, log2=True)
         # Speculative stores per episode: feeds the per-store prior-design
         # coverage analysis (E6) -- their storage must scale with this.
-        self.stat_episode_stores = stats.histogram(f"{prefix}.episode_stores")
+        self.stat_episode_stores = stats.histogram(stores)
         self._episode_stores = 0
 
     # -------------------------------------------------------------- policy

@@ -19,8 +19,9 @@ speculative continuations.
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from heapq import heappush as _heappush
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.consistency import ConsistencyPolicy, policy_for
 from repro.coherence.l1 import L1Cache, ViolationReason
@@ -55,6 +56,21 @@ class StallCause(enum.Enum):
     def is_ordering(self) -> bool:
         """Ordering-induced categories (the ones InvisiFence removes)."""
         return self in (StallCause.FENCE, StallCause.ATOMIC, StallCause.SC_ORDER)
+
+
+_STALL_CAUSES = tuple(StallCause)
+
+
+@lru_cache(maxsize=None)
+def _stat_names(core_id: int) -> Tuple[Tuple[str, ...], str]:
+    """A core's counter names (in ``Core.__init__``'s unpacking order)
+    and its occupancy-histogram name, built once per process per id."""
+    prefix = f"core.{core_id}"
+    counters = (f"{prefix}.instructions", f"{prefix}.busy_cycles",
+                f"{prefix}.store_forwards", f"{prefix}.stores_drained",
+                f"{prefix}.ordering_stalls_avoided",
+                *(f"{prefix}.stall.{cause.value}" for cause in _STALL_CAUSES))
+    return counters, f"{prefix}.sb_occupancy"
 
 
 class Core:
@@ -132,17 +148,12 @@ class Core:
         self._nf_stash: Optional[Tuple[Callable, Instruction, int]] = None
         self._nf_stat_deferred = None  # shared counter, set at enable time
 
-        prefix = f"core.{core_id}"
-        self.stat_instructions = stats.counter(f"{prefix}.instructions")
-        self.stat_busy = stats.counter(f"{prefix}.busy_cycles")
-        self.stat_stall = {
-            cause: stats.counter(f"{prefix}.stall.{cause.value}")
-            for cause in StallCause
-        }
-        self.stat_forwards = stats.counter(f"{prefix}.store_forwards")
-        self.stat_drained = stats.counter(f"{prefix}.stores_drained")
-        self.stat_ordering_avoided = stats.counter(f"{prefix}.ordering_stalls_avoided")
-        self.stat_sb_occupancy = stats.histogram(f"{prefix}.sb_occupancy")
+        counter_names, occupancy_name = _stat_names(core_id)
+        (self.stat_instructions, self.stat_busy, self.stat_forwards,
+         self.stat_drained, self.stat_ordering_avoided,
+         *stall) = stats.counters(counter_names)
+        self.stat_stall = dict(zip(_STALL_CAUSES, stall))
+        self.stat_sb_occupancy = stats.histogram(occupancy_name)
 
         # Hot-path caches (resolved once; attribute walks cost on every event).
         self._schedule_fast = sim.schedule_fast
@@ -250,25 +261,28 @@ class Core:
         -- compile to specialised closures with the operand registers,
         semantic evaluator, latency and branch target pre-resolved (see
         :func:`_make_alu` / :func:`_make_branch`).  All other opcodes
-        bind their ``_exec_*`` handler from the dispatch table.
-        Dispatching an instruction is then one list index and one call,
-        with no per-step Opcode classification.
+        bind their ``_exec_*`` handler.  Dispatching an instruction is
+        then one list index and one call, with no per-step Opcode
+        classification.  The classification itself is the program's
+        decode plan (:func:`_decode_plan`), shared by every core that
+        runs the same program object; the closures are this core's own.
         """
-        dispatch = _exec_dispatch()
         decoded: List[Tuple[Callable, Instruction]] = []
-        for index, instr in enumerate(program.instructions):
-            op = instr.op
-            if op in _ALU:
-                decoded.append((_make_alu(self, instr, index, decoded), instr))
-            elif op in _BRANCHES:
+        append = decoded.append
+        fastpath = self.sim.fastpath
+        for index, ((kind, fn, _latency), instr) in enumerate(
+                zip(_decode_plan(program), program.instructions)):
+            if kind == _ALU_SLOT:
+                append((_make_alu(self, instr, index, decoded, fn), instr))
+            elif kind == _BRANCH_SLOT:
                 if instr.target is None:
                     raise SimulationError(
                         f"core {self.core_id}: unresolved branch at load: {instr}")
-                decoded.append((_make_branch(self, instr, index, decoded), instr))
-            elif op is Opcode.LOAD and self.sim.fastpath:
-                decoded.append((_make_load(self, instr), instr))
+                append((_make_branch(self, instr, index, decoded, fn), instr))
+            elif kind == _LOAD_SLOT and fastpath:
+                append((_make_load(self, instr), instr))
             else:
-                decoded.append((dispatch[op].__get__(self), instr))
+                append((fn.__get__(self), instr))
         return decoded
 
     def _install_superblocks(self, program: Program) -> None:
@@ -283,30 +297,26 @@ class Core:
 
         Each span's event cadence -- its per-slot deltas and the relay
         entry that replays them (see :meth:`Simulator.make_relay`) -- is
-        built here, once, and handed to whichever executor runs the
-        span.  ``deltas[k]`` is the cycle count between the span's k-th
-        slot's event and its successor's.  Spans that may run more than
-        once per pass (``span.loops``) are trace-compiled; the rest run
-        at most once, where a ``compile()`` never pays back, so they get
-        the uncompiled :func:`_make_fused_span`.
+        built here, once per core, and handed to whichever executor runs
+        the span.  ``deltas[k]`` is the cycle count between the span's
+        k-th slot's event and its successor's.  The relay's payload is
+        rewritten by every fused dispatch, so it is never shared between
+        cores.  Spans that may run more than once per pass
+        (``span.loops``) are trace-compiled; the rest run at most once,
+        where a ``compile()`` never pays back, so they get the
+        uncompiled :func:`_make_fused_span`.
         """
         decoded = self._decoded
-        instructions = program.instructions
+        plan = _decode_plan(program)
         alu_latency = self._alu_latency
         for span in superblock_spans(program):
-            deltas = []
-            for instr in instructions[span.start:span.stop]:
-                op = instr.op
-                if op in _BRANCHES or op is Opcode.NOP:
-                    deltas.append(1)  # branches and NOPs always retire in 1
-                elif op is Opcode.EXEC:
-                    deltas.append(instr.imm)
-                else:
-                    deltas.append(alu_latency)
+            slots = plan[span.start:span.stop]
+            deltas = [alu_latency if latency is None else latency
+                      for _kind, _fn, latency in slots]
             relay = Simulator.make_relay(deltas)
             make = _make_superblock if span.loops else _make_fused_span
-            fused = make(self, span, relay, decoded)
-            decoded[span.start] = (fused, instructions[span.start])
+            fused = make(self, span, relay, decoded, slots)
+            decoded[span.start] = (fused, program.instructions[span.start])
 
     # ----------------------------------------------------------- lifecycle
 
@@ -928,7 +938,7 @@ class Core:
 
 
 def _make_alu(core: Core, instr: Instruction, index: int,
-              decoded: list) -> Callable:
+              decoded: list, evaluate: Callable) -> Callable:
     """Compile one ALU slot to a closure over the raw register list.
 
     The evaluators in ``semantics._ALU_EVAL`` produce already-masked
@@ -946,8 +956,10 @@ def _make_alu(core: Core, instr: Instruction, index: int,
     instruction's handler* directly instead of the _step trampoline --
     with no speculation there is no epoch to guard and no commit
     housekeeping at the boundary, so the trampoline's checks are dead.
+
+    ``evaluate`` is the slot's ``semantics._ALU_EVAL`` entry, from the
+    program's decode plan.
     """
-    evaluate = semantics._ALU_EVAL[instr.op]
     latency = instr.imm if instr.op is Opcode.EXEC else core._alu_latency
     regs = core.regs._regs
     if core.spec is None:
@@ -1089,9 +1101,8 @@ def _make_alu(core: Core, instr: Instruction, index: int,
 
 
 def _make_branch(core: Core, instr: Instruction, index: int,
-                 decoded: list) -> Callable:
+                 decoded: list, evaluate: Callable) -> Callable:
     """Compile one branch slot to a closure (see :func:`_make_alu`)."""
-    evaluate = semantics._BRANCH_EVAL[instr.op]
     if core.spec is None:
         def exec_branch(instr, _regs=core.regs._regs, _eval=evaluate,
                         _target=instr.target, _rs=instr.rs, _rt=instr.rt,
@@ -1348,7 +1359,7 @@ def _make_load(core: Core, instr: Instruction) -> Callable:
 
 
 def _make_superblock(core: Core, span: SuperblockSpan, relay: tuple,
-                     decoded: list) -> Callable:
+                     decoded: list, slots: tuple) -> Callable:
     """Trace-compile one loop superblock span into a single fused closure.
 
     The span's register work is code-generated into straight-line
@@ -1386,8 +1397,9 @@ def _make_superblock(core: Core, span: SuperblockSpan, relay: tuple,
     ``relay`` carries the span's cadence, built once by
     :meth:`Core._install_superblocks` and shared with the uncompiled
     twin :func:`_make_fused_span`, which runs the spans that execute at
-    most once.  Only built for the real fast-path engine (callers
-    guarantee it), so every schedule is a raw calendar-bucket append.
+    most once; ``slots`` is the span's slice of the decode plan.  Only
+    built for the real fast-path engine (callers guarantee it), so
+    every schedule is a raw calendar-bucket append.
     """
     assert core.sim.fastpath, "superblocks require the fast-path engine"
     instructions = core.program.instructions
@@ -1536,11 +1548,10 @@ def _make_superblock(core: Core, span: SuperblockSpan, relay: tuple,
     terminated = False
     for k in range(start, stop):
         instr = instructions[k]
-        op = instr.op
         cum += deltas[k - start]
         count += 1
-        if op in _BRANCHES:
-            if op is Opcode.JMP:
+        if slots[k - start][0] == _BRANCH_SLOT:
+            if instr.op is Opcode.JMP:
                 # Unconditional: the span ends here (detector guarantees
                 # this is the final slot).
                 lines += exit_lines(instr.target, count, cum, "    ",
@@ -1572,7 +1583,7 @@ def _make_superblock(core: Core, span: SuperblockSpan, relay: tuple,
 
 
 def _make_fused_span(core: Core, span: SuperblockSpan, relay: tuple,
-                     decoded: list) -> Callable:
+                     decoded: list, slots: tuple) -> Callable:
     """Run one straight-line superblock span fused, without compiling it.
 
     For spans that run at most once per pass (``not span.loops``),
@@ -1590,15 +1601,12 @@ def _make_fused_span(core: Core, span: SuperblockSpan, relay: tuple,
     assert core.sim.fastpath, "superblocks require the fast-path engine"
     payload = relay[1]
     steps = []
-    for instr, delta in zip(core.program.instructions[span.start:span.stop],
-                            payload[0]):
-        op = instr.op
-        if op in _BRANCHES:
-            evaluate = semantics._BRANCH_EVAL[op]
-        elif op is Opcode.NOP or not instr.rd:
-            evaluate = None
-        else:
-            evaluate = semantics._ALU_EVAL[op]
+    for (kind, fn, _latency), instr, delta in zip(
+            slots, core.program.instructions[span.start:span.stop],
+            payload[0]):
+        # ALU slots with rd == 0 and NOPs write nothing: no evaluator.
+        evaluate = (fn if kind == _BRANCH_SLOT
+                    or (kind == _ALU_SLOT and instr.rd) else None)
         steps.append((evaluate, instr, delta))
 
     def fused_span(instr, _steps=tuple(steps), _stop=span.stop,
@@ -1655,38 +1663,57 @@ def _make_fused_span(core: Core, span: SuperblockSpan, relay: tuple,
     return fused_span
 
 
-_DISPATCH: Optional[dict] = None
+#: Decode-plan slot kinds (see :func:`_decode_plan`).
+_ALU_SLOT, _BRANCH_SLOT, _LOAD_SLOT, _OTHER_SLOT = range(4)
+
+#: Opcode -> unbound exec handler for every slot that does not compile
+#: to a closure.  ALU and branch slots always do; LOAD slots do on the
+#: fast-path engine.
+_EXEC_HANDLERS = {
+    Opcode.LOAD: Core._exec_load,
+    Opcode.STORE: Core._exec_store,
+    **{op: Core._exec_atomic for op in _ATOMICS},
+    Opcode.FENCE: Core._exec_fence,
+    Opcode.NOP: Core._exec_nop,
+    Opcode.HALT: Core._exec_halt,
+}
 
 
-def _exec_dispatch() -> dict:
-    """Opcode -> unbound exec handler, built once per process.
+def _decode_plan(program: Program) -> Tuple[tuple, ...]:
+    """Per slot ``(kind, fn, latency)``, cached on the program.
 
-    Cores bind these to themselves at program load (see ``_decoded``),
-    replacing the per-instruction elif chain over Opcode-class
-    properties with a single tuple index.
+    ``kind`` is one of the ``_*_SLOT`` constants.  ``fn`` is the slot's
+    ``repro.isa.semantics`` evaluator (ALU, branch) or its unbound
+    ``Core._exec_*`` handler (everything else).  ``latency`` is the
+    slot's fixed retire latency -- an EXEC's immediate, 1 for branches
+    and NOPs -- or None where it is the core's ALU latency (other ALU
+    slots) or not fixed (memory, fence and HALT slots).
+
+    This is the only place the core classifies opcodes.  The plan is
+    computed once per program object (see :meth:`Program.derived`) and
+    holds no per-core object, so every core -- and every System -- that
+    runs the same program shares it; each core binds its own closures
+    from it in :meth:`Core._decode_program`.
     """
-    global _DISPATCH
-    if _DISPATCH is None:
-        table = {}
-        for op in Opcode:
-            if op in _ALU or op in _BRANCHES:
-                continue  # specialised to closures in Core._decode_program
-            if op is Opcode.LOAD:
-                table[op] = Core._exec_load
-            elif op is Opcode.STORE:
-                table[op] = Core._exec_store
-            elif op in _ATOMICS:
-                table[op] = Core._exec_atomic
-            elif op is Opcode.FENCE:
-                table[op] = Core._exec_fence
-            elif op is Opcode.NOP:
-                table[op] = Core._exec_nop
-            elif op is Opcode.HALT:
-                table[op] = Core._exec_halt
-            else:  # pragma: no cover - new opcodes must be classified here
+    return program.derived("core_decode_plan", _classify_slots)
+
+
+def _classify_slots(program: Program) -> Tuple[tuple, ...]:
+    plan = []
+    for instr in program.instructions:
+        op = instr.op
+        if op in _ALU:
+            plan.append((_ALU_SLOT, semantics._ALU_EVAL[op],
+                         instr.imm if op is Opcode.EXEC else None))
+        elif op in _BRANCHES:
+            plan.append((_BRANCH_SLOT, semantics._BRANCH_EVAL[op], 1))
+        else:
+            handler = _EXEC_HANDLERS.get(op)
+            if handler is None:  # pragma: no cover - classify new opcodes here
                 raise SimulationError(f"no exec handler for opcode {op.name}")
-        _DISPATCH = table
-    return _DISPATCH
+            kind = _LOAD_SLOT if op is Opcode.LOAD else _OTHER_SLOT
+            plan.append((kind, handler, 1 if op is Opcode.NOP else None))
+    return tuple(plan)
 
 
 # ------------------------------------------------------------ node faults

@@ -158,26 +158,13 @@ _HANDLERS: Dict[Opcode, Callable] = _build_handlers()
 
 
 def _dispatch_pairs(program: Program) -> Tuple[Tuple[Callable, Instruction], ...]:
-    """Per-program decoded (handler, instr) pairs, cached on the program.
+    """Per-program decoded (handler, instr) pairs, cached on the program
+    (see :meth:`Program.derived`)."""
+    return program.derived("dispatch_pairs", _decode_pairs)
 
-    ``Program`` is a frozen dataclass (without ``__slots__``), so the
-    cache rides in its instance dict via ``object.__setattr__`` --
-    invisible to equality/repr, computed once per program object.
 
-    The cache entry is stamped with the ``instructions`` tuple it was
-    decoded from: replacing the tuple (the only way to mutate a frozen
-    ``Program``, via ``object.__setattr__``) invalidates the entry, so a
-    rebuilt program can never serve stale closures.  The stamp holds a
-    live reference to the old tuple, so an identity check cannot be
-    fooled by ``id()`` reuse.
-    """
-    cached = program.__dict__.get("_decoded_pairs")
-    instructions = program.instructions
-    if cached is not None and cached[0] is instructions:
-        return cached[1]
-    pairs = tuple((_HANDLERS[instr.op], instr) for instr in instructions)
-    object.__setattr__(program, "_decoded_pairs", (instructions, pairs))
-    return pairs
+def _decode_pairs(program: Program) -> Tuple[Tuple[Callable, Instruction], ...]:
+    return tuple((_HANDLERS[instr.op], instr) for instr in program.instructions)
 
 
 # ----------------------------------------------------------- superblocks
@@ -281,13 +268,14 @@ def superblock_spans(program: Program) -> Tuple[SuperblockSpan, ...]:
     Each span also records whether it may run more than once per pass
     (``loops``, see :class:`SuperblockSpan`).
 
-    The cache is stamped with the ``instructions`` tuple exactly like
-    :func:`_dispatch_pairs`, so mutated/rebuilt programs re-detect.
+    Cached on the program (see :meth:`Program.derived`), so a mutated
+    or rebuilt program re-detects.
     """
-    cached = program.__dict__.get("_superblock_spans")
+    return program.derived("superblock_spans", _detect_spans)
+
+
+def _detect_spans(program: Program) -> Tuple[SuperblockSpan, ...]:
     instructions = program.instructions
-    if cached is not None and cached[0] is instructions:
-        return cached[1]
     targets = branch_targets(program)
     in_loop = _loop_slots(instructions)
     spans = []
@@ -319,9 +307,7 @@ def superblock_spans(program: Program) -> Tuple[SuperblockSpan, ...]:
         if stop - i >= 2 and (stop < n or not falls_through):
             spans.append(SuperblockSpan(i, stop, has_branch, in_loop[i]))
         i = max(stop, i + 1)
-    result = tuple(spans)
-    object.__setattr__(program, "_superblock_spans", (instructions, result))
-    return result
+    return tuple(spans)
 
 
 def execute_instruction(

@@ -16,13 +16,19 @@ one method per opcode plus symbolic labels::
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple, TypeVar
 
 from repro.isa.instructions import FenceKind, Instruction, Opcode, WORD_BYTES
 
 
 class AssemblyError(ValueError):
     """Raised for malformed programs (unknown label, bad alignment...)."""
+
+
+_T = TypeVar("_T")
+
+#: Instance-dict key of the derived-data cache (see Program.derived).
+_DERIVED = "_derived"
 
 
 @dataclass(frozen=True)
@@ -41,6 +47,44 @@ class Program:
 
     def __iter__(self):
         return iter(self.instructions)
+
+    def derived(self, key: str, build: Callable[["Program"], _T]) -> _T:
+        """``build(self)``, computed once per program object and cached.
+
+        The one rule for data derived from a program's text (the
+        interpreter's dispatch pairs, superblock spans, the timing
+        core's decode plan): it is cached on the program under ``key``,
+        stamped with the ``instructions`` tuple it was derived from.
+        Replacing the tuple -- the only way to mutate a frozen
+        ``Program``, via ``object.__setattr__`` -- invalidates every
+        entry, so a rebuilt program never serves stale data.  The stamp
+        holds a live reference to the old tuple, so the identity check
+        cannot be fooled by ``id()`` reuse.
+
+        Entries live in the instance dict, invisible to equality and
+        repr, and never ride in a pickle or copy (see
+        :meth:`__getstate__`).  Whatever ``build`` returns is shared by
+        every user of this program object, so it must be immutable and
+        hold nothing bound to one simulated machine.
+        """
+        cache = self.__dict__.get(_DERIVED)
+        if cache is None:
+            cache = self.__dict__[_DERIVED] = {}
+        instructions = self.instructions
+        entry = cache.get(key)
+        if entry is not None and entry[0] is instructions:
+            return entry[1]
+        value = build(self)
+        cache[key] = (instructions, value)
+        return value
+
+    def __getstate__(self) -> dict:
+        # A decoded program pickles (and copies) exactly like a fresh
+        # one: derived entries are rebuilt where they are used, and some
+        # hold functions that cannot be pickled at all.
+        state = dict(self.__dict__)
+        state.pop(_DERIVED, None)
+        return state
 
     def listing(self) -> str:
         """Human-readable disassembly with labels."""

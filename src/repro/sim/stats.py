@@ -156,19 +156,47 @@ class Histogram:
 class StatsRegistry:
     """Hierarchical registry of statistics, keyed by dotted names.
 
-    Component constructors call :meth:`counter` / :meth:`accumulator` /
-    :meth:`histogram` to create-or-fetch their stats; the harness reads
-    them back with :meth:`get` / :meth:`snapshot` / :meth:`report`.
+    Component constructors call :meth:`counter` / :meth:`counters` /
+    :meth:`accumulator` / :meth:`histogram` to create-or-fetch their
+    stats; the harness reads them back with :meth:`get` /
+    :meth:`snapshot` / :meth:`report`.
     """
 
     def __init__(self) -> None:
         self._stats: Dict[str, object] = {}
 
     def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, Counter)
+        stat = self._stats.get(name)
+        if stat is None:
+            stat = self._stats[name] = Counter(name)
+        elif not isinstance(stat, Counter):
+            raise TypeError(f"stat {name!r} already exists with type {type(stat).__name__}")
+        return stat
+
+    def counters(self, names: Iterable[str]) -> List[Counter]:
+        """:meth:`counter` for each of ``names``, in order, in one call.
+
+        Component constructors register their whole counter set through
+        this, from name tuples they build once per process.
+        """
+        stats = self._stats
+        out = []
+        for name in names:
+            stat = stats.get(name)
+            if stat is None:
+                stat = stats[name] = Counter(name)
+            elif not isinstance(stat, Counter):
+                raise TypeError(f"stat {name!r} already exists with type {type(stat).__name__}")
+            out.append(stat)
+        return out
 
     def accumulator(self, name: str) -> Accumulator:
-        return self._get_or_create(name, Accumulator)
+        stat = self._stats.get(name)
+        if stat is None:
+            stat = self._stats[name] = Accumulator(name)
+        elif not isinstance(stat, Accumulator):
+            raise TypeError(f"stat {name!r} already exists with type {type(stat).__name__}")
+        return stat
 
     def histogram(self, name: str, bucket_width: int = 1, log2: bool = False) -> Histogram:
         existing = self._stats.get(name)
@@ -185,16 +213,6 @@ class StatsRegistry:
         hist = Histogram(name, bucket_width=bucket_width, log2=log2)
         self._stats[name] = hist
         return hist
-
-    def _get_or_create(self, name: str, cls):
-        existing = self._stats.get(name)
-        if existing is not None:
-            if not isinstance(existing, cls):
-                raise TypeError(f"stat {name!r} already exists with type {type(existing).__name__}")
-            return existing
-        stat = cls(name)
-        self._stats[name] = stat
-        return stat
 
     def get(self, name: str):
         """Return the stat registered under ``name`` (KeyError if absent)."""

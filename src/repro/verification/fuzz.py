@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -75,9 +76,15 @@ SWEEP_SPECS = (SpeculationMode.NONE, SpeculationMode.ON_DEMAND,
 SKEW_CHOICES = (0, 3, 11, 27)
 
 
+@lru_cache(maxsize=16)
 def fuzz_config(n_threads: int, model: ConsistencyModel,
                 spec: SpeculationMode) -> SystemConfig:
-    """A small, fast machine for fuzz runs (mirrors the test config)."""
+    """A small, fast machine for fuzz runs (mirrors the test config).
+
+    Memoized per process: the config is frozen, and a campaign asks for
+    the same few (threads x model x speculation mode) machines for every
+    program it runs.
+    """
     return SystemConfig(
         n_cores=n_threads,
         l1=CacheConfig(size_bytes=4 * 1024, assoc=4, block_bytes=64,

@@ -20,7 +20,8 @@
 from __future__ import annotations
 
 import random
-from typing import List, NamedTuple, Optional, Sequence
+from functools import lru_cache
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.isa.instructions import FenceKind
 from repro.isa.program import Assembler, Program
@@ -176,6 +177,13 @@ def random_litmus_ops(
     return threads
 
 
+#: Compiled litmus programs kept by :func:`compile_litmus_ops`.  A
+#: campaign runs each (threads, skews) pair under all its configs back
+#: to back, so a few live entries serve it; the bound also keeps a
+#: campaign's programs from outliving it.
+LITMUS_MEMO_SIZE = 16
+
+
 def compile_litmus_ops(
     threads: Sequence[Sequence[MemOp]],
     skews: Optional[Sequence[int]] = None,
@@ -188,7 +196,20 @@ def compile_litmus_ops(
     absolute (base = hardwired-zero r0, address in the immediate), so a
     load costs one instruction and a store/swap two -- shrunk
     reproducers stay close to hand-written litmus tests.
+
+    Compiles are memoized per process (an LRU of
+    :data:`LITMUS_MEMO_SIZE` entries keyed by the arguments as tuples):
+    every call returns a new list, but repeated calls share the same
+    frozen :class:`Program` objects, and with them each program's
+    derived decode data (see :meth:`Program.derived`).
     """
+    return list(_compile_litmus(tuple(tuple(ops) for ops in threads),
+                                tuple(skews) if skews else (), name))
+
+
+@lru_cache(maxsize=LITMUS_MEMO_SIZE)
+def _compile_litmus(threads: Tuple[Tuple[MemOp, ...], ...],
+                    skews: Tuple[int, ...], name: str) -> Tuple[Program, ...]:
     programs = []
     for tid, ops in enumerate(threads):
         asm = Assembler(f"{name}.t{tid}")
@@ -211,7 +232,7 @@ def compile_litmus_ops(
                 raise ValueError(f"unknown litmus op kind {op.kind!r}")
         asm.halt()
         programs.append(asm.build())
-    return programs
+    return tuple(programs)
 
 
 def litmus_instruction_count(threads: Sequence[Sequence[MemOp]]) -> int:

@@ -135,6 +135,20 @@ class TestStatsRegistry:
             reg.accumulator("x")
         with pytest.raises(TypeError):
             reg.histogram("x")
+        reg.accumulator("a")
+        with pytest.raises(TypeError):
+            reg.counter("a")
+        with pytest.raises(TypeError):
+            reg.counters(["y", "a"])
+
+    def test_bulk_counters_get_or_create_in_order(self):
+        reg = StatsRegistry()
+        existing = reg.counter("b")
+        a, b, c, again = reg.counters(("a", "b", "c", "a"))
+        assert b is existing and again is a
+        assert [s.name for s in (a, b, c)] == ["a", "b", "c"]
+        assert reg.counter("c") is c
+        assert reg.names() == ["a", "b", "c"]
 
     def test_histogram_param_mismatch_raises(self):
         reg = StatsRegistry()

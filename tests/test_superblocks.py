@@ -11,6 +11,7 @@ import builtins
 
 import pytest
 
+from repro.cpu.core import Core, _decode_plan
 from repro.harness.experiments import e9_plan
 from repro.harness.parallel import result_fingerprint
 from repro.isa import Assembler
@@ -164,6 +165,23 @@ def test_dispatch_pairs_cache_restamps_on_mutated_program():
     fresh = _dispatch_pairs(program)
     assert fresh is not stale
     assert [instr.op for _, instr in fresh] == [Opcode.STORE, Opcode.HALT]
+
+
+def test_decode_plan_cache_restamps_on_mutated_program():
+    """The timing core's decode plan is cached on the program like the
+    interpreter's dispatch pairs, under the same stamp."""
+    asm = Assembler("t").li(1, 4).halt()
+    program = asm.build()
+    stale = _decode_plan(program)
+    assert _decode_plan(program) is stale  # cache hit on same text
+    replacement = Assembler("t").store(1, base=2).halt().build()
+    object.__setattr__(program, "instructions", replacement.instructions)
+    fresh = _decode_plan(program)
+    assert fresh is not stale
+    assert [fn for _, fn, _ in fresh] == [Core._exec_store, Core._exec_halt]
+    # A machine built on the mutated program runs the new text.
+    result = System(SystemConfig(n_cores=1), [program]).run()
+    assert result.stats.value("core.0.stores_drained") == 1
 
 
 # ----------------------------------------------------- fused execution
