@@ -40,10 +40,6 @@ _DOWNGRADE_ACK = MessageType.DOWNGRADE_ACK
 _NACK = MessageType.NACK
 
 
-def _identity(data):
-    return data
-
-
 class DirState(enum.Enum):
     INVALID = "I"       #: no L1 holds the block
     SHARED = "S"        #: one or more read-only copies
@@ -83,7 +79,6 @@ class Directory:
         memory_config: MemoryConfig,
         interconnect,
         stats: StatsRegistry,
-        copy_blocks: bool = False,
     ):
         self.sim = sim
         self.node_id = node_id
@@ -96,17 +91,9 @@ class Directory:
         self._active: Dict[int, _Transaction] = {}
         self._pending: Dict[int, Deque[Message]] = {}
 
-        # Copy-elision debug mode: ``_take`` re-copies incoming payloads
-        # when ``copy_blocks`` is set, proving the ownership-transfer
-        # fast path creates no live aliases (results must be identical).
-        self._take = list if copy_blocks else _identity
-
         # Hot-path caches (PR 2 idiom: one attribute walk at init).
         self._schedule_fast = sim.schedule_fast
         self._directory_latency = memory_config.directory_latency
-        # Inline the schedule_fast body (calendar-bucket append) at the
-        # per-request sites when the engine really runs the fast path.
-        self._fp = sim.fastpath
 
         # Table dispatch, keyed by integer mtype codes.
         self._receive_handlers = {
@@ -213,27 +200,24 @@ class Directory:
         # request passes through exactly one of the two schedule sites
         # (here or the _complete queue drain), so the total is the same.
         self.stat_requests.value += 1
-        if self._fp:
-            sim = self.sim
-            time = sim._now + self._directory_latency
-            buckets = sim._buckets
-            bucket = buckets.get(time)
-            entry = (self._process_handlers[msg.mtype], (msg,))
-            if bucket is None:
-                buckets[time] = [entry]
-                _heappush(sim._times, time)
-            else:
-                bucket.append(entry)
-            sim._pending += 1
+        # Inlined schedule_fast body (a calendar-bucket append).
+        sim = self.sim
+        time = sim._now + self._directory_latency
+        buckets = sim._buckets
+        bucket = buckets.get(time)
+        entry = (self._process_handlers[msg.mtype], (msg,))
+        if bucket is None:
+            buckets[time] = [entry]
+            _heappush(sim._times, time)
         else:
-            self._schedule_fast(self._directory_latency,
-                                self._process_handlers[msg.mtype], msg)
+            bucket.append(entry)
+        sim._pending += 1
         # Mark busy immediately so same-cycle requests queue behind us.
         self._active[msg.addr] = _Transaction(msg, acks_needed=0, kind="pending")
 
     def _on_wb_clean(self, msg: Message) -> None:
         assert msg.data is not None
-        self._backing[msg.addr] = self._take(msg.data)
+        self._backing[msg.addr] = msg.data
         self._touched.add(msg.addr)
 
     def _on_wb_word(self, msg: Message) -> None:
@@ -384,7 +368,7 @@ class Directory:
         entry = self._entry(msg.addr)
         if entry.state is DirState.EXCLUSIVE and entry.owner == msg.src:
             assert msg.data is not None, "PUT_M must carry data"
-            self._backing[msg.addr] = self._take(msg.data)
+            self._backing[msg.addr] = msg.data
             self._touched.add(msg.addr)
             entry.state = DirState.INVALID
             entry.owner = None
@@ -406,7 +390,7 @@ class Directory:
         if txn is None or txn.kind == "pending":
             raise SimulationError(f"directory: ack with no open transaction: {msg}")
         if msg.data is not None:
-            self._backing[msg.addr] = self._take(msg.data)
+            self._backing[msg.addr] = msg.data
             self._touched.add(msg.addr)
         entry = self._entry(msg.addr)
 
@@ -444,21 +428,18 @@ class Directory:
         block's transaction slot.  Completion must not precede injection:
         a queued transaction's probes would otherwise overtake this grant
         on the network."""
-        latency = self._fetch_latency(addr)
-        if self._fp:
-            sim = self.sim
-            time = sim._now + latency
-            buckets = sim._buckets
-            bucket = buckets.get(time)
-            entry = (self._send_data_now, (dst, mtype, addr))
-            if bucket is None:
-                buckets[time] = [entry]
-                _heappush(sim._times, time)
-            else:
-                bucket.append(entry)
-            sim._pending += 1
+        # Inlined schedule_fast body (a calendar-bucket append).
+        sim = self.sim
+        time = sim._now + self._fetch_latency(addr)
+        buckets = sim._buckets
+        bucket = buckets.get(time)
+        entry = (self._send_data_now, (dst, mtype, addr))
+        if bucket is None:
+            buckets[time] = [entry]
+            _heappush(sim._times, time)
         else:
-            self._schedule_fast(latency, self._send_data_now, dst, mtype, addr)
+            bucket.append(entry)
+        sim._pending += 1
 
     def _send_data_now(self, dst: int, mtype: MessageType, addr: int) -> None:
         data = list(self.backing_data(addr))

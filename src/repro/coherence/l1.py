@@ -62,10 +62,6 @@ _GRANTED = {
 }
 
 
-def _identity(data):
-    return data
-
-
 @lru_cache(maxsize=None)
 def _stat_names(node_id: int) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     """An L1's counter names and its fault-hardening counter names, in
@@ -158,7 +154,6 @@ class L1Cache:
         interconnect,
         directory_id: int,
         stats: StatsRegistry,
-        copy_blocks: bool = False,
         home_map=None,
     ):
         self.sim = sim
@@ -195,10 +190,6 @@ class L1Cache:
         # messages must keep array iteration order -- see
         # rollback_speculation).
         self._spec_blocks: Dict[int, CacheBlock] = {}
-        # Copy-elision debug mode: ``_take`` re-copies payloads whose
-        # ownership the fast path transfers (dead senders only), proving
-        # the elision creates no live aliases.
-        self._take = list if copy_blocks else _identity
         #: set by the core/speculation controller; called as listener(reason, block_addr)
         self.violation_listener: Optional[Callable[[ViolationReason, int], None]] = None
         #: optional execution recorder hooks (see repro.verification):
@@ -218,8 +209,8 @@ class L1Cache:
          self.stat_wb_surrenders, self.stat_committed_writethrough,
          ) = stats.counters(_stat_names(node_id)[0])
 
-        # Hot-path caches: core-side accesses are never cancelled (guards
-        # neutralise squashed requests), so they ride the fast path.
+        # Hot-path caches (squashed requests are neutralised by their
+        # guards at apply time, never removed from the calendar).
         self._schedule_fast = sim.schedule_fast
         self._hit_latency = config.hit_latency
         self._block_mask = ~(config.block_bytes - 1)
@@ -239,8 +230,7 @@ class L1Cache:
         self._retry_plan = None
         self._seen_uids: Optional[set] = None
         # The core-facing access methods inline the schedule_fast body
-        # (a calendar-bucket append); on the compat engine they fall
-        # back to variants that call the Event-allocating shadow.
+        # (a calendar-bucket append).
         self._start_h = self._start
         # Specialised non-speculative read path: the owning core (the
         # L1 is private, 1:1) installs its load-completion callback here
@@ -249,10 +239,6 @@ class L1Cache:
         # call on the dominant event class (see _start_read).
         self._read_callback: Optional[Callable[[int], None]] = None
         self._start_read_h = self._start_read
-        if not sim.fastpath:
-            self.read = self._read_compat        # type: ignore[method-assign]
-            self.write = self._write_compat      # type: ignore[method-assign]
-            self.rmw = self._rmw_compat          # type: ignore[method-assign]
 
     # ------------------------------------------------------------ core API
 
@@ -307,29 +293,6 @@ class L1Cache:
         else:
             bucket.append((self._start_h, (req,)))
         sim._pending += 1
-
-    # Compat-engine variants (fastpath=False): route through the
-    # (shadowed, Event-allocating) schedule_fast so the equivalence
-    # proof exercises the slow path end to end.
-
-    def _read_compat(self, addr: int, callback: Callable[[int], None],
-                     guard: Optional[Guard] = None, speculative: bool = False,
-                     po: int = -1) -> None:
-        req = _Request(_Kind.READ, addr, None, None, callback, guard, speculative, po)
-        self._schedule_fast(self._hit_latency, self._start, req)
-
-    def _write_compat(self, addr: int, value: int, callback: Callable[[], None],
-                      guard: Optional[Guard] = None, speculative: bool = False,
-                      po: int = -1) -> None:
-        req = _Request(_Kind.WRITE, addr, value, None, callback, guard, speculative, po)
-        self._schedule_fast(self._hit_latency, self._start, req)
-
-    def _rmw_compat(self, addr: int, modify: ModifyFn,
-                    callback: Callable[[int], None],
-                    guard: Optional[Guard] = None, speculative: bool = False,
-                    po: int = -1) -> None:
-        req = _Request(_Kind.RMW, addr, None, modify, callback, guard, speculative, po)
-        self._schedule_fast(self._hit_latency, self._start, req)
 
     def prefetch_write(self, addr: int) -> None:
         """Begin acquiring write permission for ``addr`` without writing.
@@ -582,12 +545,11 @@ class L1Cache:
         elif victim.dirty:
             self.stat_writebacks.value += 1
             # The victim dies here: the writeback entry and the PUT_M may
-            # share its word list (both readers, never writers).  Debug
-            # mode keeps the two historical copies.
-            self._wb[victim.addr] = _WbEntry(self._take(victim.data), dirty=True)
+            # share its word list (both readers, never writers).
+            self._wb[victim.addr] = _WbEntry(victim.data, dirty=True)
             self.net.send(self.node_id, self._home_of(victim.addr),
                           Message(_PUT_M, victim.addr, self.node_id,
-                                  data=self._take(victim.data)))
+                                  data=victim.data))
         else:
             # Clean E (or M cleaned by clean-before-write): L2 copy is current.
             self._wb[victim.addr] = _WbEntry(None, dirty=False)
@@ -721,7 +683,7 @@ class L1Cache:
             # The fill payload is the directory's own fresh copy and this
             # is its sole delivery (duplicates are uid-suppressed before
             # dispatch), so the block may adopt it without copying.
-            block = self.array.insert(msg.addr, granted, self._take(msg.data))
+            block = self.array.insert(msg.addr, granted, msg.data)
             pending = self._pending_spec_reads.pop(msg.addr, None)
             if pending is not None:
                 # A speculatively forwarded load read this block while it
@@ -779,8 +741,8 @@ class L1Cache:
                     self._demote_sm_mshr(msg.addr)
                     return
             # The block dies here, so ownership of its word list moves
-            # into the INV_ACK (no copy on the fast path).
-            data = self._take(block.data) if block.dirty else None
+            # into the INV_ACK (no copy).
+            data = block.data if block.dirty else None
             self.array.remove(msg.addr)
             self._victim_buffer.pop(msg.addr, None)
             # WORD-granularity false sharing can remove an SR-only block

@@ -182,22 +182,21 @@ class Core:
         self._mem_issued_at = 0
         self._load_done_h = self._load_done
         self._rmw_done_h = self._rmw_done
-        if sim.fastpath:
-            if self.spec is None:
-                # Non-speculating fast-path core: load completion inlines
-                # retirement (_load_done_fast), and the L1's request-free
-                # read specialisation dispatches straight into it.
-                self._load_done_h = self._load_done_fast
-                self.l1._read_callback = self._load_done_fast
-            else:
-                # Speculation-capable core: the request-free read path is
-                # used only for loads issued OUTSIDE an active episode
-                # (see _make_load: episodes cannot begin while an
-                # in-order core is stalled on its one outstanding load,
-                # so issue-time inactivity holds through completion).
-                # Its miss path completes through the generic _load_done,
-                # whose active-episode journaling check is then vacuous.
-                self.l1._read_callback = self._load_done
+        if self.spec is None:
+            # Non-speculating core: load completion inlines retirement
+            # (_load_done_fast), and the L1's request-free read
+            # specialisation dispatches straight into it.
+            self._load_done_h = self._load_done_fast
+            self.l1._read_callback = self._load_done_fast
+        else:
+            # Speculation-capable core: the request-free read path is
+            # used only for loads issued OUTSIDE an active episode (see
+            # _make_load: episodes cannot begin while an in-order core
+            # is stalled on its one outstanding load, so issue-time
+            # inactivity holds through completion).  Its miss path
+            # completes through the generic _load_done, whose
+            # active-episode journaling check is then vacuous.
+            self.l1._read_callback = self._load_done
         # Same idea for the store-buffer drain (one in flight, gated by
         # _draining): the head entry lives here, not in a per-drain lambda.
         self._drain_entry = None
@@ -215,22 +214,18 @@ class Core:
         self._entries: list = []
         # Fused L1-read-hit + load-retirement event (see _make_load_hit);
         # built before decode so _make_load closures can capture it.
-        self._load_hit_h: Optional[Callable] = (
-            _make_load_hit(self) if sim.fastpath else None)
+        self._load_hit_h: Callable = _make_load_hit(self)
         self._decoded: List[Tuple[Callable, Instruction]] = \
             self._decode_program(program)
-        # Trace compilation (superblock fusion): only on the real
-        # fast-path engine (the compat engine stays per-instruction so
-        # the determinism proof has a reference), and never in
-        # CONTINUOUS speculation -- that mode is active at essentially
-        # every instruction boundary, so fusion would always fall back
-        # and only add a guard to the hot path.  Coverage counters are
+        # Trace compilation (superblock fusion): never in CONTINUOUS
+        # speculation -- that mode is active at essentially every
+        # instruction boundary, so fusion would always fall back and
+        # only add a guard to the hot path.  Coverage counters are
         # plain attributes (surfaced via CoreSummary), NOT StatsRegistry
         # counters: fusion must not change the fingerprinted stats
         # snapshot.
         self.superblocks = bool(
-            superblocks and sim.fastpath
-            and spec_config.mode is not SpeculationMode.CONTINUOUS)
+            superblocks and spec_config.mode is not SpeculationMode.CONTINUOUS)
         self.fused_instructions = 0
         self.fused_blocks = 0
         if self.superblocks:
@@ -240,17 +235,8 @@ class Core:
             # No speculation: the epoch never advances and a halted core
             # schedules nothing, so the _step trampoline's guards are
             # dead weight.  Retirement schedules the next instruction's
-            # handler directly (see _finish_direct and _make_alu).  On
-            # the real fast-path engine the schedule itself is inlined
-            # too (a bucket append instead of a schedule_fast call).
-            self._finish = (self._finish_direct_fast if sim.fastpath
-                            else self._finish_direct)  # type: ignore[method-assign]
-        elif sim.fastpath:
-            # Speculation-capable core on the real fast-path engine:
-            # retirement still goes through the _step trampoline (epoch
-            # guard, commit housekeeping), but the schedule itself is a
-            # plain calendar-bucket append.
-            self._finish = self._finish_fast  # type: ignore[method-assign]
+            # handler directly (see _finish_direct and _make_alu).
+            self._finish = self._finish_direct  # type: ignore[method-assign]
 
     # -------------------------------------------------------------- decode
 
@@ -260,8 +246,9 @@ class Core:
         ALU and branch slots -- the dominant dynamic instruction classes
         -- compile to specialised closures with the operand registers,
         semantic evaluator, latency and branch target pre-resolved (see
-        :func:`_make_alu` / :func:`_make_branch`).  All other opcodes
-        bind their ``_exec_*`` handler.  Dispatching an instruction is
+        :func:`_make_alu` / :func:`_make_branch`); LOAD slots compile
+        through :func:`_make_load`.  All other opcodes bind their
+        ``_exec_*`` handler.  Dispatching an instruction is
         then one list index and one call, with no per-step Opcode
         classification.  The classification itself is the program's
         decode plan (:func:`_decode_plan`), shared by every core that
@@ -269,7 +256,6 @@ class Core:
         """
         decoded: List[Tuple[Callable, Instruction]] = []
         append = decoded.append
-        fastpath = self.sim.fastpath
         for index, ((kind, fn, _latency), instr) in enumerate(
                 zip(_decode_plan(program), program.instructions)):
             if kind == _ALU_SLOT:
@@ -279,7 +265,7 @@ class Core:
                     raise SimulationError(
                         f"core {self.core_id}: unresolved branch at load: {instr}")
                 append((_make_branch(self, instr, index, decoded, fn), instr))
-            elif kind == _LOAD_SLOT and fastpath:
+            elif kind == _LOAD_SLOT:
                 append((_make_load(self, instr), instr))
             else:
                 append((fn.__get__(self), instr))
@@ -421,8 +407,8 @@ class Core:
         return lambda: self.epoch == epoch
 
     def _schedule_step(self, delay: int) -> None:
-        # Step events are never cancelled (rollbacks neutralise them via
-        # the epoch guard), so they ride the allocation-free fast path.
+        # A rollback neutralises stale step events through the epoch
+        # guard in _step.
         self._schedule_fast(delay, self._step, self.epoch)
 
     # ------------------------------------------------------------ stepping
@@ -444,18 +430,8 @@ class Core:
         handler(instr)
 
     def _finish(self, busy_cycles: int, next_pc: int) -> None:
-        """Complete the current instruction and schedule the next."""
-        self.stat_busy.value += busy_cycles
-        self.stat_instructions.value += 1
-        self.instructions += 1
-        if self._spec_note is not None:
-            self._spec_note()
-        self.pc = next_pc
-        self._schedule_fast(busy_cycles, self._step, self.epoch)
-
-    def _finish_fast(self, busy_cycles: int, next_pc: int) -> None:
-        """:meth:`_finish` with the schedule_fast body inlined (real
-        fast-path engine only; see Simulator.fastpath)."""
+        """Complete the current instruction and schedule the next (the
+        schedule_fast body inlined: a plain calendar-bucket append)."""
         self.stat_busy.value += busy_cycles
         self.stat_instructions.value += 1
         self.instructions += 1
@@ -474,20 +450,10 @@ class Core:
         sim._pending += 1
 
     def _finish_direct(self, busy_cycles: int, next_pc: int) -> None:
-        """_finish for non-speculating cores: schedule the next
-        instruction's handler itself, skipping the _step trampoline
-        (its epoch/halt/speculation guards can never fire here)."""
-        self.stat_busy.value += busy_cycles
-        self.stat_instructions.value += 1
-        self.instructions += 1
-        self.pc = next_pc
-        handler, instr = self._decoded[next_pc]
-        self._schedule_fast(busy_cycles, handler, instr)
-
-    def _finish_direct_fast(self, busy_cycles: int, next_pc: int) -> None:
-        """:meth:`_finish_direct` with the schedule_fast body inlined --
-        used only on the real fast-path engine (``sim.fastpath``), where
-        the schedule is a plain calendar-bucket append."""
+        """_finish for non-speculating cores: append the next
+        instruction's prebuilt entry itself, skipping the _step
+        trampoline (its epoch/halt/speculation guards can never fire
+        here)."""
         self.stat_busy.value += busy_cycles
         self.stat_instructions.value += 1
         self.instructions += 1
@@ -598,17 +564,13 @@ class Core:
 
     # --------------------------------------------------------------- loads
 
-    def _exec_load(self, instr: Instruction) -> None:
-        addr = (self._regfile[instr.rs] + instr.imm) & _WORD_MASK
-        po = self._po = self._po + 1
-        self._exec_load_ordered(instr, addr, po)
-
     def _exec_load_ordered(self, instr: Instruction, addr: int, po: int) -> None:
         """Ordering checks + issue for a load whose addr/po are assigned.
 
-        Split from :meth:`_exec_load` so the decode-time load closure
-        (see :func:`_make_load`) can delegate here when the store buffer
-        is non-empty -- the only case with drain/forwarding concerns.
+        The decode-time load closure (see :func:`_make_load`) computes
+        both and delegates here when the store buffer is non-empty (or,
+        on a speculation-capable core, an episode is active) -- the
+        cases with drain, forwarding or journaling concerns.
         """
         spec = self.spec
         if (self._load_needs_drain and self._sb_entries
@@ -680,9 +642,9 @@ class Core:
         self._finish(1, self.pc + 1)
 
     def _load_done_fast(self, value: int) -> None:
-        """:meth:`_load_done` for non-speculating fast-path cores, with
-        the ``_finish_direct_fast`` body inlined (one fewer call on the
-        dominant completion path; byte-identical effects)."""
+        """:meth:`_load_done` for non-speculating cores, with the
+        ``_finish_direct`` body inlined (one fewer call on the dominant
+        completion path; byte-identical effects)."""
         instr = self._mem_instr
         if instr.rd:  # r0 stays hardwired to zero
             self._regfile[instr.rd] = value & _WORD_MASK
@@ -906,8 +868,8 @@ class Core:
         self._pending_wait = None  # the waiting instruction was speculative
         self._rolling_back = True
         started_at = self.sim.now
-        self.sim.schedule(self.spec_config.rollback_penalty,
-                          self._finish_rollback, checkpoint, started_at)
+        self._schedule_fast(self.spec_config.rollback_penalty,
+                            self._finish_rollback, checkpoint, started_at)
 
     def _finish_rollback(self, checkpoint: Checkpoint, started_at: int) -> None:
         self.stat_stall[StallCause.ROLLBACK].increment(self.sim.now - started_at)
@@ -949,7 +911,8 @@ def _make_alu(core: Core, instr: Instruction, index: int,
 
     The closure belongs to program slot ``index``, so the fall-through
     pc is a decode-time constant, and :meth:`Core._finish` is inlined
-    bodily -- retiring an ALU instruction is a single Python call.
+    bodily, schedule included (a calendar-bucket append) -- retiring an
+    ALU instruction is a single Python call.
 
     ``decoded`` is the (still-filling) program decode list; the
     non-speculating variants capture it and schedule the *next
@@ -963,17 +926,12 @@ def _make_alu(core: Core, instr: Instruction, index: int,
     latency = instr.imm if instr.op is Opcode.EXEC else core._alu_latency
     regs = core.regs._regs
     if core.spec is None:
-        # The schedule_fast body is inlined as well when the engine
-        # really runs the allocation-free path (a calendar-bucket append
-        # -- see Simulator.fastpath); the compat engine keeps the call
-        # so its Event-allocating shadow is exercised.
         if instr.rd:
             def exec_alu(instr, _regs=regs, _eval=evaluate, _rd=instr.rd,
                          _rs=instr.rs, _rt=instr.rt, _lat=latency,
                          _next=index + 1, _busy=core.stat_busy,
-                         _icnt=core.stat_instructions,
-                         _sched=core._schedule_fast, _dec=decoded,
-                         _core=core, _sim=core.sim, _fp=core.sim.fastpath,
+                         _icnt=core.stat_instructions, _dec=decoded,
+                         _core=core, _sim=core.sim,
                          _buckets=core.sim._buckets, _times=core.sim._times,
                          _push=_heappush):
                 _regs[_rd] = _eval(instr, _regs[_rs], _regs[_rt])
@@ -983,24 +941,20 @@ def _make_alu(core: Core, instr: Instruction, index: int,
                 _core.instructions += 1
                 _core.pc = _next
                 h, ins = _dec[_next]
-                if _fp:
-                    time = _sim._now + _lat
-                    b = _buckets.get(time)
-                    if b is None:
-                        _buckets[time] = [(h, (ins,))]
-                        _push(_times, time)
-                    else:
-                        b.append((h, (ins,)))
-                    _sim._pending += 1
+                time = _sim._now + _lat
+                b = _buckets.get(time)
+                if b is None:
+                    _buckets[time] = [(h, (ins,))]
+                    _push(_times, time)
                 else:
-                    _sched(_lat, h, ins)
+                    b.append((h, (ins,)))
+                _sim._pending += 1
         else:
             def exec_alu(instr, _regs=regs, _eval=evaluate,
                          _rs=instr.rs, _rt=instr.rt, _lat=latency,
                          _next=index + 1, _busy=core.stat_busy,
-                         _icnt=core.stat_instructions,
-                         _sched=core._schedule_fast, _dec=decoded,
-                         _core=core, _sim=core.sim, _fp=core.sim.fastpath,
+                         _icnt=core.stat_instructions, _dec=decoded,
+                         _core=core, _sim=core.sim,
                          _buckets=core.sim._buckets, _times=core.sim._times,
                          _push=_heappush):
                 _eval(instr, _regs[_rs], _regs[_rt])  # result discarded (r0)
@@ -1009,28 +963,24 @@ def _make_alu(core: Core, instr: Instruction, index: int,
                 _core.instructions += 1
                 _core.pc = _next
                 h, ins = _dec[_next]
-                if _fp:
-                    time = _sim._now + _lat
-                    b = _buckets.get(time)
-                    if b is None:
-                        _buckets[time] = [(h, (ins,))]
-                        _push(_times, time)
-                    else:
-                        b.append((h, (ins,)))
-                    _sim._pending += 1
+                time = _sim._now + _lat
+                b = _buckets.get(time)
+                if b is None:
+                    _buckets[time] = [(h, (ins,))]
+                    _push(_times, time)
                 else:
-                    _sched(_lat, h, ins)
+                    b.append((h, (ins,)))
+                _sim._pending += 1
         return exec_alu
-    if instr.rd and core.spec is not None:
+    if instr.rd:
         # Speculation-capable core: journal the overwritten value while
         # an episode is active so rollback can undo it incrementally.
         def exec_alu(instr, _regs=regs, _eval=evaluate, _rd=instr.rd,
                      _rs=instr.rs, _rt=instr.rt, _lat=latency,
                      _next=index + 1, _busy=core.stat_busy,
                      _icnt=core.stat_instructions, _note=core._spec_note,
-                     _sched=core._schedule_fast, _step=core._step,
-                     _core=core, _spec=core.spec, _undo=core._reg_undo,
-                     _sim=core.sim, _fp=core.sim.fastpath,
+                     _step=core._step, _core=core, _spec=core.spec,
+                     _undo=core._reg_undo, _sim=core.sim,
                      _buckets=core.sim._buckets, _times=core.sim._times,
                      _push=_heappush):
             if _spec.active:
@@ -1043,40 +993,20 @@ def _make_alu(core: Core, instr: Instruction, index: int,
             if _note is not None:
                 _note()
             _core.pc = _next
-            if _fp:
-                time = _sim._now + _lat
-                b = _buckets.get(time)
-                if b is None:
-                    _buckets[time] = [(_step, (_core.epoch,))]
-                    _push(_times, time)
-                else:
-                    b.append((_step, (_core.epoch,)))
-                _sim._pending += 1
+            time = _sim._now + _lat
+            b = _buckets.get(time)
+            if b is None:
+                _buckets[time] = [(_step, (_core.epoch,))]
+                _push(_times, time)
             else:
-                _sched(_lat, _step, _core.epoch)
-    elif instr.rd:
-        def exec_alu(instr, _regs=regs, _eval=evaluate, _rd=instr.rd,
-                     _rs=instr.rs, _rt=instr.rt, _lat=latency,
-                     _next=index + 1, _busy=core.stat_busy,
-                     _icnt=core.stat_instructions, _note=core._spec_note,
-                     _sched=core._schedule_fast, _step=core._step,
-                     _core=core):
-            _regs[_rd] = _eval(instr, _regs[_rs], _regs[_rt])
-            # Inlined _finish(_lat, _next):
-            _busy.value += _lat
-            _icnt.value += 1
-            _core.instructions += 1
-            if _note is not None:
-                _note()
-            _core.pc = _next
-            _sched(_lat, _step, _core.epoch)
+                b.append((_step, (_core.epoch,)))
+            _sim._pending += 1
     else:
         def exec_alu(instr, _regs=regs, _eval=evaluate,
                      _rs=instr.rs, _rt=instr.rt, _lat=latency,
                      _next=index + 1, _busy=core.stat_busy,
                      _icnt=core.stat_instructions, _note=core._spec_note,
-                     _sched=core._schedule_fast, _step=core._step,
-                     _core=core, _sim=core.sim, _fp=core.sim.fastpath,
+                     _step=core._step, _core=core, _sim=core.sim,
                      _buckets=core.sim._buckets, _times=core.sim._times,
                      _push=_heappush):
             _eval(instr, _regs[_rs], _regs[_rt])  # result discarded (r0)
@@ -1086,17 +1016,14 @@ def _make_alu(core: Core, instr: Instruction, index: int,
             if _note is not None:
                 _note()
             _core.pc = _next
-            if _fp:
-                time = _sim._now + _lat
-                b = _buckets.get(time)
-                if b is None:
-                    _buckets[time] = [(_step, (_core.epoch,))]
-                    _push(_times, time)
-                else:
-                    b.append((_step, (_core.epoch,)))
-                _sim._pending += 1
+            time = _sim._now + _lat
+            b = _buckets.get(time)
+            if b is None:
+                _buckets[time] = [(_step, (_core.epoch,))]
+                _push(_times, time)
             else:
-                _sched(_lat, _step, _core.epoch)
+                b.append((_step, (_core.epoch,)))
+            _sim._pending += 1
     return exec_alu
 
 
@@ -1107,9 +1034,8 @@ def _make_branch(core: Core, instr: Instruction, index: int,
         def exec_branch(instr, _regs=core.regs._regs, _eval=evaluate,
                         _target=instr.target, _rs=instr.rs, _rt=instr.rt,
                         _next=index + 1, _busy=core.stat_busy,
-                        _icnt=core.stat_instructions,
-                        _sched=core._schedule_fast, _dec=decoded,
-                        _core=core, _sim=core.sim, _fp=core.sim.fastpath,
+                        _icnt=core.stat_instructions, _dec=decoded,
+                        _core=core, _sim=core.sim,
                         _buckets=core.sim._buckets, _times=core.sim._times,
                         _push=_heappush):
             # Inlined _finish_direct(1, taken ? target : fall-through):
@@ -1120,25 +1046,21 @@ def _make_branch(core: Core, instr: Instruction, index: int,
                   else _next)
             _core.pc = pc
             h, ins = _dec[pc]
-            if _fp:
-                time = _sim._now + 1
-                b = _buckets.get(time)
-                if b is None:
-                    _buckets[time] = [(h, (ins,))]
-                    _push(_times, time)
-                else:
-                    b.append((h, (ins,)))
-                _sim._pending += 1
+            time = _sim._now + 1
+            b = _buckets.get(time)
+            if b is None:
+                _buckets[time] = [(h, (ins,))]
+                _push(_times, time)
             else:
-                _sched(1, h, ins)
+                b.append((h, (ins,)))
+            _sim._pending += 1
         return exec_branch
 
     def exec_branch(instr, _regs=core.regs._regs, _eval=evaluate,
                     _target=instr.target, _rs=instr.rs, _rt=instr.rt,
                     _next=index + 1, _busy=core.stat_busy,
                     _icnt=core.stat_instructions, _note=core._spec_note,
-                    _sched=core._schedule_fast, _step=core._step,
-                    _core=core, _sim=core.sim, _fp=core.sim.fastpath,
+                    _step=core._step, _core=core, _sim=core.sim,
                     _buckets=core.sim._buckets, _times=core.sim._times,
                     _push=_heappush):
         # Inlined _finish(1, taken ? target : fall-through):
@@ -1149,24 +1071,21 @@ def _make_branch(core: Core, instr: Instruction, index: int,
             _note()
         _core.pc = (_target if _eval(instr, _regs[_rs], _regs[_rt])
                     else _next)
-        if _fp:
-            time = _sim._now + 1
-            b = _buckets.get(time)
-            if b is None:
-                _buckets[time] = [(_step, (_core.epoch,))]
-                _push(_times, time)
-            else:
-                b.append((_step, (_core.epoch,)))
-            _sim._pending += 1
+        time = _sim._now + 1
+        b = _buckets.get(time)
+        if b is None:
+            _buckets[time] = [(_step, (_core.epoch,))]
+            _push(_times, time)
         else:
-            _sched(1, _step, _core.epoch)
+            b.append((_step, (_core.epoch,)))
+        _sim._pending += 1
     return exec_branch
 
 
 def _make_load_hit(core: Core) -> Callable:
     """Fuse the L1 read hit and the load's retirement into one closure.
 
-    For a non-speculating fast-path core, the scheduled L1 access event
+    For a non-speculating core, the scheduled L1 access event
     and the completion callback it invokes
     (:meth:`L1Cache._start_read` -> :meth:`Core._load_done_fast`) are
     always this core's own private L1 and this core's own completion --
@@ -1186,7 +1105,7 @@ def _make_load_hit(core: Core) -> Callable:
     holds through completion, the epoch guard could never fire, the
     speculative flag evaluates False, and no register journaling is
     due.  Their completion keeps the _step trampoline (commit
-    housekeeping runs at the next boundary, as _finish_fast would).
+    housekeeping runs at the next boundary, as _finish would).
     """
     l1 = core.l1
     array = l1.array
@@ -1263,7 +1182,7 @@ def _make_load_hit(core: Core) -> Callable:
             _mru[index] = block_addr
         _hits.value += 1
         value = block.data[(addr & _wmask) >> 3]
-        # Inlined _load_done(value) + _finish_fast(1, pc + 1); the
+        # Inlined _load_done(value) + _finish(1, pc + 1); the
         # episode is inactive (see above), so journaling is skipped.
         rd = _core._mem_instr.rd
         if rd:  # r0 stays hardwired to zero
@@ -1288,11 +1207,10 @@ def _make_load_hit(core: Core) -> Callable:
 
 
 def _make_load(core: Core, instr: Instruction) -> Callable:
-    """Compile one LOAD slot to a closure (non-speculating cores on the
-    real fast-path engine only).
+    """Compile one LOAD slot to a closure.
 
     The common case -- empty store buffer -- skips
-    _exec_load/_exec_load_ordered/_issue_load/L1.read entirely: address
+    _exec_load_ordered/_issue_load/L1.read entirely: address
     computation, program-order stamp, issue bookkeeping and the L1
     access's bucket append are one closure body, and the scheduled entry
     dispatches the L1's request-free read specialisation
@@ -1397,11 +1315,9 @@ def _make_superblock(core: Core, span: SuperblockSpan, relay: tuple,
     ``relay`` carries the span's cadence, built once by
     :meth:`Core._install_superblocks` and shared with the uncompiled
     twin :func:`_make_fused_span`, which runs the spans that execute at
-    most once; ``slots`` is the span's slice of the decode plan.  Only
-    built for the real fast-path engine (callers guarantee it), so
-    every schedule is a raw calendar-bucket append.
+    most once; ``slots`` is the span's slice of the decode plan.  Every
+    schedule is a raw calendar-bucket append.
     """
-    assert core.sim.fastpath, "superblocks require the fast-path engine"
     instructions = core.program.instructions
     start, stop = span.start, span.stop
     spec = core.spec
@@ -1598,7 +1514,6 @@ def _make_fused_span(core: Core, span: SuperblockSpan, relay: tuple,
     same moment.  A speculation-capable core falls back to the head's
     per-instruction closure while an episode is active.
     """
-    assert core.sim.fastpath, "superblocks require the fast-path engine"
     payload = relay[1]
     steps = []
     for (kind, fn, _latency), instr, delta in zip(
@@ -1667,10 +1582,8 @@ def _make_fused_span(core: Core, span: SuperblockSpan, relay: tuple,
 _ALU_SLOT, _BRANCH_SLOT, _LOAD_SLOT, _OTHER_SLOT = range(4)
 
 #: Opcode -> unbound exec handler for every slot that does not compile
-#: to a closure.  ALU and branch slots always do; LOAD slots do on the
-#: fast-path engine.
+#: to a closure (ALU, branch and LOAD slots do).
 _EXEC_HANDLERS = {
-    Opcode.LOAD: Core._exec_load,
     Opcode.STORE: Core._exec_store,
     **{op: Core._exec_atomic for op in _ATOMICS},
     Opcode.FENCE: Core._exec_fence,
@@ -1683,8 +1596,9 @@ def _decode_plan(program: Program) -> Tuple[tuple, ...]:
     """Per slot ``(kind, fn, latency)``, cached on the program.
 
     ``kind`` is one of the ``_*_SLOT`` constants.  ``fn`` is the slot's
-    ``repro.isa.semantics`` evaluator (ALU, branch) or its unbound
-    ``Core._exec_*`` handler (everything else).  ``latency`` is the
+    ``repro.isa.semantics`` evaluator (ALU, branch), None (LOAD, which
+    compiles through :func:`_make_load`) or its unbound ``Core._exec_*``
+    handler (everything else).  ``latency`` is the
     slot's fixed retire latency -- an EXEC's immediate, 1 for branches
     and NOPs -- or None where it is the core's ALU latency (other ALU
     slots) or not fixed (memory, fence and HALT slots).
@@ -1707,12 +1621,13 @@ def _classify_slots(program: Program) -> Tuple[tuple, ...]:
                          instr.imm if op is Opcode.EXEC else None))
         elif op in _BRANCHES:
             plan.append((_BRANCH_SLOT, semantics._BRANCH_EVAL[op], 1))
+        elif op is Opcode.LOAD:
+            plan.append((_LOAD_SLOT, None, None))
         else:
             handler = _EXEC_HANDLERS.get(op)
             if handler is None:  # pragma: no cover - classify new opcodes here
                 raise SimulationError(f"no exec handler for opcode {op.name}")
-            kind = _LOAD_SLOT if op is Opcode.LOAD else _OTHER_SLOT
-            plan.append((kind, handler, 1 if op is Opcode.NOP else None))
+            plan.append((_OTHER_SLOT, handler, 1 if op is Opcode.NOP else None))
     return tuple(plan)
 
 

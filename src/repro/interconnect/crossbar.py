@@ -48,19 +48,9 @@ class Crossbar:
         self._queue_cycles = stats.accumulator(f"{name}.injection_queue_cycles")
         # Hot-path caches: one send per coherence message, so every
         # attribute walk here is paid millions of times per experiment.
-        # (sim.schedule_fast_at is bound in Simulator.__init__ -- before
-        # any Crossbar exists -- so caching the bound method is safe
-        # even for the fastpath=False compat engine.)
         self._issue_interval = config.port_issue_interval
         self._link_latency = config.link_latency
-        self._schedule_at = sim.schedule_fast_at
-        self._queue_add = self._queue_cycles.add
         self._deliver_h = self._deliver
-        # ``send`` inlines the schedule_fast_at body (calendar-bucket
-        # append); the compat engine falls back to the variant that
-        # calls the Event-allocating shadow.
-        if not sim.fastpath:
-            self.send = self._send_compat  # type: ignore[method-assign]
 
     def attach(self, node_id: int, endpoint: Endpoint) -> None:
         """Register ``endpoint`` under ``node_id``; ids must be unique."""
@@ -106,24 +96,6 @@ class Crossbar:
         else:
             bucket.append((self._deliver_h, (dst, msg)))
         sim._pending += 1
-
-    def _send_compat(self, src: int, dst: int, msg: Any) -> None:
-        """``send`` for the compat engine: schedules delivery through the
-        (shadowed, Event-allocating) schedule_fast_at."""
-        ports = self._port_free_at
-        if src not in ports:
-            raise KeyError(f"unknown source node {src}")
-        if dst not in self._endpoints:
-            raise KeyError(f"unknown destination node {dst}")
-        now = self.sim._now
-        free = ports[src]
-        inject_at = free if free > now else now
-        ports[src] = inject_at + self._issue_interval
-        self._queue_add(inject_at - now)
-        self._sent.value += 1
-        self.inflight += 1
-        self._schedule_at(inject_at + self._link_latency,
-                          self._deliver, dst, msg)
 
     def _deliver(self, dst: int, msg: Any) -> None:
         self.inflight -= 1

@@ -76,12 +76,9 @@ class Mesh:
         self.stat_link_wait = stats.accumulator(f"{name}.link_wait_cycles")
 
         # ``_hop`` claims a flit's next link and re-appends the flit's
-        # entry (or, after the last link, its delivery).  The fast engine
-        # gets a closure with the calendar append inlined; the compat
-        # engine (fastpath=False) routes every hop through the shadowed,
-        # Event-allocating schedule_fast_at -- the determinism suite
-        # proves both byte-identical.
-        self._hop = self._make_hop() if sim.fastpath else self._hop_compat
+        # entry (or, after the last link, its delivery): a closure with
+        # the calendar append inlined.
+        self._hop = self._make_hop()
 
     def _place(self, n_nodes: int) -> None:
         """Row-major placement, with the last node (the directory) swapped
@@ -160,7 +157,7 @@ class Mesh:
         self._hop(flit)
 
     def _make_hop(self):
-        """The fast engine's hop: one closure over the mesh's constants."""
+        """The hop: one closure over the mesh's constants."""
         free_at = self._link_free_at
         interval = self.link_issue_interval
         latency = self.hop_latency
@@ -212,27 +209,6 @@ class Mesh:
             sim._pending += 1
 
         return hop
-
-    def _hop_compat(self, flit: list) -> None:
-        """The hop on the compat engine and on shard meshes."""
-        links, index, dst, msg, arrived, _ = flit
-        link = links[index]
-        free = self._link_free_at[link]
-        depart = arrived if arrived > free else free
-        self._link_free_at[link] = depart + self.link_issue_interval
-        self.stat_link_wait.add(depart - arrived)
-        flit[5] = None
-        self._forward(flit, link, index + 1, depart + self.hop_latency)
-
-    def _forward(self, flit: list, link: int, index: int,
-                 arrive: int) -> None:
-        """Schedule the flit's next hop (or its delivery) at ``arrive``."""
-        if index == len(flit[0]):
-            self.sim.schedule_fast_at(arrive, self._deliver, flit[2], flit[3])
-        else:
-            flit[1] = index
-            flit[4] = arrive
-            self.sim.schedule_fast_at(arrive, self._hop, flit)
 
     def _deliver(self, dst: int, msg: Any) -> None:
         self.inflight -= 1

@@ -11,7 +11,7 @@ This subpackage provides the machinery every other subsystem is built on:
   hardware structure in the simulated system.
 """
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.stats import Accumulator, Counter, Histogram, StatsRegistry
 from repro.sim.config import (
     CacheConfig,
@@ -25,7 +25,6 @@ from repro.sim.config import (
 )
 
 __all__ = [
-    "Event",
     "Simulator",
     "Accumulator",
     "Counter",

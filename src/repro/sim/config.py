@@ -225,21 +225,13 @@ class SystemConfig:
     speculation: SpeculationConfig = field(default_factory=SpeculationConfig)
     seed: int = 1
     # Trace-compiled execution: at program load each core fuses maximal
-    # straight-line runs of pure ALU/branch-free instructions into single
-    # superblock closures that update the register file and pc in one
-    # event, touching the scheduler only at memory/ordering boundaries
-    # (see docs/PERF.md).  Semantically invisible -- the golden and
-    # fastpath-vs-compat determinism suites prove it -- and only active
-    # on the real fast-path engine: the compat engine (fastpath=False)
-    # forces it off so the equivalence proof keeps a per-instruction
-    # reference to compare against.
+    # straight-line runs of ALU and branch instructions into single
+    # superblock closures that do the span's register work, branch
+    # decisions and pc update in its head event, while relay entries
+    # keep the per-instruction event cadence (see docs/PERF.md).
+    # Semantically invisible -- the golden suites pin every result with
+    # fusion on and off -- and forced off in CONTINUOUS speculation.
     superblocks: bool = True
-    # Debug mode for the memory-system fast path: keep the historical
-    # list(...) copy at every block transfer whose fast path transfers
-    # ownership instead (evictions, invalidation acks, fills, directory
-    # intake).  Results must be bit-identical with the flag on or off --
-    # the determinism suite proves the elision creates no live aliases.
-    debug_copy_blocks: bool = False
     # Number of directory home nodes.  1 keeps the historical single
     # directory at node id n_cores; H > 1 spreads directory state over
     # nodes n_cores..n_cores+H-1 via the consistent-hash home map

@@ -10,81 +10,25 @@ Internally the queue is a *calendar of buckets*: one FIFO list per
 pending cycle, indexed by a dict, plus a small min-heap holding each
 live cycle once.  Scheduling is an O(1) list append (the heap is touched
 only when a cycle gains its first event) and dispatch walks one bucket
-at a time, so the per-event cost has no heap comparisons in it -- the
-old global heapq paid an O(log n) chain of Python-level ``Event.__lt__``
-calls on every push and pop.  Same-cycle FIFO order is exactly the old
-(time, seq) order, so the overhaul is semantically invisible; the
-ordering contract is spelled out in docs/PERF.md.
+at a time, so the per-event cost has no heap comparisons in it.
 
-Two scheduling paths share the calendar:
-
-* :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` allocate a
-  cancellable :class:`Event` handle (the original API);
-* :meth:`Simulator.schedule_fast` / :meth:`Simulator.schedule_fast_at`
-  append a bare ``(fn, args)`` pair -- no handle, no allocation beyond
-  the tuple -- for the ~90% of events that are never cancelled (core
-  step events, L1 callbacks, message deliveries).
-
-Cancelled :class:`Event` objects are skipped at dispatch; when they
-outnumber half the pending queue the engine drains them automatically
-(at a safe point, between buckets) so speculation-heavy runs cannot
-accumulate dead queue entries.
+Every queue entry is a bare ``(fn, args)`` pair, appended by
+:meth:`Simulator.schedule_fast` / :meth:`Simulator.schedule_fast_at` or
+inlined by the hot components; a superblock relay (see
+:meth:`Simulator.make_relay`) is the same pair with ``fn`` None.  An
+entry cannot be cancelled: components neutralise stale continuations
+with epoch guards instead.  The ordering contract is spelled out in
+docs/PERF.md.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from typing import Any, Callable, List, Optional, Tuple
-
-#: Auto-housekeeping floor: below this many cancelled events a drain
-#: costs more than the dead entries do.
-_AUTO_DRAIN_MIN_CANCELLED = 8
+from typing import Any, Callable, List, Optional
 
 
 class SimulationError(RuntimeError):
     """Raised when the simulation reaches an inconsistent or stuck state."""
-
-
-class Event:
-    """A scheduled callback.
-
-    Events are ordered by ``(time, seq)`` where ``seq`` is a global
-    monotonically increasing insertion counter; two events scheduled for
-    the same cycle therefore fire in the order they were scheduled, which
-    keeps the simulation deterministic.  (The calendar queue realises the
-    same order positionally -- ``seq`` survives as the tie-break key for
-    direct ``Event`` comparisons and for debugging.)
-
-    Events may be cancelled before they fire via :meth:`cancel`; a
-    cancelled event is skipped by the dispatch loop.
-    """
-
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
-
-    def __init__(self, time: int, seq: int, fn: Callable[..., Any], args: Tuple[Any, ...]):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self._sim: Optional["Simulator"] = None
-
-    def cancel(self) -> None:
-        """Prevent this event from firing (no-op if it already fired)."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        sim = self._sim
-        if sim is not None:
-            sim._note_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time} seq={self.seq} fn={getattr(self.fn, '__qualname__', self.fn)}{state}>"
 
 
 class Simulator:
@@ -93,39 +37,20 @@ class Simulator:
     Typical use::
 
         sim = Simulator()
-        sim.schedule(10, some_callback, arg1, arg2)
+        sim.schedule_fast(10, some_callback, arg1, arg2)
         sim.run()           # dispatch until the event queue is empty
         print(sim.now)      # simulated cycles elapsed
-
-    ``fastpath=False`` routes :meth:`schedule_fast` through the
-    Event-allocating slow path; the dispatch order is identical either
-    way (the determinism test suite runs every grid point both ways),
-    it only exists to prove that equivalence.
     """
 
-    def __init__(self, fastpath: bool = True) -> None:
-        #: time -> FIFO list of entries (Event objects or (fn, args) pairs).
+    def __init__(self) -> None:
+        #: time -> FIFO list of ``(fn, args)`` entries.
         self._buckets: dict = {}
         #: min-heap of times; each live bucket's time appears exactly once.
         self._times: List[int] = []
-        self._seq = itertools.count()
         self._now = 0
         self._events_dispatched = 0
         self._running = False
         self._pending = 0
-        self._cancelled = 0
-        self._drain_pending = False
-        #: True when schedule_fast really is the allocation-free path.
-        #: Hot components (core closures, L1, crossbar) consult this once
-        #: at construction/decode time and inline the bucket append
-        #: directly; when False they fall back to calling the (shadowed,
-        #: Event-allocating) schedule_fast so the compat proof still
-        #: exercises the slow path end to end.
-        self.fastpath = fastpath
-        if not fastpath:
-            # Shadow the fast-path methods with Event-allocating wrappers.
-            self.schedule_fast = self._schedule_fast_compat   # type: ignore[method-assign]
-            self.schedule_fast_at = self.schedule_at          # type: ignore[method-assign]
 
     @property
     def now(self) -> int:
@@ -144,49 +69,23 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of not-yet-fired (including cancelled) events."""
-        return self._pending
+        """Number of not-yet-fired events.
 
-    @property
-    def cancelled_events(self) -> int:
-        """Number of cancelled events still occupying the queue."""
-        return self._cancelled
+        Updated at bucket granularity while :meth:`run` is dispatching,
+        like :attr:`events_dispatched`: mid-cycle, the current cycle's
+        whole bucket still counts as pending.
+        """
+        return self._pending
 
     # ----------------------------------------------------------- scheduling
 
-    def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> Event:
+    def schedule_fast(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` to run ``delay`` cycles from now.
 
         ``delay`` must be >= 0; a delay of 0 runs later in the current
-        cycle (after all previously scheduled same-cycle events).
-        """
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, fn, *args)
-
-    def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at absolute cycle ``time`` (>= now)."""
-        if time < self._now:
-            raise ValueError(f"cannot schedule at cycle {time}; now is {self._now}")
-        event = Event(time, next(self._seq), fn, args)
-        event._sim = self
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [event]
-            heapq.heappush(self._times, time)
-        else:
-            bucket.append(event)
-        self._pending += 1
-        return event
-
-    def schedule_fast(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule`: no :class:`Event` handle.
-
-        Identical dispatch semantics (same (time, insertion-order)
-        slot), but the entry cannot be cancelled.  This is the hot path
-        for the dominant event classes -- core steps, cache callbacks,
-        message deliveries -- none of which are ever cancelled (the core
-        neutralises stale continuations with epoch guards instead).
+        cycle (after all previously scheduled same-cycle events).  The
+        entry has no handle and cannot be cancelled: components
+        neutralise stale continuations with epoch guards instead.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
@@ -200,7 +99,7 @@ class Simulator:
         self._pending += 1
 
     def schedule_fast_at(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule_at` (see :meth:`schedule_fast`)."""
+        """Schedule ``fn(*args)`` at absolute cycle ``time`` (>= now)."""
         if time < self._now:
             raise ValueError(f"cannot schedule at cycle {time}; now is {self._now}")
         bucket = self._buckets.get(time)
@@ -211,36 +110,12 @@ class Simulator:
             bucket.append((fn, args))
         self._pending += 1
 
-    def _schedule_fast_compat(self, delay: int, fn: Callable[..., Any],
-                              *args: Any) -> None:
-        """schedule_fast body used when ``fastpath=False``: allocates a
-        real Event so the slow path is exercised end to end."""
-        self.schedule(delay, fn, *args)
-
-    def advance_batched(self, elided: int) -> None:
-        """Credit ``elided`` logical events executed inside one dispatch.
-
-        Part of the batched-advance contract for trace-compiled
-        execution (see :meth:`make_relay`): a caller that genuinely
-        elides scheduler dispatches while executing a batch must credit
-        them here so :attr:`events_dispatched` keeps counting *logical*
-        events.  Superblock relays do not need it -- each relay entry IS
-        a dispatched event, so the count matches the per-instruction
-        engine with no correction -- but external batchers (and tests)
-        use this as the documented entry point.
-
-        The ``max_events`` watchdog budget intentionally counts only
-        *dispatched* events: it bounds Python work per run, and credits
-        cost none.
-        """
-        self._events_dispatched += elided
-
     @staticmethod
     def make_relay(deltas) -> tuple:
         """Build a reusable relay entry for a superblock's event cadence.
 
-        The batched-advance hook for trace-compiled execution.  A fused
-        superblock executes all of its instructions' *work* (register
+        The hook for trace-compiled execution.  A fused superblock
+        executes all of its instructions' *work* (register
         writes, pc, stats) in its head event, but it must not collapse
         the span's events into one dispatch: every bucket append in this
         engine happens at a definite moment, and the moment an entry is
@@ -304,7 +179,6 @@ class Simulator:
         times = self._times
         heappop = heapq.heappop
         heappush = heapq.heappush
-        event_cls = Event
         try:
             while times:
                 time = times[0]
@@ -325,15 +199,9 @@ class Simulator:
                 # One comparison per event: the watchdog budget collapses
                 # to a single int (a huge sentinel when unlimited -- an
                 # int/int compare beats int/float).
-                # ``fired`` is derived as consumed - skipped at the end:
-                # skips (cancelled Events) are rare, so the budget check
-                # compares against ``consumed`` directly (bumping the
-                # threshold per skip) and the hot loop carries a single
-                # counter instead of two.
                 budget = (max_events - dispatched) if max_events is not None \
                     else (1 << 62)
                 consumed = 0
-                skipped = 0
                 try:
                     # The list iterator re-reads the length on every step,
                     # so callbacks appending same-cycle events grow the
@@ -341,55 +209,39 @@ class Simulator:
                     # iteration instead of manual indexing.
                     for entry in bucket:
                         consumed += 1
-                        if entry.__class__ is event_cls:
-                            if entry.cancelled:
-                                self._cancelled -= 1
-                                skipped += 1
-                                budget += 1
-                                continue
-                            entry._sim = None
-                            fn = entry.fn
-                            args = entry.args
+                        fn, args = entry
+                        if fn is None:
+                            # Superblock relay (see make_relay): stand in
+                            # for one elided instruction's event -- append
+                            # the next hop (or the span's successor) at
+                            # exactly the moment the per-instruction
+                            # engine would have.
+                            idx = args[1]
+                            t2 = time + args[0][idx]
+                            idx += 1
+                            if idx == args[2]:
+                                nxt = args[3]
+                            else:
+                                args[1] = idx
+                                nxt = entry
+                            b2 = buckets.get(t2)
+                            if b2 is None:
+                                buckets[t2] = [nxt]
+                                heappush(times, t2)
+                            else:
+                                b2.append(nxt)
+                            self._pending += 1
                         else:
-                            fn, args = entry
-                            if fn is None:
-                                # Superblock relay (see make_relay): stand
-                                # in for one elided instruction's event --
-                                # append the next hop (or the span's
-                                # successor) at exactly the moment the
-                                # per-instruction engine would have.
-                                idx = args[1]
-                                t2 = time + args[0][idx]
-                                idx += 1
-                                if idx == args[2]:
-                                    nxt = args[3]
-                                else:
-                                    args[1] = idx
-                                    nxt = entry
-                                b2 = buckets.get(t2)
-                                if b2 is None:
-                                    buckets[t2] = [nxt]
-                                    heappush(times, t2)
-                                else:
-                                    b2.append(nxt)
-                                self._pending += 1
-                                if consumed >= budget:
-                                    raise SimulationError(
-                                        f"watchdog: exceeded {max_events} events at cycle "
-                                        f"{self._now}; the simulated system is likely livelocked"
-                                    )
-                                continue
-                        fn(*args)
+                            fn(*args)
                         if consumed >= budget:
                             raise SimulationError(
                                 f"watchdog: exceeded {max_events} events at cycle "
                                 f"{self._now}; the simulated system is likely livelocked"
                             )
                 finally:
-                    fired = consumed - skipped
                     self._pending -= consumed
-                    self._events_dispatched += fired
-                    dispatched += fired
+                    self._events_dispatched += consumed
+                    dispatched += consumed
                     if consumed < len(bucket):
                         # Aborted mid-bucket (exception in a callback or the
                         # watchdog): keep the unconsumed tail dispatchable.
@@ -397,8 +249,6 @@ class Simulator:
                         heapq.heappush(times, time)
                     else:
                         del buckets[time]
-                if self._drain_pending:
-                    self._drain_now()
             # Queue drained before reaching ``until``: time still passes,
             # so the clock lands exactly on ``until``.
             if until is not None and self._now < until:
@@ -408,88 +258,40 @@ class Simulator:
             self._running = False
 
     def step(self) -> bool:
-        """Dispatch a single (non-cancelled) event.
+        """Dispatch a single event.
 
         Returns True if an event fired, False if the queue was empty.
         """
-        while self._times:
-            time = self._times[0]
-            bucket = self._buckets[time]
-            while bucket:
-                entry = bucket.pop(0)
-                self._pending -= 1
-                if entry.__class__ is Event:
-                    if entry.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    entry._sim = None
-                    fn, args = entry.fn, entry.args
-                else:
-                    fn, args = entry
-                if not bucket:
-                    heapq.heappop(self._times)
-                    del self._buckets[time]
-                self._now = time
-                self._events_dispatched += 1
-                if fn is None:
-                    # Superblock relay entry (see make_relay).
-                    idx = args[1]
-                    t2 = time + args[0][idx]
-                    idx += 1
-                    if idx == args[2]:
-                        nxt = args[3]
-                    else:
-                        args[1] = idx
-                        nxt = entry
-                    b2 = self._buckets.get(t2)
-                    if b2 is None:
-                        self._buckets[t2] = [nxt]
-                        heapq.heappush(self._times, t2)
-                    else:
-                        b2.append(nxt)
-                    self._pending += 1
-                    return True
-                fn(*args)
-                return True
-            heapq.heappop(self._times)
+        times = self._times
+        if not times:
+            return False
+        time = times[0]
+        bucket = self._buckets[time]
+        entry = bucket.pop(0)
+        self._pending -= 1
+        if not bucket:
+            heapq.heappop(times)
             del self._buckets[time]
-        return False
-
-    # --------------------------------------------------------- housekeeping
-
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel`; triggers auto-housekeeping once
-        cancelled events outnumber half the pending queue."""
-        self._cancelled += 1
-        if (self._cancelled >= _AUTO_DRAIN_MIN_CANCELLED
-                and self._cancelled * 2 > self._pending):
-            if self._running:
-                self._drain_pending = True  # drained at the next bucket boundary
+        self._now = time
+        self._events_dispatched += 1
+        fn, args = entry
+        if fn is None:
+            # Superblock relay entry (see make_relay).
+            idx = args[1]
+            t2 = time + args[0][idx]
+            idx += 1
+            if idx == args[2]:
+                nxt = args[3]
             else:
-                self._drain_now()
-
-    def drain_cancelled(self) -> None:
-        """Remove cancelled events from the queue (housekeeping).
-
-        Runs immediately when the simulator is idle; during :meth:`run`
-        it is deferred to the next bucket boundary (the dispatch loop
-        may be mid-way through the current cycle's FIFO).
-        """
-        if self._running:
-            self._drain_pending = True
-        else:
-            self._drain_now()
-
-    def _drain_now(self) -> None:
-        self._drain_pending = False
-        if not self._cancelled:
-            return
-        removed = 0
-        for time, bucket in self._buckets.items():
-            kept = [entry for entry in bucket
-                    if entry.__class__ is not Event or not entry.cancelled]
-            if len(kept) != len(bucket):
-                removed += len(bucket) - len(kept)
-                bucket[:] = kept   # in place: run() may hold a reference
-        self._pending -= removed
-        self._cancelled -= removed
+                args[1] = idx
+                nxt = entry
+            b2 = self._buckets.get(t2)
+            if b2 is None:
+                self._buckets[t2] = [nxt]
+                heapq.heappush(times, t2)
+            else:
+                b2.append(nxt)
+            self._pending += 1
+            return True
+        fn(*args)
+        return True

@@ -152,11 +152,6 @@ class _ShardCrossbar(Crossbar):
         self._me = me
         self._outbox = outbox
         self._marks = marks
-        # Base __init__ may have installed the compat send as an
-        # instance attribute; capture whichever local variant applies,
-        # then interpose the boundary check in front of it.
-        self._local_send = self._send_compat if not sim.fastpath \
-            else Crossbar.send.__get__(self)
         self.send = self._boundary_send  # type: ignore[method-assign]
 
     def _boundary_send(self, src: int, dst: int, msg: Any) -> None:
@@ -168,14 +163,14 @@ class _ShardCrossbar(Crossbar):
         inject_at = free if free > now else now
         arrive = inject_at + self._link_latency
         if self._owner[dst] == self._me:
-            self._local_send(src, dst, msg)
+            Crossbar.send(self, src, dst, msg)
             # Record where this bucket's delivery prefix now ends:
             # boundary arrivals for the same cycle splice in right here
             # (see _Shard.absorb for the ordering argument).
             self._marks[arrive] = len(self.sim._buckets[arrive])
             return
         ports[src] = inject_at + self._issue_interval
-        self._queue_add(inject_at - now)
+        self._queue_cycles.add(inject_at - now)
         self._sent.value += 1
         # Materialise the lazy uid before the message is pickled: a
         # duplicate injected by the fault layer shares its original's
@@ -208,21 +203,34 @@ class _ShardMesh(Mesh):
         #: link id -> shard owning the tile the link enters
         self._link_owner = [tile_owner.get(self.link_target(link), 0)
                             for link in range(len(self._link_free_at))]
-        # The compat hop schedules through sim.schedule_fast_at, which
-        # the compat engine shadows, so it serves both engine modes.
-        self._hop = self._hop_compat
+        self._hop = self._shard_hop
 
-    def _forward(self, flit: list, link: int, index: int,
-                 arrive: int) -> None:
+    def _shard_hop(self, flit: list) -> None:
+        """Claim the flit's next link, then hand the flit to the shard
+        owning the tile the link enters, or schedule its next hop (or
+        its delivery) here at its arrival cycle."""
+        links, index, dst, msg, arrived, _ = flit
+        link = links[index]
+        free = self._link_free_at[link]
+        depart = arrived if arrived > free else free
+        self._link_free_at[link] = depart + self.link_issue_interval
+        self.stat_link_wait.add(depart - arrived)
+        flit[5] = None
+        arrive = depart + self.hop_latency
+        index += 1
         owner = self._link_owner[link]
         if owner != self._me:
-            links, _, dst, msg, _, _ = flit
             msg.uid  # materialise before pickling (see _ShardCrossbar)
             self.inflight -= 1
             self._outbox.append((owner, arrive, _TRAVERSE,
                                  (links, index, dst), msg))
             return
-        super()._forward(flit, link, index, arrive)
+        if index == len(links):
+            self.sim.schedule_fast_at(arrive, self._deliver, dst, msg)
+        else:
+            flit[1] = index
+            flit[4] = arrive
+            self.sim.schedule_fast_at(arrive, self._hop, flit)
         # Delivery-prefix mark, as in _ShardCrossbar._boundary_send.
         self._marks[arrive] = len(self.sim._buckets[arrive])
 
@@ -242,7 +250,6 @@ class _Shard:
     def __init__(self, index: int, layout: ShardLayout, config: SystemConfig,
                  programs: Sequence[Program],
                  initial_memory: Optional[Dict[int, int]],
-                 fastpath: bool,
                  fault_plan: Optional[FaultPlan],
                  node_plan: Optional[NodeFaultPlan]):
         self.index = index
@@ -251,7 +258,7 @@ class _Shard:
         self.owned_cores = layout.core_slices[index]
         self.owned_homes = layout.home_slices[index]
         self.outbox: List[tuple] = []
-        self.sim = Simulator(fastpath=fastpath)
+        self.sim = Simulator()
         self.stats = StatsRegistry()
         self._seq = 0            # per-origin-shard record sequence
         #: bucket time -> index just past the last locally appended
@@ -292,12 +299,10 @@ class _Shard:
                                                faults=mine)
 
         self.home_map = build_home_map(n_homes, n_cores)
-        copy_blocks = config.debug_copy_blocks
         self.directories: List[Directory] = []
         for home in self.owned_homes:
             directory = Directory(self.sim, n_cores + home, config.l1,
-                                  config.memory, self.net, self.stats,
-                                  copy_blocks=copy_blocks)
+                                  config.memory, self.net, self.stats)
             self.net.attach(n_cores + home, directory)
             self.directories.append(directory)
 
@@ -323,7 +328,7 @@ class _Shard:
         for core_id in self.owned_cores:
             l1 = L1Cache(self.sim, core_id, config.l1, config.speculation,
                          self.net, n_cores, self.stats,
-                         copy_blocks=copy_blocks, home_map=self.home_map)
+                         home_map=self.home_map)
             self.net.attach(core_id, l1)
             core = Core(self.sim, core_id, config.core, config.speculation,
                         programs[core_id], l1, self.stats,
@@ -613,7 +618,7 @@ def _run_inline(shards: List[_Shard], lookahead: int, max_events: int,
 
 def _worker_main(index: int, layout: ShardLayout, config: SystemConfig,
                  programs: Sequence[Program],
-                 initial_memory: Optional[Dict[int, int]], fastpath: bool,
+                 initial_memory: Optional[Dict[int, int]],
                  fault_plan: Optional[FaultPlan],
                  node_plan: Optional[NodeFaultPlan], lookahead: int,
                  max_events: int, max_cycles: Optional[int],
@@ -625,7 +630,7 @@ def _worker_main(index: int, layout: ShardLayout, config: SystemConfig,
         # matters, for duplicate suppression).
         _messages._msg_ids = itertools.count(index, layout.n_shards)
         shard = _Shard(index, layout, config, programs, initial_memory,
-                       fastpath, fault_plan, node_plan)
+                       fault_plan, node_plan)
         peers = sorted(peer_conns)
         shard.start()
         window_start = 0
@@ -689,7 +694,7 @@ def _worker_main(index: int, layout: ShardLayout, config: SystemConfig,
 
 def _run_forked(layout: ShardLayout, config: SystemConfig,
                 programs: Sequence[Program],
-                initial_memory: Optional[Dict[int, int]], fastpath: bool,
+                initial_memory: Optional[Dict[int, int]],
                 fault_plan: Optional[FaultPlan],
                 node_plan: Optional[NodeFaultPlan], lookahead: int,
                 max_events: int,
@@ -711,7 +716,7 @@ def _run_forked(layout: ShardLayout, config: SystemConfig,
             proc = ctx.Process(
                 target=_worker_main,
                 args=(index, layout, config, programs, initial_memory,
-                      fastpath, fault_plan, node_plan, lookahead,
+                      fault_plan, node_plan, lookahead,
                       max_events, max_cycles, pair_conns[index], child_conn),
                 daemon=True)
             proc.start()
@@ -758,7 +763,7 @@ def _run_forked(layout: ShardLayout, config: SystemConfig,
 
 def run_sharded(config: SystemConfig, programs: Sequence[Program],
                 initial_memory: Optional[Dict[int, int]] = None,
-                shards: int = 2, fastpath: bool = True,
+                shards: int = 2,
                 fault_plan: Optional[FaultPlan] = None,
                 node_plan: Optional[NodeFaultPlan] = None,
                 max_events: int = DEFAULT_MAX_EVENTS,
@@ -786,7 +791,7 @@ def run_sharded(config: SystemConfig, programs: Sequence[Program],
     if shards == 1:
         # One shard is the serial machine: run it directly (no epochs).
         shard = _Shard(0, ShardLayout(config, 1), config, programs,
-                       initial_memory, fastpath, fault_plan, node_plan)
+                       initial_memory, fault_plan, node_plan)
         shard.start()
         shard.sim.run(max_events=max_events, max_cycles=max_cycles)
         blob = shard.result_blob()
@@ -823,11 +828,11 @@ def run_sharded(config: SystemConfig, programs: Sequence[Program],
 
     if mode == "fork":
         blobs, telemetry = _run_forked(
-            layout, config, programs, initial_memory, fastpath, fault_plan,
+            layout, config, programs, initial_memory, fault_plan,
             node_plan, lookahead, max_events, max_cycles)
     else:
         all_shards = [_Shard(i, layout, config, programs, initial_memory,
-                             fastpath, fault_plan, node_plan)
+                             fault_plan, node_plan)
                       for i in range(shards)]
         telemetry = _run_inline(all_shards, lookahead, max_events, max_cycles)
         telemetry["mode"] = "inline"

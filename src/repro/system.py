@@ -188,7 +188,6 @@ class System:
         config: SystemConfig,
         programs: Sequence[Program],
         initial_memory: Optional[Dict[int, int]] = None,
-        fastpath: bool = True,
         fault_plan: Optional[FaultPlan] = None,
         node_plan: Optional[NodeFaultPlan] = None,
     ):
@@ -197,10 +196,7 @@ class System:
                 f"need exactly {config.n_cores} programs, got {len(programs)}"
             )
         self.config = config
-        # fastpath=False routes every event through the Event-allocating
-        # slow path; results are bit-identical (the determinism suite
-        # proves it), it exists only for that proof.
-        self.sim = Simulator(fastpath=fastpath)
+        self.sim = Simulator()
         self.stats = StatsRegistry()
         if config.interconnect.topology is Topology.MESH:
             self.net = Mesh(self.sim, config.n_cores + config.n_homes,
@@ -234,7 +230,6 @@ class System:
                         f"system has only {config.n_cores} cores")
 
         directory_id = config.n_cores
-        copy_blocks = config.debug_copy_blocks
         # Directory homes: home h lives at node id n_cores + h.  With
         # one home (the default) this is the historical single directory
         # and the home map degenerates to a constant; the "dir.*" stats
@@ -243,8 +238,7 @@ class System:
         self.directories: List[Directory] = []
         for home in range(config.n_homes):
             directory = Directory(self.sim, directory_id + home, config.l1,
-                                  config.memory, self.net, self.stats,
-                                  copy_blocks=copy_blocks)
+                                  config.memory, self.net, self.stats)
             self.net.attach(directory_id + home, directory)
             self.directories.append(directory)
         self.directory = self.directories[0]
@@ -269,7 +263,7 @@ class System:
         for core_id, program in enumerate(programs):
             l1 = L1Cache(self.sim, core_id, config.l1, config.speculation,
                          self.net, directory_id, self.stats,
-                         copy_blocks=copy_blocks, home_map=self.home_map)
+                         home_map=self.home_map)
             self.net.attach(core_id, l1)
             # Targeted cores run per-instruction: a fused superblock
             # executes atomically at its head dispatch, so a fault

@@ -1,12 +1,13 @@
-"""The fast path is semantically invisible, and the engine matches seed.
+"""Superblock fusion is semantically invisible, and the engine matches seed.
 
 Two independent proofs that the hot-path overhaul changed nothing
 observable:
 
-* **fastpath determinism** -- every grid point run with
-  ``System(fastpath=False)`` (all events routed through the
-  Event-allocating slow path) produces the same result fingerprint as
-  the default fast path;
+* **fusion determinism** -- every grid point run with superblocks off,
+  and with every span forced through either superblock executor,
+  produces the same result fingerprint as the default run (the same
+  points' results are pinned in ``tests/golden_engine_fingerprints.json``,
+  see ``tests/test_engine_goldens.py``);
 * **golden fingerprints** -- the quick E1/E9 grids reproduce, bit for
   bit, the fingerprints measured on the pre-overhaul engine (committed
   in ``tests/golden_fingerprints.json``).
@@ -43,8 +44,8 @@ def _chaos_specs():
     """One election + one gossip point under a composed chaos plan.
 
     Node-fault points disable fusion only on the *targeted* cores, so
-    the fastpath/superblock proofs below also cover the mixed case --
-    fused survivors running alongside an unfused, faulted victim.
+    the superblock proofs below also cover the mixed case -- fused
+    survivors running alongside an unfused, faulted victim.
     """
     from repro.faults import CRASH, PAUSE, FaultPlan, NodeFault, NodeFaultPlan
     from repro.harness.parallel import RunSpec
@@ -67,23 +68,11 @@ def _chaos_specs():
 _CHAOS_SPECS = _chaos_specs()
 
 
-def _run(spec, fastpath):
+def _run(spec):
     system = System(spec.config, spec.workload.programs,
-                    spec.workload.initial_memory, fastpath=fastpath,
+                    spec.workload.initial_memory,
                     fault_plan=spec.fault_plan, node_plan=spec.node_plan)
     return system.run()
-
-
-@pytest.mark.parametrize("spec", _DETERMINISM_SPECS,
-                         ids=[s.label for s in _DETERMINISM_SPECS])
-def test_fastpath_and_slowpath_fingerprints_match(spec):
-    fast = _run(spec, fastpath=True)
-    slow = _run(spec, fastpath=False)
-    assert result_fingerprint(fast) == result_fingerprint(slow)
-    # The event *count* must agree too: the fast path skips Event
-    # allocation, never events.
-    assert fast.events == slow.events
-    assert fast.cycles == slow.cycles
 
 
 @pytest.mark.parametrize("spec", _DETERMINISM_SPECS,
@@ -96,7 +85,7 @@ def test_superblocks_on_off_fingerprints_match(spec):
     cycles, event counts and the full stats fingerprint must be
     byte-identical with fusion disabled.
     """
-    fused = _run(spec, fastpath=True)
+    fused = _run(spec)
     plain = System(spec.config.with_superblocks(False),
                    spec.workload.programs,
                    spec.workload.initial_memory).run()
@@ -107,24 +96,12 @@ def test_superblocks_on_off_fingerprints_match(spec):
 
 @pytest.mark.parametrize("spec", _CHAOS_SPECS,
                          ids=[s.label for s in _CHAOS_SPECS])
-def test_chaos_points_fastpath_matches_compat(spec):
-    """Node faults are engine-mode invariant: the pause/crash guards
-    hook the shared decoded-handler lists, which both dispatch paths
-    fetch at dispatch time, so perturbed runs replay identically."""
-    fast = _run(spec, fastpath=True)
-    slow = _run(spec, fastpath=False)
-    assert result_fingerprint(fast) == result_fingerprint(slow)
-    assert fast.cycles == slow.cycles
-
-
-@pytest.mark.parametrize("spec", _CHAOS_SPECS,
-                         ids=[s.label for s in _CHAOS_SPECS])
 def test_chaos_points_superblocks_on_off_match(spec):
     """Fusion stays byte-invisible under chaos: plan-targeted cores are
     built unfused either way (a mid-superblock fault would otherwise
     settle at a different instruction boundary), and the untargeted
     survivors' fused execution changes nothing observable."""
-    fused = _run(spec, fastpath=True)
+    fused = _run(spec)
     plain = System(spec.config.with_superblocks(False),
                    spec.workload.programs, spec.workload.initial_memory,
                    fault_plan=spec.fault_plan,
@@ -142,7 +119,7 @@ def test_superblock_fusion_engages_on_spin_workloads():
     spin = [s for s in _DETERMINISM_SPECS if "locks-ticket" in s.label]
     assert spin, "expected locks-ticket points in the determinism grid"
     for spec in spin:
-        result = _run(spec, fastpath=True)
+        result = _run(spec)
         assert result.fusion_coverage() > 0.25, spec.label
         assert result.mean_superblock_length() >= 2.0, spec.label
         for program in spec.workload.programs:
@@ -157,8 +134,7 @@ def _executor_view(result):
 
 
 def _assert_executors_interchangeable(spec, monkeypatch):
-    results = run_each_executor(monkeypatch,
-                                lambda: _run(spec, fastpath=True))
+    results = run_each_executor(monkeypatch, lambda: _run(spec))
     views = {name: _executor_view(r) for name, r in results.items()}
     assert views["compiled"] == views["default"]
     assert views["uncompiled"] == views["default"]
@@ -201,7 +177,8 @@ def _golden_params():
         expected = golden["grids"].get(grid_id)
         if expected is None:
             # Bench-only grid (MEM): events/sec tracking, not pinned to
-            # seed fingerprints -- covered by the determinism proof.
+            # seed fingerprints -- tests/golden_engine_fingerprints.json
+            # pins the 2-core MEM points instead.
             continue
         for spec in specs:
             params.append(pytest.param(spec, expected[spec.label],
@@ -229,7 +206,7 @@ def test_engine_reproduces_seed_fingerprints(spec, expected):
     # also proves the goldens are byte-unchanged under trace-compiled
     # execution (ISSUE 7 acceptance).
     assert spec.config.superblocks
-    result = _run(spec, fastpath=True)
+    result = _run(spec)
     assert result_fingerprint(result) == expected, (
         f"{spec.label}: stats diverge from the pre-overhaul engine; "
         "if the simulated architecture intentionally changed, regenerate "

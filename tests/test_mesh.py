@@ -11,8 +11,9 @@ from dataclasses import replace
 from repro.interconnect.mesh import Mesh
 from repro.sim.config import InterconnectConfig, SystemConfig, Topology
 from repro.sim.engine import Simulator
+from repro.sim.sharded import _ShardMesh
 from repro.sim.stats import StatsRegistry
-from repro.system import System, run_system
+from repro.system import run_system
 from repro.workloads import locks
 from tests.conftest import small_config
 
@@ -138,56 +139,19 @@ class TestSystemOnMesh:
 
 
 class TestMeshFastpathDeterminism:
-    """The mesh fast path (inline calendar-bucket hops) is invisible.
-
-    Same proof shape as the crossbar's in test_fastpath_determinism:
-    every point run on the compat engine (fastpath=False, every hop
-    through the Event-allocating slow path) must match the fast engine's
-    result fingerprint, event count and cycle count exactly.
-    """
-
-    def _points(self):
-        from repro.sim.config import SpeculationMode
-        from repro.workloads.protocols import gossip
-
-        def mesh_config(n_cores, n_homes=1):
-            cfg = small_config(n_cores)
-            return replace(cfg, n_homes=n_homes,
-                           interconnect=InterconnectConfig(
-                               topology=Topology.MESH, mesh_hop_latency=2))
-
-        lock = locks.lock_contention(4, increments=6, think_cycles=5)
-        return [
-            ("locks", mesh_config(4), lock),
-            ("locks-spec", mesh_config(4).with_speculation(
-                SpeculationMode.CONTINUOUS), lock),
-            ("gossip", mesh_config(8), gossip(8)),
-            ("gossip-multihome", mesh_config(8, n_homes=4), gossip(8)),
-        ]
-
-    def _run(self, config, wl, fastpath):
-        system = System(config, wl.programs, wl.initial_memory,
-                        fastpath=fastpath)
-        return system.run()
-
-    def test_fastpath_vs_compat_fingerprints_match(self):
-        from repro.harness.parallel import result_fingerprint
-        for label, config, wl in self._points():
-            fast = self._run(config, wl, fastpath=True)
-            slow = self._run(config, wl, fastpath=False)
-            assert result_fingerprint(fast) == result_fingerprint(slow), label
-            assert fast.events == slow.events, label
-            assert fast.cycles == slow.cycles, label
+    """The mesh fast path: inline calendar-bucket hops.  Its results are
+    pinned in tests/golden_mesh_fingerprints.json and
+    tests/golden_engine_fingerprints.json."""
 
     def test_fast_send_skips_event_allocation(self):
-        # The fast engine must not create Event objects for mesh hops:
-        # traversal entries land directly in the calendar buckets.
+        # Mesh hops allocate no handle objects: traversal entries land
+        # directly in the calendar buckets.
         sim, mesh, sinks = make_mesh(9, hop_latency=2)
         corner = next(i for i in range(9) if mesh.coordinates(i) == (0, 0))
         far = next(i for i in range(9) if mesh.coordinates(i) == (2, 2))
         mesh.send(corner, far, "m")
         assert sim._pending >= 1
-        # Every queued entry is a plain (fn, args) tuple, not an Event.
+        # Every queued entry is a plain (fn, args) tuple.
         for bucket in sim._buckets.values():
             for entry in bucket:
                 assert type(entry) is tuple
@@ -201,8 +165,8 @@ class ReferenceMesh:
     It shares no code with :class:`Mesh`: its own placement, a route
     list of tiles per send, a link-state dict keyed by tile pairs, and
     one ``_traverse`` event per hop that claims the next link on
-    arrival (the final one delivers).  Scheduling goes through
-    ``schedule_fast``/``schedule_fast_at``, so it runs on both engines.
+    arrival (the final one delivers), scheduled through
+    ``schedule_fast``/``schedule_fast_at``.
     """
 
     def __init__(self, sim, n_nodes, stats, hop_latency, link_issue_interval):
@@ -319,12 +283,28 @@ def seeded_traffic(seed):
     return n_nodes, hop_latency, interval, batches
 
 
-def drive(net_cls, seed, fastpath):
+class SingleOwnerShardMesh(_ShardMesh):
+    """The sharded engine's mesh with every tile owned by shard 0, so
+    its own hop claims every link and no flit leaves the shard."""
+
+    def __init__(self, sim, n_nodes, stats, hop_latency, link_issue_interval):
+        super().__init__(sim, n_nodes, stats, hop_latency,
+                         link_issue_interval, owner=[0] * n_nodes, me=0,
+                         outbox=[], marks={})
+
+
+#: The two link-claiming hops: the serial mesh's closure and the
+#: sharded mesh's own hop.
+NETWORKS = pytest.mark.parametrize("net_cls", [Mesh, SingleOwnerShardMesh],
+                                   ids=["mesh", "shard-mesh"])
+
+
+def drive(net_cls, seed):
     """Run the seeded traffic through ``net_cls``; return every
     endpoint's log, ``inflight`` after each cycle, and both mesh
     accumulators."""
     n_nodes, hop_latency, interval, batches = seeded_traffic(seed)
-    sim = Simulator(fastpath=fastpath)
+    sim = Simulator()
     stats = StatsRegistry()
     net = net_cls(sim, n_nodes, stats, hop_latency=hop_latency,
                   link_issue_interval=interval)
@@ -344,20 +324,21 @@ def drive(net_cls, seed, fastpath):
         inflight.append(net.inflight)
     accumulators = [(a.total, a.count, a.minimum, a.maximum)
                     for a in (net.stat_hops, net.stat_link_wait)]
+    if isinstance(net, _ShardMesh):
+        assert net._outbox == [], "a single-owner shard handed a flit off"
     return [r.log for r in relays], inflight, accumulators
 
 
 class TestLinkClaimOracle:
-    """The link-id mesh claims links exactly as the tile-pair model did:
+    """Both link-id hops -- the serial mesh's closure and the sharded
+    mesh's own hop -- claim links exactly as the tile-pair model did:
     same delivery cycle and order at every endpoint, same in-flight
     count after every cycle, same hop and link-wait statistics."""
 
-    @pytest.mark.parametrize("fastpath", [True, False],
-                             ids=["fast", "compat"])
+    @NETWORKS
     @pytest.mark.parametrize("seed", range(60))
-    def test_matches_reference_mesh(self, seed, fastpath):
-        assert drive(Mesh, seed, fastpath) == \
-            drive(ReferenceMesh, seed, fastpath)
+    def test_matches_reference_mesh(self, seed, net_cls):
+        assert drive(net_cls, seed) == drive(ReferenceMesh, seed)
 
     def test_traffic_contends(self):
         # The comparison is vacuous unless links are actually contended
@@ -365,7 +346,7 @@ class TestLinkClaimOracle:
         waits = crossing = 0
         for seed in range(60):
             n_nodes, _, _, batches = seeded_traffic(seed)
-            _, _, (_, (wait_total, _, _, _)) = drive(Mesh, seed, True)
+            _, _, (_, (wait_total, _, _, _)) = drive(Mesh, seed)
             waits += wait_total > 0
             ref = ReferenceMesh(Simulator(), n_nodes, StatsRegistry(), 1, 1)
             occupied = set(ref._coords.values())
@@ -377,11 +358,11 @@ class TestLinkClaimOracle:
 
 
 class TestFlitLifetime:
-    @pytest.mark.parametrize("fastpath", [True, False],
-                             ids=["fast", "compat"])
-    def test_no_reference_cycle_survives_delivery(self, fastpath):
-        sim = Simulator(fastpath=fastpath)
-        mesh = Mesh(sim, 9, StatsRegistry(), hop_latency=2)
+    @NETWORKS
+    def test_no_reference_cycle_survives_delivery(self, net_cls):
+        sim = Simulator()
+        mesh = net_cls(sim, 9, StatsRegistry(), hop_latency=2,
+                       link_issue_interval=1)
         sinks = [Sink(sim) for _ in range(9)]
         for node, sink in enumerate(sinks):
             mesh.attach(node, sink)

@@ -2,9 +2,9 @@
 
 Covers the `repro.faults.nodeplan` / `repro.faults.nodes` axis end to
 end: construction-time plan validation (both fault axes), fail-stop and
-fail-recover semantics on the live machine, bit-for-bit replay across
-engine modes, invisibility of inactive plans, composition with link
-fault plans, and the watchdog's crash-aware diagnostics.
+fail-recover semantics on the live machine, bit-for-bit replay with
+superblocks on and off, invisibility of inactive plans, composition
+with link fault plans, and the watchdog's crash-aware diagnostics.
 """
 
 from __future__ import annotations
@@ -51,13 +51,12 @@ def _counter_workload(n_cores: int = 2, iters: int = 50) -> Workload:
     return Workload(f"nf-counter-{n_cores}", programs, {})
 
 
-def _run(workload, node_plan=None, fault_plan=None, *, fastpath=True,
-         superblocks=True, watchdog=True):
+def _run(workload, node_plan=None, fault_plan=None, *, superblocks=True,
+         watchdog=True):
     config = SystemConfig(n_cores=len(workload.programs),
                           superblocks=superblocks)
     system = System(config, workload.programs, workload.initial_memory,
-                    fastpath=fastpath, fault_plan=fault_plan,
-                    node_plan=node_plan)
+                    fault_plan=fault_plan, node_plan=node_plan)
     return system.run(watchdog=Watchdog(system) if watchdog else None)
 
 
@@ -219,13 +218,6 @@ class TestDeterminism:
         first = _run(wl, plan_factory())
         second = _run(wl, plan_factory())
         assert result_fingerprint(first) == result_fingerprint(second)
-
-    @pytest.mark.parametrize("plan_factory", [_crash_plan, _pause_plan])
-    def test_fastpath_matches_compat(self, plan_factory):
-        wl = _counter_workload(2, iters=50)
-        fast = _run(wl, plan_factory(), fastpath=True)
-        compat = _run(wl, plan_factory(), fastpath=False)
-        assert result_fingerprint(fast) == result_fingerprint(compat)
 
     @pytest.mark.parametrize("plan_factory", [_crash_plan, _pause_plan])
     def test_superblocks_on_off_identical(self, plan_factory):

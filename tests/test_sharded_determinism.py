@@ -103,18 +103,17 @@ _GRID = [
 ]
 
 
-def _serial(config, wl, fault_plan=None, node_plan=None, fastpath=True):
+def _serial(config, wl, fault_plan=None, node_plan=None):
     system = System(config, wl.programs, wl.initial_memory,
-                    fault_plan=fault_plan, node_plan=node_plan,
-                    fastpath=fastpath)
+                    fault_plan=fault_plan, node_plan=node_plan)
     return system.run()
 
 
 def _sharded(config, wl, shards, fault_plan=None, node_plan=None,
-             fastpath=True, mode="inline"):
+             mode="inline"):
     return run_sharded(config, wl.programs, wl.initial_memory, shards=shards,
                        fault_plan=fault_plan, node_plan=node_plan,
-                       fastpath=fastpath, mode=mode)
+                       mode=mode)
 
 
 class TestOracleGrid:
@@ -140,23 +139,6 @@ class TestOracleGrid:
         forked = _sharded(config, wl, 2, mode="fork")
         assert result_fingerprint(forked) == result_fingerprint(serial)
         assert forked.sharding["mode"] == "fork"
-
-
-class TestCompatEngine:
-    """fastpath=False on both sides: the sharded engine composes with
-    the Event-allocating compat scheduler too."""
-
-    @pytest.mark.parametrize("name,config,wl,shards", [
-        ("gossip4-L5", xbar5(4), gossip(4), 2),
-        ("pingpong8", small_config(8), pingpong(4, rounds=5), 4),
-        ("pingpong2-mesh", mesh_cfg(2, 2), pingpong(1, rounds=6), 2),
-    ], ids=["gossip4-L5", "pingpong8", "pingpong2-mesh"])
-    def test_compat_sharded_matches_compat_serial(self, name, config, wl,
-                                                  shards):
-        serial = _serial(config, wl, fastpath=False)
-        sharded = _sharded(config, wl, shards, fastpath=False)
-        assert result_fingerprint(sharded) == result_fingerprint(serial)
-        assert sharded.events == serial.events
 
 
 class TestUnconditionalInvariants:

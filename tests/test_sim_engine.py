@@ -1,8 +1,17 @@
-"""Unit tests for the discrete-event simulation engine."""
+"""Unit tests for the discrete-event simulation engine.
+
+The engine has one entry kind, a bare ``(fn, args)`` pair, scheduled by
+``schedule_fast``/``schedule_fast_at`` and dispatched in (time,
+insertion order) order; docs/PERF.md spells out the ordering invariant
+these tests encode.
+"""
 
 import pytest
 
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.harness.experiments import e1_plan
+from repro.harness.parallel import result_fingerprint
+from repro.sim.engine import SimulationError, Simulator
+from repro.system import System, SystemResult
 
 
 def test_initial_state():
@@ -15,7 +24,7 @@ def test_initial_state():
 def test_schedule_and_run_advances_clock():
     sim = Simulator()
     fired = []
-    sim.schedule(10, fired.append, "a")
+    sim.schedule_fast(10, fired.append, "a")
     sim.run()
     assert fired == ["a"]
     assert sim.now == 10
@@ -24,20 +33,25 @@ def test_schedule_and_run_advances_clock():
 def test_events_fire_in_time_order():
     sim = Simulator()
     order = []
-    sim.schedule(30, order.append, 3)
-    sim.schedule(10, order.append, 1)
-    sim.schedule(20, order.append, 2)
+    sim.schedule_fast(30, order.append, 3)
+    sim.schedule_fast(10, order.append, 1)
+    sim.schedule_fast(20, order.append, 2)
     sim.run()
     assert order == [1, 2, 3]
+    assert sim.events_dispatched == 3
 
 
 def test_same_cycle_events_fire_in_schedule_order():
+    """Relative and absolute schedules into one cycle share its FIFO."""
     sim = Simulator()
     order = []
-    for i in range(5):
-        sim.schedule(7, order.append, i)
+    for i in range(6):
+        if i % 2:
+            sim.schedule_fast_at(7, order.append, i)
+        else:
+            sim.schedule_fast(7, order.append, i)
     sim.run()
-    assert order == [0, 1, 2, 3, 4]
+    assert order == [0, 1, 2, 3, 4, 5]
 
 
 def test_zero_delay_runs_within_current_cycle():
@@ -46,51 +60,53 @@ def test_zero_delay_runs_within_current_cycle():
 
     def outer():
         order.append("outer")
-        sim.schedule(0, order.append, "inner")
+        sim.schedule_fast(0, order.append, "inner")
 
-    sim.schedule(5, outer)
+    sim.schedule_fast(5, outer)
+    sim.schedule_fast(5, order.append, "sibling")
     sim.run()
-    assert order == ["outer", "inner"]
+    # A zero-delay entry joins the back of the current cycle's bucket.
+    assert order == ["outer", "sibling", "inner"]
     assert sim.now == 5
 
 
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
-        sim.schedule(-1, lambda: None)
+        sim.schedule_fast(-1, lambda: None)
 
 
 def test_schedule_at_past_rejected():
     sim = Simulator()
-    sim.schedule(10, lambda: None)
+    sim.schedule_fast(10, lambda: None)
     sim.run()
     with pytest.raises(ValueError):
-        sim.schedule_at(5, lambda: None)
+        sim.schedule_fast_at(5, lambda: None)
 
 
-def test_cancelled_event_does_not_fire():
+def test_schedule_at_absolute_time():
     sim = Simulator()
     fired = []
-    event = sim.schedule(10, fired.append, "x")
-    event.cancel()
+    sim.schedule_fast_at(7, fired.append, "x")
     sim.run()
-    assert fired == []
-
-
-def test_cancel_is_idempotent_after_firing():
-    sim = Simulator()
-    fired = []
-    event = sim.schedule(1, fired.append, "x")
-    sim.run()
-    event.cancel()  # no crash
     assert fired == ["x"]
+    assert sim.now == 7
+
+
+def test_pending_events_counts_entries():
+    sim = Simulator()
+    sim.schedule_fast(1, lambda: None)
+    sim.schedule_fast_at(2, lambda: None)
+    assert sim.pending_events == 2
+    sim.run()
+    assert sim.pending_events == 0
 
 
 def test_run_until_stops_before_later_events():
     sim = Simulator()
     fired = []
-    sim.schedule(10, fired.append, "early")
-    sim.schedule(100, fired.append, "late")
+    sim.schedule_fast(10, fired.append, "early")
+    sim.schedule_fast(100, fired.append, "late")
     sim.run(until=50)
     assert fired == ["early"]
     assert sim.now == 50
@@ -101,7 +117,7 @@ def test_run_until_stops_before_later_events():
 def test_run_until_inclusive():
     sim = Simulator()
     fired = []
-    sim.schedule(50, fired.append, "boundary")
+    sim.schedule_fast(50, fired.append, "boundary")
     sim.run(until=50)
     assert fired == ["boundary"]
 
@@ -109,7 +125,7 @@ def test_run_until_inclusive():
 def test_run_until_advances_clock_when_queue_drains_early():
     sim = Simulator()
     fired = []
-    sim.schedule(10, fired.append, "only")
+    sim.schedule_fast(10, fired.append, "only")
     sim.run(until=50)
     assert fired == ["only"]
     assert sim.now == 50
@@ -127,9 +143,9 @@ def test_watchdog_raises_on_runaway():
     sim = Simulator()
 
     def reschedule():
-        sim.schedule(1, reschedule)
+        sim.schedule_fast(1, reschedule)
 
-    sim.schedule(0, reschedule)
+    sim.schedule_fast(0, reschedule)
     with pytest.raises(SimulationError, match="watchdog"):
         sim.run(max_events=100)
 
@@ -137,13 +153,16 @@ def test_watchdog_raises_on_runaway():
 def test_step_dispatches_single_event():
     sim = Simulator()
     fired = []
-    sim.schedule(3, fired.append, 1)
-    sim.schedule(5, fired.append, 2)
+    sim.schedule_fast(3, fired.append, 1)
+    sim.schedule_fast_at(5, fired.append, 2)
     assert sim.step()
     assert fired == [1]
+    assert sim.now == 3
     assert sim.step()
     assert fired == [1, 2]
     assert not sim.step()
+    assert sim.events_dispatched == 2
+    assert sim.pending_events == 0
 
 
 def test_run_not_reentrant():
@@ -156,40 +175,39 @@ def test_run_not_reentrant():
         except SimulationError as exc:
             errors.append(exc)
 
-    sim.schedule(1, nested)
+    sim.schedule_fast(1, nested)
     sim.run()
     assert len(errors) == 1
-
-
-def test_events_dispatched_counts_fired_only():
-    sim = Simulator()
-    keep = sim.schedule(1, lambda: None)
-    drop = sim.schedule(2, lambda: None)
-    drop.cancel()
-    sim.run()
-    assert sim.events_dispatched == 1
-
-
-def test_drain_cancelled_compacts_queue():
-    sim = Simulator()
-    events = [sim.schedule(10 + i, lambda: None) for i in range(10)]
-    for event in events[:8]:
-        event.cancel()
-    sim.drain_cancelled()
-    assert sim.pending_events == 2
-    sim.run()
-
-
-def test_event_ordering_comparison():
-    a = Event(1, 0, lambda: None, ())
-    b = Event(1, 1, lambda: None, ())
-    c = Event(2, 0, lambda: None, ())
-    assert a < b < c
 
 
 def test_callback_args_passed_through():
     sim = Simulator()
     got = []
-    sim.schedule(1, lambda x, y: got.append((x, y)), 4, 2)
+    sim.schedule_fast(1, lambda x, y: got.append((x, y)), 4, 2)
+    sim.schedule_fast_at(2, lambda: got.append(()))
     sim.run()
-    assert got == [(4, 2)]
+    assert got == [(4, 2), ()]
+
+
+def test_step_loop_reproduces_run_on_a_fused_point():
+    """``step()`` keeps its own copy of the dispatch and relay code, so a
+    fused point driven one event at a time must reproduce
+    ``System.run()``: the same fingerprint and event count."""
+    spec = next(s for s in e1_plan(n_cores=2, scale=0.2)
+                if s.label == "locks-ticket|sc")
+
+    def build():
+        return System(spec.config, spec.workload.programs,
+                      spec.workload.initial_memory)
+
+    ran = build().run()
+    stepped_system = build()
+    for core in stepped_system.cores:
+        core.start()
+    while stepped_system.sim.step():
+        pass
+    assert stepped_system.all_settled
+    stepped = SystemResult(stepped_system)
+    assert stepped.fused_instructions() > 0, "fusion never fired"
+    assert (result_fingerprint(stepped), stepped.events, stepped.cycles) == \
+        (result_fingerprint(ran), ran.events, ran.cycles)
