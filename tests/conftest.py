@@ -8,6 +8,7 @@ import threading
 
 import pytest
 
+from repro.isa.program import Assembler
 from repro.sim.config import (
     CacheConfig,
     ConsistencyModel,
@@ -18,6 +19,7 @@ from repro.sim.config import (
     SpeculationMode,
     SystemConfig,
 )
+from repro.workloads.base import Workload
 
 
 def small_config(n_cores: int = 2, **spec_kwargs) -> SystemConfig:
@@ -31,6 +33,23 @@ def small_config(n_cores: int = 2, **spec_kwargs) -> SystemConfig:
         core=CoreConfig(store_buffer_entries=8),
         speculation=spec,
     )
+
+
+def counter_workload(n_cores: int = 2, iters: int = 50) -> Workload:
+    """Private per-core counters: every core bumps its own word."""
+    programs = []
+    for tid in range(n_cores):
+        asm = Assembler(f"nf.t{tid}")
+        asm.li(1, 0x1_0000 + 64 * tid).li(2, 0).li(24, 1)
+        loop = f"loop_{tid}"
+        asm.label(loop)
+        asm.add(2, 2, 24)
+        asm.store(2, base=1)
+        asm.slti(3, 2, iters)
+        asm.bne(3, 0, loop)
+        asm.halt()
+        programs.append(asm.build())
+    return Workload(f"nf-counter-{n_cores}", programs, {})
 
 
 #: Superblock executor selections for differential tests: the program

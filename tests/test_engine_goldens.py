@@ -41,14 +41,13 @@ import pytest
 from repro.faults import CRASH, PAUSE, FaultPlan, NodeFault, NodeFaultPlan, Watchdog
 from repro.harness.experiments import e1_plan, e9_plan, mem_plan
 from repro.harness.parallel import result_fingerprint
-from repro.isa.program import Assembler
 from repro.sim.config import InterconnectConfig, SpeculationMode, SystemConfig, Topology
 from repro.system import System
 from repro.workloads.base import Workload
 from repro.workloads.locks import lock_contention
 from repro.workloads.producer_consumer import pingpong
 from repro.workloads.protocols import gossip, leader_election
-from tests.conftest import small_config
+from tests.conftest import counter_workload, small_config
 
 _GOLDEN_PATH = os.path.join(os.path.dirname(__file__),
                             "golden_engine_fingerprints.json")
@@ -61,23 +60,6 @@ class Point(NamedTuple):
     fault_plan: Optional[FaultPlan] = None
     node_plan: Optional[NodeFaultPlan] = None
     watchdog: bool = False
-
-
-def _counter_workload(n_cores: int, iters: int) -> Workload:
-    """Private per-core counters: every core bumps its own word."""
-    programs = []
-    for tid in range(n_cores):
-        asm = Assembler(f"nf.t{tid}")
-        asm.li(1, 0x1_0000 + 64 * tid).li(2, 0).li(24, 1)
-        loop = f"loop_{tid}"
-        asm.label(loop)
-        asm.add(2, 2, 24)
-        asm.store(2, base=1)
-        asm.slti(3, 2, iters)
-        asm.bne(3, 0, loop)
-        asm.halt()
-        programs.append(asm.build())
-    return Workload(f"nf-counter-{n_cores}", programs, {})
 
 
 def _mesh(config: SystemConfig, hop: int, n_homes: int = 1) -> SystemConfig:
@@ -105,7 +87,7 @@ def engine_golden_points():
               NodeFaultPlan(faults=(NodeFault(1, PAUSE, 300, 400),))),
     ]
 
-    counters = _counter_workload(2, iters=50)
+    counters = counter_workload(2, iters=50)
     points += [
         Point("nodefault/crash", SystemConfig(n_cores=2), counters,
               node_plan=NodeFaultPlan(seed=0,

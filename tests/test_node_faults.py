@@ -31,24 +31,7 @@ from repro.harness.parallel import (
 from repro.isa.program import Assembler
 from repro.sim.config import SystemConfig
 from repro.system import System
-from repro.workloads.base import Workload
-
-
-def _counter_workload(n_cores: int = 2, iters: int = 50) -> Workload:
-    """Private per-core counters: every core bumps its own word."""
-    programs = []
-    for tid in range(n_cores):
-        asm = Assembler(f"nf.t{tid}")
-        asm.li(1, 0x1_0000 + 64 * tid).li(2, 0).li(24, 1)
-        loop = f"loop_{tid}"
-        asm.label(loop)
-        asm.add(2, 2, 24)
-        asm.store(2, base=1)
-        asm.slti(3, 2, iters)
-        asm.bne(3, 0, loop)
-        asm.halt()
-        programs.append(asm.build())
-    return Workload(f"nf-counter-{n_cores}", programs, {})
+from tests.conftest import counter_workload
 
 
 def _run(workload, node_plan=None, fault_plan=None, *, superblocks=True,
@@ -142,7 +125,7 @@ class TestPlanValidation:
             FaultPlan(jitter_prob=0.5)
 
     def test_system_rejects_out_of_range_core(self):
-        wl = _counter_workload(2)
+        wl = counter_workload(2)
         with pytest.raises(ValueError, match="only 2 cores"):
             System(SystemConfig(n_cores=2), wl.programs, wl.initial_memory,
                    node_plan=_crash_plan(core=5))
@@ -163,7 +146,7 @@ class TestPlanValidation:
 
 class TestCrashSemantics:
     def test_crash_stops_the_victim_and_spares_the_rest(self):
-        wl = _counter_workload(2, iters=50)
+        wl = counter_workload(2, iters=50)
         result = _run(wl, _crash_plan(core=1, at=200))
         assert result.crashed_core_ids() == [1]
         assert result.live_core_ids() == [0]
@@ -175,13 +158,13 @@ class TestCrashSemantics:
         assert result.stats.snapshot()["nodefaults.crashes"] == 1
 
     def test_crash_after_halt_is_a_noop(self):
-        wl = _counter_workload(2, iters=3)            # finishes early
+        wl = counter_workload(2, iters=3)            # finishes early
         result = _run(wl, _crash_plan(core=1, at=50_000))
         assert result.crashed_core_ids() == []
         assert result.stats.snapshot().get("nodefaults.crashes", 0) == 0
 
     def test_crash_composes_with_link_faults(self):
-        wl = _counter_workload(2, iters=50)
+        wl = counter_workload(2, iters=50)
         link = FaultPlan(seed=2, drop_prob=0.05)
         result = _run(wl, _crash_plan(core=1, at=200), link)
         assert result.crashed_core_ids() == [1]
@@ -192,7 +175,7 @@ class TestCrashSemantics:
 
 class TestPauseSemantics:
     def test_pause_delays_then_recovers(self):
-        wl = _counter_workload(2, iters=50)
+        wl = counter_workload(2, iters=50)
         clean = _run(wl)
         paused = _run(wl, _pause_plan(core=1, at=200, duration=400))
         assert paused.crashed_core_ids() == []
@@ -204,7 +187,7 @@ class TestPauseSemantics:
         assert snapshot["nodefaults.deferred"] == 1
 
     def test_pause_after_halt_is_a_noop(self):
-        wl = _counter_workload(2, iters=3)
+        wl = counter_workload(2, iters=3)
         result = _run(wl, _pause_plan(core=1, at=50_000, duration=100))
         assert result.stats.snapshot().get("nodefaults.pauses", 0) == 0
 
@@ -214,20 +197,20 @@ class TestPauseSemantics:
 class TestDeterminism:
     @pytest.mark.parametrize("plan_factory", [_crash_plan, _pause_plan])
     def test_replay_is_bit_identical(self, plan_factory):
-        wl = _counter_workload(2, iters=50)
+        wl = counter_workload(2, iters=50)
         first = _run(wl, plan_factory())
         second = _run(wl, plan_factory())
         assert result_fingerprint(first) == result_fingerprint(second)
 
     @pytest.mark.parametrize("plan_factory", [_crash_plan, _pause_plan])
     def test_superblocks_on_off_identical(self, plan_factory):
-        wl = _counter_workload(2, iters=50)
+        wl = counter_workload(2, iters=50)
         fused = _run(wl, plan_factory(), superblocks=True)
         plain = _run(wl, plan_factory(), superblocks=False)
         assert result_fingerprint(fused) == result_fingerprint(plain)
 
     def test_inactive_plan_is_invisible(self):
-        wl = _counter_workload(2, iters=20)
+        wl = counter_workload(2, iters=20)
         clean = _run(wl)
         inactive = _run(wl, NodeFaultPlan(seed=7))
         assert result_fingerprint(clean) == result_fingerprint(inactive)
@@ -241,7 +224,7 @@ class TestDeterminism:
 
 class TestPointIdentity:
     def test_node_plan_is_part_of_point_identity(self):
-        wl = _counter_workload(1)
+        wl = counter_workload(1)
         config = SystemConfig(n_cores=1)
         plan = _crash_plan(core=0)
         spec = RunSpec("p", config, wl, node_plan=plan)
@@ -251,13 +234,13 @@ class TestPointIdentity:
             != spec.fingerprint()
 
     def test_no_plan_keeps_historical_fingerprint(self):
-        wl = _counter_workload(1)
+        wl = counter_workload(1)
         config = SystemConfig(n_cores=1)
         assert RunSpec("p", config, wl).fingerprint() == \
             point_fingerprint(config, wl)
 
     def test_simulate_point_accepts_node_plan(self):
-        wl = _counter_workload(2, iters=50)
+        wl = counter_workload(2, iters=50)
         result, _seconds = simulate_point(
             SystemConfig(n_cores=2), wl.programs, wl.initial_memory,
             None, _crash_plan(core=1, at=200))
@@ -300,13 +283,13 @@ class TestWatchdogDiagnostics:
         assert "cores [0] blocked" in text
 
     def test_dump_without_node_faults_has_no_crash_lines(self):
-        wl = _counter_workload(2, iters=5)
+        wl = counter_workload(2, iters=5)
         system = System(SystemConfig(n_cores=2), wl.programs,
                         wl.initial_memory)
         assert "CRASHED" not in diagnostic_dump(system)
 
     def test_dump_names_a_paused_core(self):
-        wl = _counter_workload(2, iters=50)
+        wl = counter_workload(2, iters=50)
         plan = _pause_plan(core=1, at=200, duration=400)
         system = System(SystemConfig(n_cores=2), wl.programs,
                         wl.initial_memory, node_plan=plan)
@@ -322,7 +305,7 @@ class TestWatchdogDiagnostics:
         assert "resumes at cycle 600" in dump
 
     def test_all_settled_counts_crashed_cores(self):
-        wl = _counter_workload(2, iters=50)
+        wl = counter_workload(2, iters=50)
         config = SystemConfig(n_cores=2)
         system = System(config, wl.programs, wl.initial_memory,
                         node_plan=_crash_plan(core=1, at=200))
