@@ -1,5 +1,8 @@
 #!/usr/bin/env python
-"""Regenerate the paper's tables and figures (E1-E10) and ablations (A1-A5).
+"""Regenerate the experiment tables (E1-E14) and ablations (A1-A6).
+
+E1-E10 are the paper's tables and figures; E11-E14 are the consistency
+fuzzing, fault-injection, fence-synthesis and chaos studies.
 
 Usage:
     python examples/run_experiments.py                # everything, full scale
@@ -20,7 +23,9 @@ tables are bit-identical for any ``--jobs`` value.  With ``--store DIR``
 every simulated point is also written to a persistent result store, and
 points already there are read back instead of simulated: repeating a
 run, or restarting one that was killed, simulates only what is missing.
-Ablations (A*) run in-process after the sweep.
+Ablations (A*) run in-process after the sweep.  ``--quick`` shrinks the
+experiments named in ``QUICK_OVERRIDES``; the others, and every
+ablation, run at their default size.
 
 Each experiment prints an ASCII table; EXPERIMENTS.md records a full-
 scale run and compares it against the paper's claims.

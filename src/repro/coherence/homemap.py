@@ -2,12 +2,11 @@
 
 Historically the machine had exactly one directory (node id
 ``n_cores``) and the address-to-home function was the constant map.
-The sharded simulator (:mod:`repro.sim.sharded`) distributes directory
-state over ``n_homes`` home nodes so each shard can own a slice of the
-directory, and the *same* mapping object must be used by the serial
-oracle and every shard worker -- otherwise the two engines would route
-the same request to different homes and nothing downstream could match.
-This module is that single shared definition.
+With ``n_homes > 1`` directory state is spread over several home nodes
+so the directory is not a single serialisation point on large machines.
+The L1s and :class:`~repro.system.System` (preloads, memory reads)
+route a block through the one map object built here, so every request
+for a block reaches the same home.
 
 Two maps:
 
@@ -16,13 +15,13 @@ Two maps:
 * :class:`ConsistentHashHomeMap` -- classic consistent-hash ring with
   virtual nodes over block addresses.  Balanced (each home gets an
   ~equal slice of the address space) and remap-stable: growing the ring
-  from H to H+1 homes moves only ~1/(H+1) of the addresses, so cached
-  placement decisions mostly survive a re-shard.
+  from H to H+1 homes moves only ~1/(H+1) of the addresses.
 
 Hashing is an explicit 64-bit mix (splitmix64 finaliser), **not**
-Python's ``hash()``: the builtin is salted per process, and home
-placement must agree across the oracle process and forked shard
-workers.
+Python's ``hash()``: the builtin is salted per process, and a point
+must place its blocks identically in every process that runs it -- a
+sweep worker, the in-process serial sweep, or a later run whose result
+store serves the point -- or its results would depend on where it ran.
 """
 
 from __future__ import annotations
@@ -100,7 +99,7 @@ class ConsistentHashHomeMap:
 
 
 def build_home_map(n_homes: int, first_node: int):
-    """The map both engines share for a machine with ``n_homes`` homes."""
+    """The home map of a machine with ``n_homes`` homes."""
     if n_homes == 1:
         return IdentityHomeMap(first_node)
     return ConsistentHashHomeMap(n_homes, first_node)

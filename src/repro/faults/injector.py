@@ -66,14 +66,8 @@ class FaultInjector:
         self.sim = sim
         self.inner = inner
         self.plan = plan
-        # Global scope: one stream in simulation send order.  Pair
-        # scope: an independent stream per (src, dst), created lazily in
-        # _pair_rng -- the fault sequence each pair sees then depends
-        # only on that pair's own send order, which is what the sharded
-        # engine needs (see plan.rng_scope).
-        self._rng = random.Random(plan.seed) if plan.rng_scope == "global" \
-            else None
-        self._pair_rngs: Dict[Tuple[int, int], random.Random] = {}
+        # One stream, consumed in simulation send order.
+        self._rng = random.Random(plan.seed)
         self._endpoints: Dict[int, Any] = {}
         #: per-(src, dst) monotone release floor (FIFO preservation)
         self._pair_floor: Dict[Tuple[int, int], int] = {}
@@ -95,24 +89,9 @@ class FaultInjector:
         self._endpoints[node_id] = endpoint
         self.inner.attach(node_id, endpoint)
 
-    def _pair_rng(self, src: int, dst: int) -> random.Random:
-        pair = (src, dst)
-        rng = self._pair_rngs.get(pair)
-        if rng is None:
-            # Explicit arithmetic seed derivation -- the builtin hash()
-            # is salted per process and would break cross-process
-            # determinism.  The multipliers just spread (seed, src, dst)
-            # triples apart; Random's init scrambles from there.
-            derived = (self.plan.seed * 1_000_003 + src * 1_009 + dst) \
-                & 0xFFFF_FFFF_FFFF_FFFF
-            rng = self._pair_rngs[pair] = random.Random(derived)
-        return rng
-
     def send(self, src: int, dst: int, msg: Any) -> None:
         plan = self.plan
         rng = self._rng
-        if rng is None:
-            rng = self._pair_rng(src, dst)
 
         if msg.mtype in DROPPABLE:
             forced = self._forced_drops > 0

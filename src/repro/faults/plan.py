@@ -58,16 +58,6 @@ class FaultPlan:
     #: retry backoff: base << min(attempt, cap) cycles
     retry_backoff_base: int = 8
     retry_backoff_cap: int = 6
-    #: RNG stream layout.  "global": one seeded stream consumed in
-    #: simulation send order (the historical behaviour).  "pair": an
-    #: independent stream per (src, dst) pair, seeded from (seed, src,
-    #: dst) with explicit arithmetic (never the salted builtin hash) and
-    #: consumed in that pair's send order.  Pair scope makes the fault
-    #: sequence independent of the interleaving of *other* pairs' sends,
-    #: which is what lets a plan land identically under the sharded
-    #: engine -- each pair's send order is shard-local.  drop_first_n
-    #: counts globally, so it is only meaningful in global scope.
-    rng_scope: str = "global"
 
     def __post_init__(self) -> None:
         _require(self.seed >= 0, "seed must be >= 0")
@@ -85,11 +75,6 @@ class FaultPlan:
         _require(self.nack_latency >= 1, "nack_latency must be >= 1")
         _require(self.retry_backoff_base >= 1, "retry_backoff_base must be >= 1")
         _require(self.retry_backoff_cap >= 0, "retry_backoff_cap must be >= 0")
-        _require(self.rng_scope in ("global", "pair"),
-                 f"rng_scope must be 'global' or 'pair', got {self.rng_scope!r}")
-        _require(self.rng_scope == "global" or self.drop_first_n == 0,
-                 "drop_first_n counts sends globally and is incompatible "
-                 "with rng_scope='pair'")
 
     @property
     def active(self) -> bool:
@@ -116,8 +101,6 @@ class FaultPlan:
                 drops += f"+first{self.drop_first_n}"
             parts.append(drops)
             parts.append("retries=on" if self.retries_enabled else "retries=off")
-        if self.rng_scope != "global":
-            parts.append(f"rng={self.rng_scope}")
         if len(parts) == 1:
             parts.append("clean")
         return " ".join(parts)

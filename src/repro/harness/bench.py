@@ -45,8 +45,8 @@ _REQUIRED_POINT_KEYS = ("label", "cycles", "events", "wall_seconds",
 _REQUIRED_TOTAL_KEYS = ("points", "events", "cycles", "wall_seconds",
                         "events_per_sec", "cycles_per_sec")
 
-#: Keys every point of the optional "sharded" section must carry
-#: (BENCH_5 onward; see sharded_bench_section).
+#: Keys every point of the optional "sharded" section must carry.
+#: Only the committed BENCH_5 has one; nothing writes it any more.
 _REQUIRED_SHARDED_KEYS = (
     "label", "shards", "mode", "events",
     "serial_wall_seconds", "serial_events_per_sec",
@@ -162,115 +162,6 @@ def check_grids() -> Dict[str, List[RunSpec]]:
     """Three small points for the ``--check`` smoke mode (seconds, not
     minutes -- this runs in the default test pass)."""
     return {"E1-smoke": e1_plan(n_cores=2, scale=0.2)[:3]}
-
-
-def measure_sharded_point(label: str, config, workload, shards: int,
-                          repeats: int = 1, mode: str = "fork") -> Dict:
-    """Serial vs sharded throughput for one large point, honestly.
-
-    Two throughput views are recorded, because they answer different
-    questions:
-
-    * ``sharded_wall_seconds`` / ``wall_speedup`` -- what *this host*
-      measured.  On a box with fewer idle CPUs than shards (CI
-      containers are often single-CPU) the workers time-slice one core
-      and the wall clock cannot show a speedup; reporting it anyway is
-      the honest baseline.
-    * ``max_shard_busy_seconds`` / ``critical_path_speedup`` -- the
-      longest any one worker spent *computing* (its wall time minus the
-      time it sat blocked at the epoch barrier, as measured inside the
-      worker).  On a host with ``shards`` idle CPUs the workers run
-      concurrently and the wall clock converges to this critical path,
-      so it is the hardware-independent capacity number.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    from repro.sim.sharded import run_sharded
-
-    serial_wall = None
-    serial_result = None
-    for _ in range(repeats):
-        system = System(config, workload.programs, workload.initial_memory)
-        started = time.perf_counter()
-        serial_result = system.run()
-        wall = time.perf_counter() - started
-        if serial_wall is None or wall < serial_wall:
-            serial_wall = wall
-    serial_wall = max(serial_wall, 1e-9)
-
-    sharded_wall = None
-    sharded_result = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        candidate = run_sharded(config, workload.programs,
-                                workload.initial_memory, shards=shards,
-                                mode=mode)
-        wall = time.perf_counter() - started
-        if sharded_wall is None or wall < sharded_wall:
-            sharded_wall = wall
-            sharded_result = candidate
-    sharded_wall = max(sharded_wall, 1e-9)
-    telemetry = sharded_result.sharding
-    busy = telemetry.get("busy_seconds") or [sharded_wall]
-    max_busy = max(max(busy), 1e-9)
-
-    return {
-        "label": label,
-        "shards": shards,
-        "mode": telemetry["mode"],
-        "events": sharded_result.events,
-        "serial_events": serial_result.events,
-        "serial_wall_seconds": round(serial_wall, 6),
-        "serial_events_per_sec": round(serial_result.events / serial_wall, 1),
-        "sharded_wall_seconds": round(sharded_wall, 6),
-        "sharded_events_per_sec": round(
-            sharded_result.events / sharded_wall, 1),
-        "max_shard_busy_seconds": round(max_busy, 6),
-        "critical_path_events_per_sec": round(
-            sharded_result.events / max_busy, 1),
-        "wall_speedup": round(serial_wall / sharded_wall, 3),
-        "critical_path_speedup": round(serial_wall / max_busy, 3),
-        "epochs": telemetry["epochs"],
-        "crossings": telemetry.get("crossings", 0),
-    }
-
-
-def sharded_oracle_entry(label: str, config, workload, shards: int) -> Dict:
-    """Fingerprint-equality evidence for the sharded section.
-
-    Run on a configuration from the documented exact-match grid
-    (docs/SHARDING.md), this proves the engine being benchmarked
-    reproduces the serial oracle's stats tables bit for bit -- the same
-    role the baseline fingerprints play for the main grids.
-    """
-    from repro.sim.sharded import run_sharded
-
-    serial = System(config, workload.programs,
-                    workload.initial_memory).run()
-    sharded = run_sharded(config, workload.programs, workload.initial_memory,
-                          shards=shards, mode="fork")
-    return {
-        "label": label,
-        "shards": shards,
-        "fingerprints_match":
-            result_fingerprint(serial) == result_fingerprint(sharded),
-        "fingerprint": result_fingerprint(sharded),
-    }
-
-
-def sharded_bench_section(points: List[Dict], oracle: Dict) -> Dict:
-    """Assemble the optional ``"sharded"`` document section."""
-    return {
-        "host_cpus": os.cpu_count() or 1,
-        "points": points,
-        "oracle": oracle,
-        "note": ("wall_speedup is what this host measured; on hosts with "
-                 "fewer idle CPUs than shards the workers time-slice and "
-                 "wall time cannot improve.  critical_path_speedup = "
-                 "serial wall / max per-shard busy time (worker compute "
-                 "excluding barrier blocking) is the capacity a host with "
-                 ">= shards idle CPUs realises."),
-    }
 
 
 def validate_bench(doc: Dict) -> None:
@@ -399,19 +290,4 @@ def render_bench(doc: Dict) -> str:
             line += (f"  ({speedup['events_per_sec']:.2f}x events/s vs "
                      "baseline, stats tables identical)")
         lines.append(line)
-    sharded = doc.get("sharded")
-    if sharded:
-        lines.append(f"sharded (host has {sharded['host_cpus']} cpu(s)):")
-        for point in sharded["points"]:
-            lines.append(
-                f"  {point['label']} x{point['shards']} shards: "
-                f"serial {point['serial_events_per_sec']:,.0f} ev/s, "
-                f"sharded wall {point['wall_speedup']:.2f}x, "
-                f"critical path {point['critical_path_speedup']:.2f}x "
-                f"({point['critical_path_events_per_sec']:,.0f} ev/s, "
-                f"{point['epochs']} epochs)")
-        oracle = sharded["oracle"]
-        lines.append(
-            f"  oracle {oracle['label']}: fingerprints_match="
-            f"{oracle['fingerprints_match']}")
     return "\n".join(lines)

@@ -1047,103 +1047,6 @@ def e14_build(results: Results, seeds: Sequence[int] = (0, 1, 2),
     return result
 
 
-# -------------------------------------------------------------------- E15
-
-#: Core counts the sharded-scaling grid sweeps.  gossip's rumor mask is
-#: one 64-bit word (bit per thread), so gossip points stop at 64 cores;
-#: the barrier stencil scales to all of them.
-E15_CORE_COUNTS = (64, 128, 256)
-E15_SHARDS = 4
-
-
-def _e15_config(n_cores: int) -> SystemConfig:
-    """Large-machine mesh point: 2D mesh (hop latency 4 -- also the
-    sharded engine's lookahead window) with 8 interleaved directory
-    homes so the directory is not a single serialisation point at 256
-    cores."""
-    from repro.sim.config import InterconnectConfig, Topology
-    return replace(
-        SystemConfig(n_cores=n_cores, n_homes=8),
-        interconnect=InterconnectConfig(topology=Topology.MESH,
-                                        mesh_hop_latency=4))
-
-
-def _e15_workloads(n_cores: int) -> List:
-    from repro.workloads.barriers import stencil
-    from repro.workloads.protocols import gossip
-
-    workloads = [stencil(n_cores, phases=2, cells_per_thread=4,
-                         compute_cycles=2)]
-    if n_cores <= 64:
-        workloads.append(gossip(n_cores, repeat=1))
-    return workloads
-
-
-def e15_plan(core_counts: Sequence[int] = E15_CORE_COUNTS,
-             shards: int = E15_SHARDS) -> List[RunSpec]:
-    """Each (cores, workload) point twice: the serial oracle and the
-    sharded engine (``shards`` workers).  Both keep ``check=True``, so
-    the scheduler asserts the workload's answer on *both* engines --
-    sharded correctness is enforced end-to-end, not just compared."""
-    specs = []
-    for n in core_counts:
-        config = _e15_config(n)
-        for workload in _e15_workloads(n):
-            specs.append(RunSpec(f"{n}|{workload.name}|serial",
-                                 config, workload))
-            specs.append(RunSpec(f"{n}|{workload.name}|sharded",
-                                 config, workload, shards=shards))
-    return specs
-
-
-def e15_build(results: Results,
-              core_counts: Sequence[int] = E15_CORE_COUNTS,
-              shards: int = E15_SHARDS) -> ExperimentResult:
-    """Sharded large-machine scaling: 64-256 simulated cores on a mesh.
-
-    For every point the table shows both engines' cycle/event counts,
-    the sharded run's epoch telemetry, and whether the two fingerprints
-    match bit for bit.  High-contention mesh points can settle
-    same-cycle message ties differently from the serial engine (the
-    documented oracle-grid boundary, docs/SHARDING.md), so the
-    fingerprint column is evidence, not an assertion -- the asserted
-    property is that both engines produce *correct* answers, which the
-    sweep scheduler enforced via each workload's validator.
-    """
-    from repro.harness.parallel import result_fingerprint
-
-    result = ExperimentResult(
-        exp_id="E15",
-        title=f"Sharded scaling on mesh ({shards} shards)",
-        headers=["cores", "workload", "cycles", "sharded cycles",
-                 "events", "sharded events", "epochs", "crossings",
-                 "fingerprints"],
-    )
-    matches = 0
-    total = 0
-    for n in core_counts:
-        for workload in _e15_workloads(n):
-            serial = results[f"{n}|{workload.name}|serial"]
-            sharded = results[f"{n}|{workload.name}|sharded"]
-            telemetry = getattr(sharded, "sharding", {})
-            match = result_fingerprint(serial) == result_fingerprint(sharded)
-            total += 1
-            matches += match
-            result.rows.append([
-                n, workload.name, serial.cycles, sharded.cycles,
-                serial.events, sharded.events,
-                telemetry.get("epochs", "-"), telemetry.get("crossings", "-"),
-                "match" if match else "tie-divergent",
-            ])
-            result.data[(n, workload.name)] = (serial, sharded)
-    result.notes = (
-        f"both engines passed every workload validator; {matches}/{total} "
-        "points bit-identical to the serial oracle (mesh link contention "
-        "admits same-cycle ties the shard interleave may settle "
-        "differently -- see docs/SHARDING.md for the exact-match grid)")
-    return result
-
-
 e1_ordering_breakdown = Experiment("E1", e1_plan, e1_build)
 e2_transparency = Experiment("E2", e2_plan, e2_build)
 e3_modes = Experiment("E3", e3_plan, e3_build)
@@ -1158,7 +1061,6 @@ e11_consistency_fuzz = Experiment("E11", e11_plan, e11_build)
 e12_fault_injection = Experiment("E12", e12_plan, e12_build)
 e13_fence_synthesis = Experiment("E13", e13_plan, e13_build)
 e14_chaos = Experiment("E14", e14_plan, e14_build)
-e15_sharded_scaling = Experiment("E15", e15_plan, e15_build)
 
 
 def all_experiments() -> Dict[str, Experiment]:
@@ -1178,5 +1080,4 @@ def all_experiments() -> Dict[str, Experiment]:
         "E12": e12_fault_injection,
         "E13": e13_fence_synthesis,
         "E14": e14_chaos,
-        "E15": e15_sharded_scaling,
     }

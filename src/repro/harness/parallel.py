@@ -76,20 +76,15 @@ class RunSpec:
     fault_plan: Optional[FaultPlan] = None
     #: Optional deterministic node-fault (chaos) scenario.
     node_plan: Optional[NodeFaultPlan] = None
-    #: Run this point on the sharded engine (repro.sim.sharded) with
-    #: this many shard workers.  0 (the default) and 1 both mean the
-    #: plain serial engine; >= 2 partitions the machine.
-    shards: int = 0
 
     def fingerprint(self) -> str:
         return point_fingerprint(self.config, self.workload, self.fault_plan,
-                                 self.node_plan, shards=self.shards)
+                                 self.node_plan)
 
 
 def point_fingerprint(config: SystemConfig, workload: Workload,
                       fault_plan: Optional[FaultPlan] = None,
-                      node_plan: Optional[NodeFaultPlan] = None,
-                      shards: int = 0) -> str:
+                      node_plan: Optional[NodeFaultPlan] = None) -> str:
     """A stable content key for one ``(config, workload)`` point.
 
     Hashes the configuration (frozen dataclasses with deterministic
@@ -119,15 +114,6 @@ def point_fingerprint(config: SystemConfig, workload: Workload,
     if node_plan is not None:
         hasher.update(b"\x00nodefaults\x00")
         hasher.update(repr(node_plan).encode())
-    if shards >= 2:
-        # Sharded execution is part of the point's identity: off the
-        # documented oracle grid a sharded run may legitimately settle
-        # message ties differently from the serial engine, so its cached
-        # result must never satisfy a serial request (or vice versa).
-        # shards in {0, 1} is the serial engine and hashes exactly as
-        # before sharding existed, keeping historical fingerprints (and
-        # checkpoints/golden files built on them) unchanged.
-        hasher.update(f"\x00shards={shards}".encode())
     return hasher.hexdigest()
 
 
@@ -156,8 +142,8 @@ def result_fingerprint(result: SystemResult) -> str:
 
 def simulate_point(config: SystemConfig, programs, initial_memory,
                    fault_plan: Optional[FaultPlan] = None,
-                   node_plan: Optional[NodeFaultPlan] = None,
-                   shards: int = 0) -> Tuple[SystemResult, float]:
+                   node_plan: Optional[NodeFaultPlan] = None
+                   ) -> Tuple[SystemResult, float]:
     """Run one point; returns the result and its wall-time in seconds.
 
     The default ``worker`` of both sweep paths, in-process and in a
@@ -167,25 +153,8 @@ def simulate_point(config: SystemConfig, programs, initial_memory,
     additionally get a liveness :class:`~repro.faults.Watchdog` -- a
     stuck point raises with a diagnostic dump instead of hanging the
     sweep.
-
-    ``shards >= 2`` routes the point through the sharded engine
-    (:func:`repro.sim.sharded.run_sharded`).  Inside a sweep's worker
-    process (daemonic) the sharded engine automatically falls back to
-    its bit-identical inline mode, so ``--shards`` composes with
-    ``REPRO_JOBS``/``--jobs`` point-level parallelism: jobs spread
-    points over processes, and each sharded point then partitions its
-    own machine in-process.
     """
     started = time.perf_counter()
-    if shards >= 2:
-        # Late import: repro.sim.sharded imports System helpers from
-        # repro.system, which this module also feeds.
-        from repro.sim.sharded import run_sharded
-        result = run_sharded(config, programs, initial_memory,
-                             shards=shards, fault_plan=fault_plan,
-                             node_plan=node_plan,
-                             max_cycles=DEFAULT_MAX_CYCLES)
-        return result, time.perf_counter() - started
     system = System(config, programs, initial_memory, fault_plan=fault_plan,
                     node_plan=node_plan)
     perturbed = system.fault_plan is not None or system.node_plan is not None
@@ -195,17 +164,10 @@ def simulate_point(config: SystemConfig, programs, initial_memory,
 
 
 def _worker_args(spec: RunSpec) -> tuple:
-    """The positional worker-call tuple for one spec.
-
-    ``shards`` is appended only when set, so the historical five-field
-    wire format -- and every custom ``worker`` callable written against
-    it -- is untouched for serial points.
-    """
-    args = (spec.config, spec.workload.programs,
+    """The positional worker-call tuple for one spec: every ``worker``
+    callable takes these five fields."""
+    return (spec.config, spec.workload.programs,
             spec.workload.initial_memory, spec.fault_plan, spec.node_plan)
-    if spec.shards >= 2:
-        args += (spec.shards,)
-    return args
 
 
 def _isolated_point_worker(conn, worker, *args) -> None:
@@ -275,8 +237,7 @@ class ResilientPointRunner:
     def _launch(self, spec: RunSpec):
         """Start one worker process; returns (parent_conn, process)."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        # Daemonic: a sharded point then runs its shards inline instead
-        # of forking jobs x shards processes (repro.sim.sharded, "auto").
+        # Daemonic: a worker dies with the sweep that started it.
         proc = self._ctx.Process(
             target=_isolated_point_worker,
             args=(child_conn, self.worker) + _worker_args(spec),

@@ -235,8 +235,8 @@ class SystemConfig:
     # Number of directory home nodes.  1 keeps the historical single
     # directory at node id n_cores; H > 1 spreads directory state over
     # nodes n_cores..n_cores+H-1 via the consistent-hash home map
-    # (repro.coherence.homemap), which is what lets the sharded engine
-    # give each shard its own slice of the directory.
+    # (repro.coherence.homemap), so the directory is not a single
+    # serialisation point on large machines.
     n_homes: int = 1
 
     def __post_init__(self) -> None:

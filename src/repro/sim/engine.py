@@ -151,15 +151,17 @@ class Simulator:
         ----------
         until:
             If given, stop once the clock would pass this cycle; events at
-            exactly ``until`` still fire.  The clock always ends at
-            ``until`` exactly: if the queue drains earlier, ``now`` is
-            advanced to ``until`` (simulated time passes even when nothing
-            is scheduled), and if later events remain, ``now`` stops at
-            ``until`` without firing them.
+            exactly ``until`` still fire.  The clock ends at
+            ``max(now, until)``, so it never moves backwards: if the queue
+            drains earlier, ``now`` is advanced to ``until`` (simulated
+            time passes even when nothing is scheduled), and if later
+            events remain, ``now`` stops there without firing them.
         max_events:
-            If given, stop after dispatching this many events.  Used as a
-            watchdog: exceeding it raises :class:`SimulationError`, since a
-            correct run of our workloads always drains the queue.
+            If given (at least 1), dispatch at most this many events.  Used
+            as a watchdog: raises :class:`SimulationError` when one more
+            event would dispatch, since a correct run of our workloads
+            always drains the queue.  A run that dispatches exactly
+            ``max_events`` events and then drains returns normally.
         max_cycles:
             Safety cap on simulated time: raise :class:`SimulationError`
             (with queue diagnostics) before firing any event past this
@@ -171,6 +173,8 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
+        if max_events is not None and max_events < 1:
+            raise ValueError("max_events must be >= 1")
         self._running = True
         dispatched = 0
         # Hot-loop locals: every per-event attribute walk avoided here is
@@ -183,8 +187,9 @@ class Simulator:
             while times:
                 time = times[0]
                 if until is not None and time > until:
-                    self._now = until
-                    return until
+                    if until > self._now:
+                        self._now = until
+                    return self._now
                 if max_cycles is not None and time > max_cycles:
                     raise SimulationError(
                         f"watchdog: next event is at cycle {time}, past "
@@ -234,10 +239,18 @@ class Simulator:
                         else:
                             fn(*args)
                         if consumed >= budget:
-                            raise SimulationError(
-                                f"watchdog: exceeded {max_events} events at cycle "
-                                f"{self._now}; the simulated system is likely livelocked"
-                            )
+                            # Spent: raise only if one more event would
+                            # dispatch, from this bucket or a due later one.
+                            if consumed < len(bucket) or (
+                                    times
+                                    and (until is None or times[0] <= until)
+                                    and (max_cycles is None
+                                         or times[0] <= max_cycles)):
+                                raise SimulationError(
+                                    f"watchdog: exceeded {max_events} events "
+                                    f"at cycle {self._now}; the simulated "
+                                    f"system is likely livelocked"
+                                )
                 finally:
                     self._pending -= consumed
                     self._events_dispatched += consumed

@@ -104,26 +104,6 @@ class SystemResult:
         ]
         self._memory = system.memory_snapshot()
 
-    @classmethod
-    def from_parts(cls, config: SystemConfig, cycles: int, events: int,
-                   stats: StatsRegistry, cores: List[CoreSummary],
-                   memory: Dict[int, int]) -> "SystemResult":
-        """Assemble a result from already-merged pieces.
-
-        The sharded engine (:mod:`repro.sim.sharded`) runs the machine
-        as several worker processes and merges their stats registries,
-        core summaries, and memory slices; this constructor gives the
-        merge a result object indistinguishable from a serial run's.
-        """
-        result = cls.__new__(cls)
-        result.cycles = cycles
-        result.events = events
-        result.stats = stats
-        result.config = config
-        result.cores = cores
-        result._memory = memory
-        return result
-
     def crashed_core_ids(self) -> List[int]:
         """Cores the node-fault plan crash-stopped (empty when clean)."""
         return [c.core_id for c in self.cores if c.crashed]

@@ -70,17 +70,17 @@ QUOTED = [
     ("docs/PERF.md", "BENCH_4.json", "speedup.E1.events_per_sec", "{:.2f}x"),
     ("docs/PERF.md", "BENCH_4.json", "speedup.E9.events_per_sec", "{:.2f}x"),
     ("docs/PERF.md", "BENCH_4.json", "speedup.MEM.events_per_sec", "{:.2f}x"),
-    ("docs/SHARDING.md", "BENCH_5.json",
+    ("EXPERIMENTS.md", "BENCH_5.json",
      "sharded.points.[mesh256-stencil].serial_wall_seconds", "serial {:.2f} s"),
-    ("docs/SHARDING.md", "BENCH_5.json",
+    ("EXPERIMENTS.md", "BENCH_5.json",
      "sharded.points.[mesh256-stencil].sharded_wall_seconds",
      "measured wall {:.2f} s"),
-    ("docs/SHARDING.md", "BENCH_5.json",
+    ("EXPERIMENTS.md", "BENCH_5.json",
      "sharded.points.[mesh256-stencil].wall_speedup", "({:.2f}x)"),
-    ("docs/SHARDING.md", "BENCH_5.json",
+    ("EXPERIMENTS.md", "BENCH_5.json",
      "sharded.points.[mesh256-stencil].max_shard_busy_seconds",
      "max shard busy {:.2f} s"),
-    ("docs/SHARDING.md", "BENCH_5.json",
+    ("EXPERIMENTS.md", "BENCH_5.json",
      "sharded.points.[mesh256-stencil].critical_path_speedup",
      "{:.2f}x critical path"),
 ]

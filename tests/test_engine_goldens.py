@@ -18,8 +18,10 @@ second engine.  The points:
 * ``mesh/`` -- four small mesh points (locks, speculating locks, gossip,
   multi-home gossip);
 * ``mem/`` -- the 24 points of ``mem_plan(2, 0.2)``;
-* ``serial/`` -- three small crossbar and mesh points of the sharding
-  grid, run serially.
+* ``serial/`` -- three small crossbar and mesh points: gossip on a
+  latency-5 crossbar, ping-pong on 8 cores and on a 2-core mesh.  The
+  prefix names the serial side of a comparison with the since-deleted
+  sharded engine.
 
 Every point is checked with superblocks on and again with them off;
 fusion must leave fingerprint, events and cycles untouched.

@@ -23,7 +23,7 @@ from repro.harness import (
 
 def test_registry_complete():
     registry = all_experiments()
-    assert list(registry) == [f"E{i}" for i in range(1, 16)]
+    assert list(registry) == [f"E{i}" for i in range(1, 15)]
 
 
 def test_e1_small():

@@ -1,10 +1,11 @@
 """Unit tests for the pluggable directory home map.
 
-The home map is the one function both engines must agree on: the serial
-oracle and every shard worker route each block address through it, so it
+The L1s and ``System`` route each block address through the home map,
+and a point's results must not depend on the process that ran it
+(sweep worker, in-process sweep, or a result-store reader), so the map
 has to be process-stable (no salted hashing), well balanced (no home
-becomes a hot spot by construction), and remap-stable (growing the ring
-moves only the minimum share of addresses).
+becomes a hot spot by construction), and remap-stable (growing the
+ring moves only the minimum share of addresses).
 """
 
 import pickle
@@ -50,8 +51,8 @@ def test_consistent_hash_node_ids_are_contiguous_after_cores():
 
 
 def test_consistent_hash_is_deterministic_across_instances():
-    """Two independently built rings (as in oracle vs. shard worker
-    processes) must place every block identically."""
+    """Two independently built rings (as in two sweep worker processes)
+    must place every block identically."""
     a = ConsistentHashHomeMap(n_homes=8, first_node=0)
     b = ConsistentHashHomeMap(n_homes=8, first_node=0)
     for addr in _blocks(2048, stride=BLOCK * 3):

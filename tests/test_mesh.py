@@ -11,7 +11,6 @@ from dataclasses import replace
 from repro.interconnect.mesh import Mesh
 from repro.sim.config import InterconnectConfig, SystemConfig, Topology
 from repro.sim.engine import Simulator
-from repro.sim.sharded import _ShardMesh
 from repro.sim.stats import StatsRegistry
 from repro.system import run_system
 from repro.workloads import locks
@@ -283,20 +282,9 @@ def seeded_traffic(seed):
     return n_nodes, hop_latency, interval, batches
 
 
-class SingleOwnerShardMesh(_ShardMesh):
-    """The sharded engine's mesh with every tile owned by shard 0, so
-    its own hop claims every link and no flit leaves the shard."""
-
-    def __init__(self, sim, n_nodes, stats, hop_latency, link_issue_interval):
-        super().__init__(sim, n_nodes, stats, hop_latency,
-                         link_issue_interval, owner=[0] * n_nodes, me=0,
-                         outbox=[], marks={})
-
-
-#: The two link-claiming hops: the serial mesh's closure and the
-#: sharded mesh's own hop.
-NETWORKS = pytest.mark.parametrize("net_cls", [Mesh, SingleOwnerShardMesh],
-                                   ids=["mesh", "shard-mesh"])
+#: The link-claiming mesh under test; a parameter so the test ids keep
+#: their ``mesh`` suffix.
+NETWORKS = pytest.mark.parametrize("net_cls", [Mesh], ids=["mesh"])
 
 
 def drive(net_cls, seed):
@@ -324,16 +312,14 @@ def drive(net_cls, seed):
         inflight.append(net.inflight)
     accumulators = [(a.total, a.count, a.minimum, a.maximum)
                     for a in (net.stat_hops, net.stat_link_wait)]
-    if isinstance(net, _ShardMesh):
-        assert net._outbox == [], "a single-owner shard handed a flit off"
     return [r.log for r in relays], inflight, accumulators
 
 
 class TestLinkClaimOracle:
-    """Both link-id hops -- the serial mesh's closure and the sharded
-    mesh's own hop -- claim links exactly as the tile-pair model did:
-    same delivery cycle and order at every endpoint, same in-flight
-    count after every cycle, same hop and link-wait statistics."""
+    """The mesh's link-id hop claims links exactly as the tile-pair
+    model did: same delivery cycle and order at every endpoint, same
+    in-flight count after every cycle, same hop and link-wait
+    statistics."""
 
     @NETWORKS
     @pytest.mark.parametrize("seed", range(60))

@@ -21,7 +21,6 @@ from repro.harness.parallel import (
     SweepScheduler,
     execute_specs,
     point_fingerprint,
-    result_fingerprint,
     simulate_point,
 )
 from repro.isa.program import Assembler
@@ -259,26 +258,6 @@ def test_resilience_option_isolates_a_serial_sweep(tmp_path, monkeypatch):
     spec = RunSpec("only", small_config(1), _trivial_workload())
     [pid] = _worker_pids(tmp_path, [spec], jobs=1, point_timeout=30.0)
     assert pid != os.getpid()
-
-
-def test_sharded_point_in_a_parallel_sweep_runs_inline():
-    # Sweep workers are daemonic, so a sharded point inside one runs its
-    # shards in the worker's own process, bit-identical to the forked
-    # shard driver.
-    from repro.workloads.protocols import gossip
-
-    config, wl = small_config(4), gossip(4)
-    scheduler = SweepScheduler(jobs=2)
-    scheduler.add("g", [RunSpec("sharded", config, wl, shards=2),
-                        RunSpec("plain", small_config(1),
-                                _trivial_workload())])
-    scheduler.run()
-    sharded = scheduler.results_for("g")["sharded"]
-    assert sharded.sharding["mode"] == "inline"
-    forked, _seconds = simulate_point(config, wl.programs,
-                                      wl.initial_memory, shards=2)
-    assert forked.sharding["mode"] == "fork"
-    assert result_fingerprint(sharded) == result_fingerprint(forked)
 
 
 # --------------------------------------------------------------- pickling

@@ -137,6 +137,13 @@ def test_run_until_advances_clock_on_empty_queue():
     assert sim.now == 30
     sim.run(until=20)  # never moves backwards
     assert sim.now == 30
+    # Nor with an event pending past both limits.
+    pending = Simulator()
+    pending.schedule_fast_at(100, lambda: None)
+    assert pending.run(until=30) == 30
+    assert pending.run(until=20) == 30
+    assert pending.now == 30
+    assert pending.pending_events == 1
 
 
 def test_watchdog_raises_on_runaway():
@@ -148,6 +155,45 @@ def test_watchdog_raises_on_runaway():
     sim.schedule_fast(0, reschedule)
     with pytest.raises(SimulationError, match="watchdog"):
         sim.run(max_events=100)
+
+
+@pytest.mark.parametrize("cycles", [(1, 2, 3), (1, 1, 1)],
+                         ids=["separate-cycles", "one-cycle"])
+def test_watchdog_allows_exactly_max_events(cycles):
+    sim = Simulator()
+    for cycle in cycles:
+        sim.schedule_fast_at(cycle, lambda: None)
+    assert sim.run(max_events=3) == cycles[-1]
+    assert sim.events_dispatched == 3
+    assert sim.pending_events == 0
+
+
+@pytest.mark.parametrize("cycles", [(1, 2, 3, 4), (1, 1, 1, 1), (1, 1, 1, 2)],
+                         ids=["separate-cycles", "one-cycle", "next-cycle"])
+def test_watchdog_raises_before_one_event_too_many(cycles):
+    sim = Simulator()
+    for cycle in cycles:
+        sim.schedule_fast_at(cycle, lambda: None)
+    with pytest.raises(SimulationError, match="exceeded 3 events"):
+        sim.run(max_events=3)
+    assert sim.events_dispatched == 3
+    assert sim.pending_events == 1
+
+
+def test_watchdog_ignores_events_past_until():
+    sim = Simulator()
+    for cycle in (1, 2, 9):
+        sim.schedule_fast_at(cycle, lambda: None)
+    assert sim.run(until=5, max_events=2) == 5
+    assert sim.events_dispatched == 2
+
+
+def test_watchdog_budget_must_be_positive():
+    sim = Simulator()
+    sim.schedule_fast_at(1, lambda: None)
+    with pytest.raises(ValueError, match="max_events"):
+        sim.run(max_events=0)
+    assert sim.events_dispatched == 0
 
 
 def test_step_dispatches_single_event():
