@@ -84,6 +84,47 @@ def test_validate_rejects_malformed_docs(mutate, match):
         validate_bench(doc)
 
 
+def _doc_with_sharded_section():
+    """A well-formed document carrying BENCH_5's sharded section, the
+    only artifact that has one."""
+    with open(os.path.join(_REPO_ROOT, "BENCH_5.json")) as handle:
+        sharded = json.load(handle)["sharded"]
+    return dict(_doc(), sharded=sharded)
+
+
+def test_validate_accepts_bench_5_sharded_section():
+    validate_bench(_doc_with_sharded_section())
+
+
+@pytest.mark.parametrize("mutate,match", [
+    (lambda s: s.pop("host_cpus"), "sharded section missing key 'host_cpus'"),
+    (lambda s: s.pop("points"), "sharded section missing key 'points'"),
+    (lambda s: s.pop("oracle"), "sharded section missing key 'oracle'"),
+    (lambda s: s.update(points=[]), "sharded section has no points"),
+    (lambda s: s["oracle"].pop("fingerprints_match"),
+     "oracle entry missing 'fingerprints_match'"),
+], ids=["no-host-cpus", "no-points", "no-oracle", "empty-points",
+        "oracle-unmatched"])
+def test_validate_rejects_malformed_sharded_section(mutate, match):
+    doc = _doc_with_sharded_section()
+    mutate(doc["sharded"])
+    with pytest.raises(BenchError, match=match):
+        validate_bench(doc)
+
+
+@pytest.mark.parametrize("key", [
+    "label", "shards", "mode", "events",
+    "serial_wall_seconds", "serial_events_per_sec",
+    "sharded_wall_seconds", "sharded_events_per_sec",
+    "max_shard_busy_seconds", "critical_path_events_per_sec",
+    "wall_speedup", "critical_path_speedup", "epochs", "crossings"])
+def test_validate_rejects_sharded_point_missing_key(key):
+    doc = _doc_with_sharded_section()
+    doc["sharded"]["points"][-1].pop(key)
+    with pytest.raises(BenchError, match=f"sharded point missing key '{key}'"):
+        validate_bench(doc)
+
+
 def test_attach_baseline_computes_speedup():
     doc = _doc(events_per_sec=200.0)
     baseline = _doc(events_per_sec=100.0)

@@ -8,12 +8,16 @@ import pytest
 
 from dataclasses import replace
 
+import repro.system as system_module
+from repro.harness.parallel import result_fingerprint
 from repro.interconnect.mesh import Mesh
 from repro.sim.config import InterconnectConfig, SystemConfig, Topology
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatsRegistry
-from repro.system import run_system
+from repro.system import System, run_system
 from repro.workloads import locks
+from repro.workloads.barriers import stencil
+from repro.workloads.protocols import gossip, leader_election, replicated_log
 from tests.conftest import small_config
 
 
@@ -341,6 +345,71 @@ class TestLinkClaimOracle:
                 for _, sends in batches for src, dst, _ in sends
                 for tile in ref._route(src, dst))
         assert waits == 60 and crossing >= 10
+
+
+#: Whole-machine traffic for the oracle: workload factories by name.
+MACHINE_WORKLOADS = {
+    "election": leader_election,
+    "gossip": gossip,
+    "locks": lambda n: locks.lock_contention(n, increments=4, think_cycles=5),
+    "replog": replicated_log,
+    "stencil": lambda n: stencil(n, phases=2, cells_per_thread=2,
+                                 compute_cycles=2),
+}
+
+#: (cores, directory homes): 3, 4, 6, 8, 9 and 11 nodes, so 2x2, 3x2,
+#: 3x3 and 4x3 grids, full and with a padding tile, one to four homes.
+MACHINE_SHAPES = [(2, 1), (3, 1), (4, 2), (6, 2), (8, 1), (7, 4)]
+
+#: (hop latency, link issue interval)
+MACHINE_TIMINGS = [(1, 1), (2, 3)]
+
+
+def mesh_machine(cores, homes, hop, interval):
+    return replace(small_config(cores), n_homes=homes,
+                   interconnect=InterconnectConfig(
+                       topology=Topology.MESH, mesh_hop_latency=hop,
+                       port_issue_interval=interval))
+
+
+def machine_points():
+    return [(name, cores, homes, hop, interval)
+            for name in MACHINE_WORKLOADS
+            for cores, homes in MACHINE_SHAPES
+            for hop, interval in MACHINE_TIMINGS]
+
+
+def run_machine(name, cores, homes, hop, interval):
+    wl = MACHINE_WORKLOADS[name](cores)
+    system = System(mesh_machine(cores, homes, hop, interval), wl.programs,
+                    wl.initial_memory)
+    return wl, system.run()
+
+
+class TestMachineLinkClaimOracle:
+    """A whole machine on the mesh runs exactly as on the tile-pair
+    model: coherence traffic between cores and directory homes, sent
+    from inside delivery events, gives the same events and the same
+    result fingerprint (cycles, every statistic, registers, memory)."""
+
+    @pytest.mark.parametrize(
+        "name,cores,homes,hop,interval", machine_points(),
+        ids=[f"{n}-{c}c{h}h-hop{l}x{i}" for n, c, h, l, i in machine_points()])
+    def test_matches_reference_mesh(self, monkeypatch, name, cores, homes,
+                                    hop, interval):
+        wl, fast = run_machine(name, cores, homes, hop, interval)
+        wl.check(fast)
+        monkeypatch.setattr(system_module, "Mesh", ReferenceMesh)
+        _, reference = run_machine(name, cores, homes, hop, interval)
+        assert fast.events == reference.events
+        assert result_fingerprint(fast) == result_fingerprint(reference)
+
+    def test_machines_contend(self):
+        # The comparison is vacuous unless the protocol's traffic
+        # actually waits for links.
+        waits = [run_machine(*point)[1].stats.get("mesh.link_wait_cycles")
+                 for point in machine_points()]
+        assert sum(wait.total > 0 for wait in waits) >= 55
 
 
 class TestFlitLifetime:

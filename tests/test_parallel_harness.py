@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import os
 import pickle
+from dataclasses import replace
 
 import pytest
 
+from repro.faults import PAUSE, FaultPlan, NodeFault, NodeFaultPlan
 from repro.harness.experiments import (
     e1_plan,
     e2_build,
@@ -21,11 +23,19 @@ from repro.harness.parallel import (
     SweepScheduler,
     execute_specs,
     point_fingerprint,
+    result_fingerprint,
     simulate_point,
 )
 from repro.isa.program import Assembler
-from repro.sim.config import SpeculationMode, SystemConfig
+from repro.sim.config import (
+    InterconnectConfig,
+    SpeculationMode,
+    SystemConfig,
+    Topology,
+)
 from repro.workloads.base import Workload
+from repro.workloads.producer_consumer import pingpong
+from repro.workloads.protocols import gossip
 from repro.workloads.suite import standard_suite
 from tests.conftest import small_config
 
@@ -89,6 +99,32 @@ def test_parallel_rows_bit_identical_to_serial():
     assert table_serial.rows == table_parallel.rows
     assert table_serial.render() == table_parallel.render()
     assert table_serial.data == table_parallel.data
+
+
+@pytest.mark.parametrize("config,wl,fault_plan,node_plan", [
+    (small_config(8), gossip(8), None, None),
+    (replace(small_config(8), interconnect=InterconnectConfig(
+        topology=Topology.MESH, mesh_hop_latency=2)), gossip(8), None, None),
+    (small_config(4), pingpong(2, rounds=6),
+     FaultPlan(seed=5, jitter_prob=0.1, max_jitter=4, dup_prob=0.05),
+     NodeFaultPlan(faults=(NodeFault(1, PAUSE, 200, 150),))),
+], ids=["gossip8-xbar", "gossip8-mesh", "pingpong4-chaos"])
+def test_worker_process_point_matches_in_process_run(config, wl, fault_plan,
+                                                     node_plan):
+    # Two pending points under jobs=2: each runs in a worker process,
+    # which receives the point's fault and node-fault plans.
+    scheduler = SweepScheduler(jobs=2)
+    scheduler.add("g", [RunSpec("point", config, wl, fault_plan=fault_plan,
+                                node_plan=node_plan),
+                        RunSpec("plain", small_config(1),
+                                _trivial_workload())])
+    scheduler.run()
+    in_worker = scheduler.results_for("g")["point"]
+    in_process, _seconds = simulate_point(config, wl.programs,
+                                          wl.initial_memory, fault_plan,
+                                          node_plan)
+    assert result_fingerprint(in_worker) == result_fingerprint(in_process)
+    assert in_worker.events == in_process.events
 
 
 def test_experiment_call_jobs_matches_serial():

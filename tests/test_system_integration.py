@@ -2,13 +2,25 @@
 configuration grid, deadlock detection, result plumbing, the arbiter
 baseline, and the harness."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.faults import CRASH, PAUSE, FaultPlan, NodeFault, NodeFaultPlan
 from repro.isa import Assembler
-from repro.sim.config import ConsistencyModel, SpeculationMode
+from repro.sim.config import (
+    ConsistencyModel,
+    InterconnectConfig,
+    SpeculationMode,
+    Topology,
+)
 from repro.sim.engine import SimulationError
 from repro.system import System, run_system
 from repro.workloads import standard_suite
+from repro.workloads.locks import lock_contention
+from repro.workloads.producer_consumer import pingpong
+from repro.workloads.protocols import gossip, leader_election, replicated_log
+from repro.harness.parallel import result_fingerprint, simulate_point
 from repro.harness.runner import compare_configs, run_workload, six_point_configs
 from tests.conftest import small_config
 
@@ -158,3 +170,81 @@ class TestHarnessRunner:
         assert grid["if-sc"].speculation.enabled
         assert not grid["base-rmo"].speculation.enabled
         assert grid["base-sc"].core.consistency is ConsistencyModel.SC
+
+
+def _link5(n_cores, homes=1):
+    """small_config with the crossbar link stretched to 5 cycles."""
+    config = small_config(n_cores)
+    return replace(config, n_homes=homes,
+                   interconnect=replace(config.interconnect, link_latency=5))
+
+
+def _mesh(n_cores, hop):
+    return replace(small_config(n_cores), interconnect=InterconnectConfig(
+        topology=Topology.MESH, mesh_hop_latency=hop))
+
+
+_LINK_FAULTS = FaultPlan(seed=5, jitter_prob=0.1, max_jitter=4, dup_prob=0.05)
+
+#: (label, config, workload, link-fault plan, node-fault plan)
+MACHINE_GRID = [
+    ("pingpong2-xbar", small_config(2), pingpong(1, rounds=6), None, None),
+    ("pingpong2-mesh", _mesh(2, 2), pingpong(1, rounds=6), None, None),
+    ("pingpong4-xbar", small_config(4), pingpong(2, rounds=6), None, None),
+    ("pingpong8-xbar", small_config(8), pingpong(4, rounds=5), None, None),
+    ("pingpong8-mesh", _mesh(8, 2), pingpong(4, rounds=5), None, None),
+    ("gossip4-xbar-L5", _link5(4), gossip(4), None, None),
+    ("locks4-xbar-L5", _link5(4),
+     lock_contention(4, increments=6, think_cycles=5), None, None),
+    ("replog4-xbar-L5", _link5(4), replicated_log(4), None, None),
+    ("gossip4-xbar-L5-spec",
+     _link5(4).with_speculation(SpeculationMode.CONTINUOUS), gossip(4),
+     None, None),
+    ("election8-xbar-L3", small_config(8), leader_election(8), None, None),
+    ("election8-xbar-L5-homes4", _link5(8, homes=4), leader_election(8),
+     None, None),
+    ("gossip4-nosb-L5", _link5(4).with_superblocks(False), gossip(4),
+     None, None),
+    ("pingpong4-nosb-L5", _link5(4).with_superblocks(False),
+     pingpong(2, rounds=6), None, None),
+    ("gossip4-xbar-linkfault", small_config(4), gossip(4), _LINK_FAULTS,
+     None),
+    ("pingpong4-xbar-linkfault", small_config(4), pingpong(2, rounds=6),
+     _LINK_FAULTS, None),
+    ("gossip4-L5-crash", _link5(4), gossip(4), None,
+     NodeFaultPlan(faults=(NodeFault(2, CRASH, 400),))),
+    ("pingpong8-pause", small_config(8), pingpong(4, rounds=5), None,
+     NodeFaultPlan(faults=(NodeFault(1, PAUSE, 300, 200),))),
+    ("pingpong4-chaos", small_config(4), pingpong(2, rounds=6), _LINK_FAULTS,
+     NodeFaultPlan(faults=(NodeFault(1, PAUSE, 200, 150),))),
+]
+
+
+class TestMachineGrid:
+    """Small machines across the configuration axes: crossbar and mesh,
+    5-cycle links, continuous speculation, four directory homes,
+    superblocks off, and link-fault, node-fault and composed plans.
+    Each passes its workload's own check, runs identically with
+    superblocks flipped, and reaches the same result through the
+    harness's ``simulate_point`` (the ``max_cycles`` cap, plus a
+    watchdog on perturbed points)."""
+
+    @pytest.mark.parametrize("label,config,workload,fault_plan,node_plan",
+                             MACHINE_GRID, ids=[p[0] for p in MACHINE_GRID])
+    def test_point_is_correct_and_reproducible(self, label, config, workload,
+                                               fault_plan, node_plan):
+        def run(config):
+            return System(config, workload.programs, workload.initial_memory,
+                          fault_plan=fault_plan, node_plan=node_plan).run()
+
+        result = run(config)
+        workload.check(result)
+        expected = (result_fingerprint(result), result.events)
+        flipped = run(config.with_superblocks(not config.superblocks))
+        assert (result_fingerprint(flipped), flipped.events) == expected
+        # The watchdog's own checks are events too, so only the result
+        # is compared here.
+        harness, _seconds = simulate_point(config, workload.programs,
+                                           workload.initial_memory,
+                                           fault_plan, node_plan)
+        assert result_fingerprint(harness) == expected[0]
