@@ -24,8 +24,8 @@ every simulated point is also written to a persistent result store, and
 points already there are read back instead of simulated: repeating a
 run, or restarting one that was killed, simulates only what is missing.
 Ablations (A*) run in-process after the sweep.  ``--quick`` shrinks the
-experiments named in ``QUICK_OVERRIDES``; the others, and every
-ablation, run at their default size.
+experiments and ablations named in ``QUICK_OVERRIDES``; the others run
+at their default size.
 
 Each experiment prints an ASCII table; EXPERIMENTS.md records a full-
 scale run and compares it against the paper's claims.
@@ -49,6 +49,10 @@ QUICK_OVERRIDES = {
     "E9": dict(core_counts=(2, 4), scale=0.3),
     "E11": dict(n_programs=2),
     "E12": dict(n_programs=2),
+    "A1": dict(n_cores=4, scale=0.3),
+    "A2": dict(n_cores=4, scale=0.3),
+    "A4": dict(n_cores=4),
+    "A6": dict(n_cores=4, scale=0.3),
 }
 
 

@@ -13,20 +13,24 @@ through one shared :class:`SweepScheduler` that
   ``store_dir``, on disk through :class:`~repro.harness.store.ResultStore`,
   so a repeated grid or a sweep restarted after a kill is served from
   the store instead of simulated again, and
-* **fans out** unique points over per-point worker processes
-  (:class:`ResilientPointRunner`) when ``jobs > 1``, shipping back
+* **fans out** unique points over at most ``jobs`` worker processes
+  (:class:`ResilientPointRunner`) when ``jobs > 1``: each worker lives
+  for the whole :meth:`SweepScheduler.run` call and runs point after
+  point, longest first by a static cost estimate, shipping back
   picklable :class:`~repro.system.SystemResult` summaries instead of
   live ``System`` objects.
 
-Determinism: each point is one single-process discrete-event simulation,
-so its result is bit-identical whether it ran in this process
-(``jobs=1``, the plain serial path) or in a worker -- a parallel sweep
-regenerates exactly the tables a serial sweep does, just faster.
+Determinism: each point is one single-process discrete-event simulation
+on its own ``System``, so its result is bit-identical whether it ran in
+this process (``jobs=1``, the plain serial path, which also runs every
+point in one process) or in a worker, whatever ran there before it --
+a parallel sweep regenerates exactly the tables a serial sweep does,
+just faster.
 
 Workload ``validate`` closures are *not* picklable and never cross the
 process boundary: workers receive only ``(config, programs,
-initial_memory, fault_plan, node_plan)`` and validation runs in the
-parent on the returned memory/register snapshot.
+initial_memory, fault_plan, node_plan)`` tuples and validation runs in
+the parent on the returned memory/register snapshot.
 
 **Resilience** (see docs/ROBUSTNESS.md): constructing the scheduler with
 ``point_timeout`` and/or ``retries`` makes a point that hangs past its
@@ -170,46 +174,73 @@ def _worker_args(spec: RunSpec) -> tuple:
             spec.workload.initial_memory, spec.fault_plan, spec.node_plan)
 
 
-def _isolated_point_worker(conn, worker, *args) -> None:
-    """Child-process entry of :class:`ResilientPointRunner`: run one
-    point, ship the outcome back over ``conn``.  Exceptions become
-    ("err", message) -- the parent re-raises them as a
-    :class:`SweepError` naming the point -- and a crash (the process
-    dying without sending) surfaces as EOF on the parent's end."""
+def _cost_estimate(spec: RunSpec) -> Tuple[int, int]:
+    """A static guess at a point's run time, for starting the longest
+    points first: its core count, then its total static instructions.
+    Points are independent, so a poor guess costs wall time, never a
+    result."""
+    return (spec.config.n_cores,
+            sum(len(program.instructions)
+                for program in spec.workload.programs))
+
+
+def _point_worker(parent_end, conn, worker, args: List[tuple]) -> None:
+    """Child-process entry of :class:`ResilientPointRunner`: run the
+    points whose indices into ``args`` arrive over ``conn``, one at a
+    time, until the stop sentinel ``None`` or EOF.  Each outcome goes
+    back as ("ok", payload); an exception goes back as ("err", message)
+    -- the parent re-raises it as a :class:`SweepError` naming the
+    point -- and ends the worker, since the point may have left this
+    process in any state.  A crash (the process dying without sending)
+    surfaces as EOF on the parent's end."""
+    # This process's copy of the parent's end would keep the pipe open
+    # after the parent died, leaving the worker waiting forever.
+    parent_end.close()
     # Keep the objects inherited from the parent out of this process's
     # collections: traversing them would copy the parent's pages on write.
     gc.freeze()
     try:
-        payload = worker(*args)
-        conn.send(("ok", payload))
-    except BaseException as exc:  # noqa: BLE001 - forwarded to the parent
-        try:
-            conn.send(("err", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
+        while True:
+            index = conn.recv()
+            if index is None:
+                return
+            try:
+                conn.send(("ok", worker(*args[index])))
+            except BaseException as exc:  # noqa: BLE001 - forwarded, then exits
+                conn.send(("err", f"{type(exc).__name__}: {exc}"))
+                return
+    except (EOFError, OSError):
+        pass  # the parent closed its end or died: no one is left to answer
     finally:
         conn.close()
 
 
 class ResilientPointRunner:
-    """Managed per-point worker processes: the only out-of-process executor.
+    """Managed worker processes: the only out-of-process executor.
 
     :class:`SweepScheduler` runs every sweep through it except the
-    in-process ``jobs=1`` path: one daemonic :mod:`multiprocessing`
-    process per in-flight point (up to ``jobs``), talking back over a
-    pipe.  Timeouts kill the process; crashes surface as EOF; both
-    requeue the point with exponential backoff and, once attempts are
-    exhausted, report it to ``on_exclude`` instead of sinking the rest
-    of the batch.  Deterministic worker exceptions go straight to
-    ``on_error`` -- retrying a deterministic simulation cannot change
-    its outcome.
+    in-process ``jobs=1`` path.  One :meth:`run` call keeps at most
+    ``jobs`` daemonic :mod:`multiprocessing` workers alive, forking one
+    only when a point is ready and no live worker is free, so never
+    more than there are points.  Each worker gets the batch's worker
+    arguments when it starts and then only point indices over its pipe,
+    in the order of the batch; it answers with each outcome and waits
+    for the next.  Every worker is joined, or reaped, before :meth:`run`
+    returns or raises.
+
+    Timeouts kill the worker; crashes surface as EOF; both requeue only
+    that worker's in-flight point with exponential backoff and, once
+    its attempts are exhausted, report it to ``on_exclude`` instead of
+    sinking the rest of the batch.  Deterministic worker exceptions go
+    straight to ``on_error`` -- retrying a deterministic simulation
+    cannot change its outcome -- and retire the worker that raised.
 
     Kill semantics: a timed-out worker gets SIGTERM, then up to
     ``term_grace`` seconds to die, then SIGKILL -- a worker wedged in a
     state where it ignores SIGTERM can therefore never hang the batch.
-    Each point's wall-clock budget starts at *its own* launch, not at
-    the top of the launch loop, so sibling start-up cost is never
-    charged against a point's ``point_timeout``.
+    Each point's wall-clock budget starts when *it* is sent to a worker,
+    so neither a fork nor a sibling's dispatch is ever charged against
+    a point's ``point_timeout``.
     """
 
     def __init__(self, worker: Callable = simulate_point, jobs: int = 1,
@@ -234,13 +265,16 @@ class ResilientPointRunner:
         except ValueError:  # pragma: no cover - non-POSIX fallback
             self._ctx = multiprocessing.get_context("spawn")
 
-    def _launch(self, spec: RunSpec):
-        """Start one worker process; returns (parent_conn, process)."""
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
+    def _launch(self, args: List[tuple]):
+        """Start one worker holding the batch's worker arguments;
+        returns (parent_conn, process).  Under fork the list is
+        inherited, not copied; under spawn it is pickled, which is why
+        it holds plain argument tuples and never a :class:`RunSpec`."""
+        parent_conn, child_conn = self._ctx.Pipe()
         # Daemonic: a worker dies with the sweep that started it.
         proc = self._ctx.Process(
-            target=_isolated_point_worker,
-            args=(child_conn, self.worker) + _worker_args(spec),
+            target=_point_worker,
+            args=(parent_conn, child_conn, self.worker, args),
             daemon=True)
         proc.start()
         child_conn.close()
@@ -254,16 +288,29 @@ class ResilientPointRunner:
             proc.kill()
             proc.join()
 
-    def _join_or_reap(self, proc) -> None:
-        """Bounded join for a worker that already reported its outcome."""
+    def _retire(self, conn, proc) -> None:
+        """Close the pipe of a worker that has exited or been told to,
+        and join it, reaping it if it outstays ``term_grace``."""
+        conn.close()
         proc.join(self.term_grace)
-        if proc.is_alive():  # pragma: no cover - sent a result, then wedged
+        if proc.is_alive():  # pragma: no cover - told to exit, then wedged
             self._reap(proc)
+
+    def _stop(self, idle) -> None:
+        """Send every idle worker the stop sentinel, then join them all."""
+        for conn, _ in idle:
+            try:
+                conn.send(None)
+            except OSError:  # died while idle: nothing left to stop
+                pass
+        for conn, proc in idle:
+            self._retire(conn, proc)
 
     def run(self, pending: List[Tuple[str, RunSpec]],
             on_result: Callable, on_error: Callable, on_exclude: Callable,
             on_retry: Optional[Callable] = None) -> None:
-        """Run every ``(key, spec)`` point, reporting through callbacks:
+        """Run every ``(key, spec)`` point, in order, reporting through
+        callbacks:
 
         ``on_result(key, spec, result, seconds)`` for a completed point,
         ``on_error(key, spec, message)`` for a deterministic worker
@@ -272,10 +319,14 @@ class ResilientPointRunner:
         after exhausting its retries, and optional
         ``on_retry(key, spec, reason)`` before each re-attempt.
         """
-        work = [{"key": key, "spec": spec, "attempt": 0, "ready_at": 0.0}
-                for key, spec in pending]
+        args = [_worker_args(spec) for _, spec in pending]
+        work = [{"index": index, "key": key, "spec": spec, "attempt": 0,
+                 "ready_at": 0.0}
+                for index, (key, spec) in enumerate(pending)]
+        #: (conn, process) of each worker waiting for a point
+        idle: List = []
         #: conn -> (item, process, deadline or None)
-        active: Dict = {}
+        busy: Dict = {}
 
         def requeue_or_exclude(item, reason):
             attempt = item["attempt"] + 1
@@ -291,23 +342,27 @@ class ResilientPointRunner:
             work.append(item)
 
         try:
-            while work or active:
+            while work or busy:
                 now = time.monotonic()
-                while len(active) < self.jobs:
+                while len(busy) < self.jobs:
                     index = next((i for i, item in enumerate(work)
                                   if item["ready_at"] <= now), None)
                     if index is None:
                         break
                     item = work.pop(index)
-                    conn, proc = self._launch(item["spec"])
-                    # Budget the timeout from *this* launch: a clock read
-                    # taken before sibling launches would charge their
-                    # start-up cost against this point.
+                    conn, proc = idle.pop() if idle else self._launch(args)
+                    try:
+                        conn.send(item["index"])
+                    except OSError:  # died while idle: EOF below says so
+                        pass
+                    # Budget the timeout from *this* dispatch: a clock read
+                    # taken before a fork or a sibling's dispatch would
+                    # charge its cost against this point.
                     now = time.monotonic()
                     deadline = (now + self.point_timeout
                                 if self.point_timeout is not None else None)
-                    active[conn] = (item, proc, deadline)
-                if not active:
+                    busy[conn] = (item, proc, deadline)
+                if not busy:
                     # Everything left is backing off; sleep to the nearest
                     # retry release.
                     time.sleep(max(0.0, min(item["ready_at"] for item in work)
@@ -315,38 +370,38 @@ class ResilientPointRunner:
                     continue
                 now = time.monotonic()
                 wait_for = 0.05
-                deadlines = [d for _, _, d in active.values() if d is not None]
+                deadlines = [d for _, _, d in busy.values() if d is not None]
                 if deadlines:
                     wait_for = min(wait_for, max(0.0, min(deadlines) - now))
-                for conn in mp_connection.wait(list(active), timeout=wait_for):
-                    item, proc, _ = active.pop(conn)
+                for conn in mp_connection.wait(list(busy), timeout=wait_for):
+                    item, proc, _ = busy.pop(conn)
                     try:
                         status, payload = conn.recv()
                     except (EOFError, OSError):
-                        self._join_or_reap(proc)
-                        conn.close()
+                        self._retire(conn, proc)
                         requeue_or_exclude(
                             item,
                             f"worker process died (exit code {proc.exitcode})")
                         continue
-                    conn.close()
-                    self._join_or_reap(proc)
                     if status == "ok":
+                        idle.append((conn, proc))
                         result, seconds = payload
                         on_result(item["key"], item["spec"], result, seconds)
                     else:
+                        self._retire(conn, proc)
                         on_error(item["key"], item["spec"], payload)
                 now = time.monotonic()
-                for conn, (item, proc, deadline) in list(active.items()):
+                for conn, (item, proc, deadline) in list(busy.items()):
                     if deadline is not None and now > deadline and not conn.poll():
-                        del active[conn]
+                        del busy[conn]
                         self._reap(proc)
                         conn.close()
                         requeue_or_exclude(
                             item,
                             f"timed out after {self.point_timeout:g}s")
         finally:
-            for conn, (item, proc, _) in active.items():
+            self._stop(idle)
+            for conn, (item, proc, _) in busy.items():
                 self._reap(proc)
                 conn.close()
 
@@ -409,13 +464,17 @@ class SweepScheduler:
 
     With ``jobs=1``, or a single point to simulate, and no resilience
     option, points run in this process, strictly serially (the
-    debugging path).  Every other sweep runs each point in its own
-    worker process through a :class:`ResilientPointRunner`; a worker
-    that dies then fails :meth:`run` with a :class:`SweepError` naming
-    its point, unless a resilience option says to retry or exclude it.
-    Results are cached by point fingerprint, so calling :meth:`run`
-    again after adding more experiments only simulates points not seen
-    before.
+    debugging path).  Every other sweep runs its points in up to
+    ``jobs`` worker processes through a :class:`ResilientPointRunner`,
+    each worker running point after point until the sweep ends; a
+    worker that dies then fails :meth:`run` with a :class:`SweepError`
+    naming its point, unless a resilience option says to retry or
+    exclude it.  On both paths points start longest first, by a static
+    cost estimate (core count, then static instructions), with ties in
+    declaration order, so that no worker is left finishing a long point
+    alone at the end.  Results are cached by point fingerprint, so
+    calling :meth:`run` again after adding more experiments only
+    simulates points not seen before.
 
     Resilience options:
 
@@ -515,6 +574,8 @@ class SweepScheduler:
         if store_hits:
             pending = [(fp, spec) for fp, spec in pending
                        if fp not in self._results]
+        # Stable, so points of equal estimate keep their declared order.
+        pending.sort(key=lambda point: _cost_estimate(point[1]), reverse=True)
         self._retries_this_run = 0
         self._excluded_this_run = {}
         started = time.perf_counter()

@@ -41,11 +41,15 @@ from tests.conftest import small_config
 
 
 def _trivial_workload(n_threads: int = 1, name: str = "trivial",
-                      validate=None) -> Workload:
+                      validate=None, extra_nops: int = 0) -> Workload:
+    """Each thread stores one word: four instructions, plus
+    ``extra_nops``."""
     programs = []
     for tid in range(n_threads):
         asm = Assembler(f"{name}.t{tid}")
         asm.li(1, 0x1_0000).li(2, tid + 1)
+        for _ in range(extra_nops):
+            asm.nop()
         asm.store(2, base=1, offset=8 * tid)
         asm.halt()
         programs.append(asm.build())
@@ -249,8 +253,9 @@ def test_check_false_skips_validation():
 # ------------------------------------------------------ execution paths
 #
 # run() has exactly two paths: in this process (jobs=1 or one pending
-# point, no resilience option) and one worker process per point through
-# ResilientPointRunner (everything else).
+# point, no resilience option) and up to ``jobs`` worker processes that
+# each run point after point through ResilientPointRunner (everything
+# else).
 
 _PID_DIR_ENV = "REPRO_TEST_PID_DIR"
 
@@ -278,14 +283,47 @@ def test_single_pending_point_runs_in_process(tmp_path, monkeypatch):
     assert _worker_pids(tmp_path, [spec], jobs=4) == [os.getpid()]
 
 
-def test_parallel_sweep_runs_each_point_in_a_worker_process(tmp_path,
-                                                            monkeypatch):
+def test_parallel_sweep_runs_its_points_in_jobs_worker_processes(
+        tmp_path, monkeypatch):
     monkeypatch.setenv(_PID_DIR_ENV, str(tmp_path))
     specs = [RunSpec(name, small_config(1), _trivial_workload(name=name))
-             for name in ("a", "b", "c")]
+             for name in ("a", "b", "c", "d", "e")]
     pids = _worker_pids(tmp_path, specs, jobs=2)
     assert os.getpid() not in pids
-    assert len(set(pids)) == 3
+    assert len(set(pids)) == 2
+
+
+def _order_recording_worker(config, programs, initial_memory,
+                            fault_plan=None, node_plan=None):
+    with open(os.path.join(os.environ[_PID_DIR_ENV], "order"), "a") as fh:
+        fh.write(f"{programs[0].name}\n")
+    return simulate_point(config, programs, initial_memory, fault_plan)
+
+
+def test_points_start_longest_first_with_ties_in_declared_order(
+        tmp_path, monkeypatch):
+    # The runner (forced by point_timeout) has one worker, which sees
+    # the points in the order they were handed out: most cores first,
+    # then most static instructions, equal estimates as declared.
+    monkeypatch.setenv(_PID_DIR_ENV, str(tmp_path))
+    declared = [                        # name, cores, extra nops: estimate
+        ("one-short", 1, 0),            # (1, 4)
+        ("two-short", 2, 0),            # (2, 8)
+        ("one-long", 1, 3),             # (1, 7)
+        ("two-short-b", 2, 0),          # (2, 8): ties two-short
+        ("one-short-b", 1, 0),          # (1, 4): ties one-short
+        ("four-short", 4, 0),           # (4, 16)
+    ]
+    scheduler = SweepScheduler(jobs=1, worker=_order_recording_worker,
+                               point_timeout=30.0)
+    scheduler.add("g", [
+        RunSpec(name, small_config(cores),
+                _trivial_workload(cores, name, extra_nops=nops))
+        for name, cores, nops in declared])
+    scheduler.run()
+    order = (tmp_path / "order").read_text().split()
+    assert order == ["four-short.t0", "two-short.t0", "two-short-b.t0",
+                     "one-long.t0", "one-short.t0", "one-short-b.t0"]
 
 
 def test_resilience_option_isolates_a_serial_sweep(tmp_path, monkeypatch):

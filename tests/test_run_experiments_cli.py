@@ -13,6 +13,8 @@ import pathlib
 
 import pytest
 
+from repro.harness import ExperimentResult
+
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -70,6 +72,21 @@ def test_quick_sweep_dedups_across_experiments(cli, capsys):
     out = capsys.readouterr().out
     assert "(7 deduplicated" in out
     assert "[E3]" in out and "[E6]" in out
+
+
+def test_quick_shrinks_the_ablations(cli, capsys, monkeypatch):
+    calls = []
+
+    def a1_stub(**kwargs):
+        calls.append(kwargs)
+        return ExperimentResult("A1", "stub", ["column"])
+
+    ablations = cli.all_ablations()
+    monkeypatch.setattr(cli, "all_ablations",
+                        lambda: {**ablations, "A1": a1_stub})
+    assert cli.main(["A1", "--quick"]) == 0
+    assert "[A1] stub" in capsys.readouterr().out
+    assert calls == [dict(n_cores=4, scale=0.3)]
 
 
 def test_csv_export(cli, capsys, tmp_path):

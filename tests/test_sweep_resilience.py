@@ -11,10 +11,14 @@ the offending (config, workload) point.
 from __future__ import annotations
 
 import glob
+import multiprocessing
 import os
 import pickle
 import shutil
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -357,6 +361,189 @@ def test_resilience_option_validation():
         SweepScheduler(term_grace=0)
 
 
+# ------------------------------------------------------- worker lifetime
+#
+# Workers live for one run() call and run point after point.  A worker
+# that dies or times out costs only its in-flight point; one whose point
+# raised is retired; none outlives run(), whether it returns or raises.
+
+_MID_POINT_ENV = "REPRO_TEST_MID_POINT_MARKER"
+
+
+def _crash_once_on_w1_worker(config, programs, initial_memory,
+                             fault_plan=None, node_plan=None):
+    """Logs ``program pid`` per attempt; the first attempt at w1 dies
+    hard."""
+    log = os.environ[_CRASH_MARKER_ENV]
+    name = programs[0].name
+    with open(log, "a") as fh:
+        fh.write(f"{name} {os.getpid()}\n")
+    with open(log) as fh:
+        first_attempt = fh.read().count(f"{name} ") == 1
+    if name == "w1.t0" and first_attempt:
+        os._exit(1)
+    return simulate_point(config, programs, initial_memory, fault_plan)
+
+
+def test_crashed_point_reruns_on_a_new_worker_and_others_are_unchanged(
+        tmp_path, monkeypatch):
+    log = tmp_path / "attempts"
+    monkeypatch.setenv(_CRASH_MARKER_ENV, str(log))
+    scheduler = SweepScheduler(jobs=2, worker=_crash_once_on_w1_worker,
+                               retries=1, retry_backoff=0.05)
+    scheduler.add("g", _grid(5))
+    report = scheduler.run()
+    assert report.retries == 1 and not report.excluded
+    attempts = [line.split() for line in log.read_text().splitlines()]
+    assert sorted(name for name, _ in attempts) == \
+        ["w0.t0", "w1.t0", "w1.t0", "w2.t0", "w3.t0", "w4.t0"]
+    crashed, retried = [int(pid) for name, pid in attempts
+                        if name == "w1.t0"]
+    assert retried != crashed
+
+    in_process = SweepScheduler(jobs=1)
+    in_process.add("g", _grid(5))
+    in_process.run()
+    for label, result in in_process.results_for("g").items():
+        assert result_fingerprint(scheduler.results_for("g")[label]) == \
+            result_fingerprint(result)
+
+
+def _pid_worker_failing_on_w0(config, programs, initial_memory,
+                              fault_plan=None, node_plan=None):
+    """Answers with its own pid in place of a result; w0 raises, naming
+    the pid."""
+    if programs[0].name == "w0.t0":
+        raise ValueError(os.getpid())
+    return os.getpid(), 0.0
+
+
+def test_worker_whose_point_raised_is_not_reused():
+    runner = ResilientPointRunner(worker=_pid_worker_failing_on_w0, jobs=1)
+    pids, errors = {}, {}
+    runner.run([(spec.label, spec) for spec in _grid(3)],
+               on_result=lambda key, spec, pid, s: pids.__setitem__(key, pid),
+               on_error=lambda key, spec, message: errors.__setitem__(
+                   key, message),
+               on_exclude=lambda key, spec, reason: pytest.fail(reason))
+    assert list(errors) == ["p0"]
+    raised_on = int(errors["p0"].removeprefix("ValueError: "))
+    assert pids["p1"] != raised_on
+    assert pids["p2"] == pids["p1"]             # a worker that answered "ok"
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_a_clean_parallel_sweep():
+    scheduler = SweepScheduler(jobs=2)
+    scheduler.add("g", _grid(4))
+    scheduler.run()
+    assert len(scheduler.results_for("g")) == 4
+    assert multiprocessing.active_children() == []
+
+
+def _fails_on_w0_while_w1_runs_worker(config, programs, initial_memory,
+                                      fault_plan=None, node_plan=None):
+    """w1 marks that it has started, then hangs; w0 raises once w1 is
+    mid-point."""
+    marker = os.environ[_MID_POINT_ENV]
+    if programs[0].name == "w1.t0":
+        with open(marker, "w") as fh:
+            fh.write("started")
+        time.sleep(60)
+    if programs[0].name == "w0.t0":
+        give_up = time.monotonic() + 10
+        while not os.path.exists(marker) and time.monotonic() < give_up:
+            time.sleep(0.01)
+        raise ValueError("intentionally broken point")
+    return simulate_point(config, programs, initial_memory, fault_plan)
+
+
+def test_no_worker_outlives_a_sweep_that_fails_mid_point(tmp_path,
+                                                         monkeypatch):
+    marker = tmp_path / "w1-started"
+    monkeypatch.setenv(_MID_POINT_ENV, str(marker))
+    scheduler = SweepScheduler(jobs=2,
+                               worker=_fails_on_w0_while_w1_runs_worker)
+    scheduler.add("g", _grid(3))
+    started = time.monotonic()
+    with pytest.raises(SweepError, match="intentionally broken point"):
+        scheduler.run()
+    assert marker.exists()                      # w1 was mid-point
+    assert time.monotonic() - started < 30      # w1 was not waited for
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_a_timeout_exclusion():
+    scheduler = SweepScheduler(jobs=2, worker=_hangs_on_w1_worker,
+                               point_timeout=1.0, retries=0)
+    scheduler.add("g", _grid(3))
+    report = scheduler.run()
+    assert list(report.excluded) == ["p1"]
+    assert multiprocessing.active_children() == []
+
+
+_KILLED_SWEEP = textwrap.dedent("""
+    import os, sys, time
+    from repro.harness.parallel import RunSpec, SweepScheduler
+    from repro.isa.program import Assembler
+    from repro.sim.config import SystemConfig
+    from repro.workloads.base import Workload
+
+    def worker(config, programs, initial_memory, fault_plan=None,
+               node_plan=None):
+        open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+        time.sleep(0.1)
+        return None, 0.1
+
+    def spec(i):
+        asm = Assembler(f"w{i}.t0")
+        asm.li(1, i).halt()
+        return RunSpec(f"p{i}", SystemConfig(n_cores=1),
+                       Workload(f"w{i}", [asm.build()], {}))
+
+    scheduler = SweepScheduler(jobs=2, worker=worker)
+    scheduler.add("g", [spec(i) for i in range(100)])
+    scheduler.run()
+""")
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (not gone, not a zombie)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:  # gone since the kill, or no /proc here
+        return not os.path.isdir("/proc")
+    return state != "Z"
+
+
+def test_workers_exit_when_their_sweep_process_is_killed(tmp_path):
+    # The parent's end of each pipe must reach its worker as EOF once
+    # the parent is gone, or a killed sweep leaves workers waiting for
+    # their next point forever.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    sweep = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_SWEEP, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)))
+    try:
+        give_up = time.monotonic() + 30
+        while len(os.listdir(tmp_path)) < 2 and time.monotonic() < give_up:
+            time.sleep(0.02)
+    finally:
+        sweep.kill()
+        sweep.wait()
+    workers = [int(name) for name in os.listdir(tmp_path)]
+    assert len(workers) == 2
+    give_up = time.monotonic() + 10
+    while any(map(_running, workers)) and time.monotonic() < give_up:
+        time.sleep(0.02)
+    assert not any(map(_running, workers))
+
+
 # --------------------------------------------------- regression: timeouts
 #
 # Each point's kill deadline must be budgeted from *its own* launch.  The
@@ -369,9 +556,9 @@ class _SlowLaunchRunner(ResilientPointRunner):
 
     LAUNCH_DELAY = 1.0
 
-    def _launch(self, spec):
+    def _launch(self, args):
         time.sleep(self.LAUNCH_DELAY)
-        return super()._launch(spec)
+        return super()._launch(args)
 
 
 def _slow_start_worker(config, programs, initial_memory, fault_plan=None, node_plan=None):
