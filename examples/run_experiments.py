@@ -15,8 +15,9 @@ Usage:
     python examples/run_experiments.py --store DIR    # reuse/persist results
 
 Experiments (E*) declare their run grids up front; one shared scheduler
-deduplicates identical (config, workload) points across experiments,
-simulates each unique point exactly once -- fanned out over ``--jobs``
+keys each (config, workload) point by the machine it builds (an RMO
+point builds its TSO twin's machine) and simulates each distinct
+machine exactly once, across experiments -- fanned out over ``--jobs``
 worker processes (default: all CPUs) -- and the tables are built from
 the cached results.  Every simulation point is deterministic, so the
 tables are bit-identical for any ``--jobs`` value.  With ``--store DIR``
@@ -97,8 +98,8 @@ def main(argv):
             return 1
 
     # Phase 1: declare every experiment's grid; the shared scheduler
-    # dedups identical points across experiments and simulates each
-    # unique point exactly once.
+    # keys points by the machine they build and simulates each distinct
+    # machine exactly once.
     try:
         scheduler = SweepScheduler(jobs=jobs, store_dir=store_dir)
     except OSError as exc:

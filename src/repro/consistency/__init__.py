@@ -5,7 +5,9 @@ from repro.consistency.policies import (
     RMOPolicy,
     SCPolicy,
     TSOPolicy,
+    canonical_model,
     policy_for,
 )
 
-__all__ = ["ConsistencyPolicy", "SCPolicy", "TSOPolicy", "RMOPolicy", "policy_for"]
+__all__ = ["ConsistencyPolicy", "SCPolicy", "TSOPolicy", "RMOPolicy",
+           "canonical_model", "policy_for"]

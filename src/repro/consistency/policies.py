@@ -23,6 +23,8 @@ the paper's "atomics hurt even RMO" observation appear).
 Because the core is in-order and the store buffer is FIFO, RMO's
 LoadLoad/LoadStore/StoreStore fences are satisfied by construction and
 cost nothing; only StoreLoad ordering (and FULL) requires a drain.
+So the TSO and RMO rows are equal: :func:`canonical_model` maps RMO to
+TSO, and a sweep simulates an RMO point and its TSO twin once.
 """
 
 from __future__ import annotations
@@ -146,3 +148,34 @@ _POLICIES = {
 def policy_for(model: ConsistencyModel) -> ConsistencyPolicy:
     """Instantiate the policy object for a consistency model."""
     return _POLICIES[model]()
+
+
+def _answers(policy: ConsistencyPolicy) -> tuple:
+    """Every answer :class:`~repro.cpu.core.Core` asks ``policy`` for."""
+    return (policy.load_requires_drain(), policy.store_requires_drain(),
+            policy.atomic_requires_drain(), policy.allows_store_forwarding,
+            tuple(policy.fence_requires_drain(kind) for kind in FenceKind))
+
+
+def _canonical_models() -> dict:
+    answers = {model: _answers(policy_for(model)) for model in ConsistencyModel}
+    return {model: next(first for first in ConsistencyModel
+                        if answers[first] == answers[model])
+            for model in ConsistencyModel}
+
+
+#: model -> the first model whose policy answers every question alike.
+_CANONICAL = _canonical_models()
+
+
+def canonical_model(model: ConsistencyModel) -> ConsistencyModel:
+    """The first :class:`ConsistencyModel` whose policy gives the same
+    answer as ``model``'s to every question the core asks.
+
+    The core reads its model only through :func:`policy_for`, so two
+    configs that differ only in models with one canonical model build
+    the same machine: on this in-order core with a FIFO store buffer,
+    RMO's canonical model is TSO (see the table above).  The sweep keys
+    points by it (:func:`repro.harness.parallel.point_fingerprint`).
+    """
+    return _CANONICAL[model]

@@ -1492,10 +1492,19 @@ def _make_superblock(core: Core, span: SuperblockSpan, relay: tuple,
     params = ", ".join(f"{name}={name}" for name in bindings)
     source = (f"def _superblock(instr, {params}):\n"
               + "\n".join(lines) + "\n")
-    code = compile(source, f"<superblock core{core.core_id}@{start}>", "exec")
+    # The code object is shared; exec-ing it into this core's own
+    # namespace binds every default to this core.
     namespace = dict(bindings)
-    exec(code, namespace)
+    exec(_compile_superblock(source, start), namespace)
     return namespace["_superblock"]
+
+
+@lru_cache(maxsize=256)
+def _compile_superblock(source: str, start: int):
+    """Compile one superblock's generated source, once per process:
+    cores running the same program, and programs with the same loop
+    body, generate the same source."""
+    return compile(source, f"<superblock @{start}>", "exec")
 
 
 def _make_fused_span(core: Core, span: SuperblockSpan, relay: tuple,

@@ -5,8 +5,10 @@ The reproduction's experiments are sweeps over independent
 deterministic simulations with no shared state.  This module runs them
 through one shared :class:`SweepScheduler` that
 
-* **deduplicates** identical points across experiments (the six-point
-  comparison grids repeat ``base-rmo`` etc. constantly) via a stable
+* **deduplicates** points that build the same machine, across
+  experiments (the six-point comparison grids repeat ``base-rmo`` etc.
+  constantly) and within them (a TSO point and its RMO twin, whose
+  policies answer every question the core asks alike), via a stable
   content fingerprint of the configuration and the assembled programs,
 * **caches** every result in-process, so a scheduler reused across
   experiments simulates each unique point exactly once -- and, given a
@@ -41,6 +43,7 @@ exponential backoff and, once its attempts are exhausted, land on an
 
 from __future__ import annotations
 
+import copy
 import gc
 import hashlib
 import multiprocessing
@@ -50,6 +53,7 @@ from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.consistency import canonical_model
 from repro.faults.nodeplan import NodeFaultPlan
 from repro.faults.plan import FaultPlan
 from repro.faults.watchdog import Watchdog
@@ -89,11 +93,16 @@ class RunSpec:
 def point_fingerprint(config: SystemConfig, workload: Workload,
                       fault_plan: Optional[FaultPlan] = None,
                       node_plan: Optional[NodeFaultPlan] = None) -> str:
-    """A stable content key for one ``(config, workload)`` point.
+    """A stable content key for one ``(config, workload)`` point: the
+    machine it builds.
 
     Hashes the configuration (frozen dataclasses with deterministic
-    ``repr``) and the *assembled* instruction streams plus initial
-    memory.  Symbolic label names are excluded -- they contain a
+    ``repr``) with its consistency model replaced by the model's
+    :func:`~repro.consistency.canonical_model`, and the *assembled*
+    instruction streams plus initial memory.  The core reads its model
+    only through its policy, so an RMO point builds the same machine as
+    its TSO twin and shares its key; SC and TSO configs hash exactly as
+    before.  Symbolic label names are excluded -- they contain a
     process-global uniquifying counter, so two builds of the same
     workload factory would otherwise never match -- while branch targets
     are already resolved to instruction indices and are covered.  An
@@ -101,6 +110,9 @@ def point_fingerprint(config: SystemConfig, workload: Workload,
     exactly as before the fault subsystem existed, so historical
     fingerprints (and the golden files built on them) are unchanged.
     """
+    canonical = canonical_model(config.core.consistency)
+    if canonical is not config.core.consistency:
+        config = config.with_consistency(canonical)
     hasher = hashlib.sha256()
     hasher.update(repr(config).encode())
     hasher.update(b"\x00")
@@ -188,7 +200,8 @@ def _point_worker(parent_end, conn, worker, args: List[tuple]) -> None:
     """Child-process entry of :class:`ResilientPointRunner`: run the
     points whose indices into ``args`` arrive over ``conn``, one at a
     time, until the stop sentinel ``None`` or EOF.  Each outcome goes
-    back as ("ok", payload); an exception goes back as ("err", message)
+    back as ("ok", (payload, cpu seconds of the point)); an exception
+    goes back as ("err", message)
     -- the parent re-raises it as a :class:`SweepError` naming the
     point -- and ends the worker, since the point may have left this
     process in any state.  A crash (the process dying without sending)
@@ -205,7 +218,9 @@ def _point_worker(parent_end, conn, worker, args: List[tuple]) -> None:
             if index is None:
                 return
             try:
-                conn.send(("ok", worker(*args[index])))
+                cpu = time.process_time()
+                payload = worker(*args[index])
+                conn.send(("ok", (payload, time.process_time() - cpu)))
             except BaseException as exc:  # noqa: BLE001 - forwarded, then exits
                 conn.send(("err", f"{type(exc).__name__}: {exc}"))
                 return
@@ -312,7 +327,8 @@ class ResilientPointRunner:
         """Run every ``(key, spec)`` point, in order, reporting through
         callbacks:
 
-        ``on_result(key, spec, result, seconds)`` for a completed point,
+        ``on_result(key, spec, result, (seconds, cpu_seconds))`` for a
+        completed point, with its wall and CPU seconds in the worker,
         ``on_error(key, spec, message)`` for a deterministic worker
         exception (raising from it aborts the batch; returning skips the
         point), ``on_exclude(key, spec, reason)`` for a point dropped
@@ -385,8 +401,9 @@ class ResilientPointRunner:
                         continue
                     if status == "ok":
                         idle.append((conn, proc))
-                        result, seconds = payload
-                        on_result(item["key"], item["spec"], result, seconds)
+                        (result, seconds), cpu = payload
+                        on_result(item["key"], item["spec"], result,
+                                  (seconds, cpu))
                     else:
                         self._retire(conn, proc)
                         on_error(item["key"], item["spec"], payload)
@@ -416,6 +433,8 @@ class SweepReport:
     cached_hits: int
     wall_seconds: float
     point_seconds: Dict[str, float] = field(default_factory=dict)
+    #: label -> CPU seconds of the process that ran the point
+    point_cpu_seconds: Dict[str, float] = field(default_factory=dict)
     #: points restored from the on-disk result store
     store_hits: int = 0
     #: timeout/crash retries performed during this run
@@ -425,12 +444,20 @@ class SweepReport:
 
     @property
     def serial_seconds(self) -> float:
-        """Sum of per-point wall times (the serial-equivalent cost)."""
+        """Sum of per-point wall times.  It counts time a worker spent
+        descheduled, so with more workers than CPUs it overstates what
+        the points would cost run one after another."""
         return sum(self.point_seconds.values())
 
     @property
+    def serial_cpu_seconds(self) -> float:
+        """Sum of per-point CPU seconds: the serial-equivalent cost."""
+        return sum(self.point_cpu_seconds.values())
+
+    @property
     def speedup(self) -> float:
-        return self.serial_seconds / self.wall_seconds if self.wall_seconds else 0.0
+        return (self.serial_cpu_seconds / self.wall_seconds
+                if self.wall_seconds else 0.0)
 
     def render(self) -> str:
         line = (f"sweep: {self.unique_points} unique points "
@@ -442,7 +469,7 @@ class SweepReport:
         if self.retries:
             line += f", {self.retries} retried"
         if self.unique_points and self.wall_seconds:
-            line += (f", serial-equivalent {self.serial_seconds:.1f}s, "
+            line += (f", serial-equivalent {self.serial_cpu_seconds:.1f}s, "
                      f"speedup {self.speedup:.2f}x")
         if self.excluded:
             details = "; ".join(f"{label!r}: {reason}"
@@ -472,9 +499,12 @@ class SweepScheduler:
     exclude it.  On both paths points start longest first, by a static
     cost estimate (core count, then static instructions), with ties in
     declaration order, so that no worker is left finishing a long point
-    alone at the end.  Results are cached by point fingerprint, so
-    calling :meth:`run` again after adding more experiments only
-    simulates points not seen before.
+    alone at the end.  Results are cached by point fingerprint, which
+    keys a point by the machine it builds, so calling :meth:`run` again
+    after adding more experiments only simulates points not seen
+    before, and a TSO point and its RMO twin are simulated once: each
+    label still gets a result carrying its own config (see
+    :meth:`results_for`).
 
     Resilience options:
 
@@ -525,8 +555,11 @@ class SweepScheduler:
         #: fingerprint -> representative spec, insertion-ordered.
         self._points: Dict[str, RunSpec] = {}
         self._results: Dict[str, SystemResult] = {}
+        #: (fingerprint, model) -> a result's copy carrying a twin's config
+        self._twins: Dict[tuple, SystemResult] = {}
         self._checked: Set[Tuple[str, str]] = set()
         self._point_seconds: Dict[str, float] = {}
+        self._point_cpu_seconds: Dict[str, float] = {}
         self.duplicate_hits = 0
         self.last_report: Optional[SweepReport] = None
 
@@ -593,6 +626,9 @@ class SweepScheduler:
             wall_seconds=wall,
             point_seconds={self._points[fp].label: self._point_seconds[fp]
                            for fp, _ in pending if fp in self._point_seconds},
+            point_cpu_seconds={
+                self._points[fp].label: self._point_cpu_seconds[fp]
+                for fp, _ in pending if fp in self._point_cpu_seconds},
             store_hits=store_hits,
             retries=self._retries_this_run,
             # Only exclusions added by *this* run: a cumulative list would
@@ -602,35 +638,49 @@ class SweepScheduler:
         )
         return self.last_report
 
-    @staticmethod
-    def _point_error(spec: RunSpec, exc: Exception) -> SweepError:
-        """A SweepError identifying the offending (config, workload) point."""
-        return SweepError(
-            f"sweep point {spec.label!r} (workload {spec.workload.name!r}, "
-            f"{spec.config.describe()}) failed: {exc}")
+    def _point_error(self, fp: str, exc: Exception) -> SweepError:
+        """A SweepError naming every ``exp_id/label`` declared on the
+        failed point, each with its own workload and config."""
+        names = "; ".join(
+            f"{exp_id}/{spec.label!r} (workload {spec.workload.name!r}, "
+            f"{spec.config.describe()})"
+            for exp_id, grid in self._grids.items()
+            for key, spec in grid if key == fp)
+        return SweepError(f"sweep point {names} failed: {exc}")
 
     def _run_serial(self, pending: List[Tuple[str, RunSpec]]) -> None:
-        for fp, spec in pending:
-            try:
-                result, seconds = self._worker(*_worker_args(spec))
-            except Exception as exc:
-                raise self._point_error(spec, exc) from exc
-            self._record(fp, result, seconds)
+        # Keep what exists before the sweep (plans, programs, modules) out
+        # of its collections, as a worker does, unless a caller already
+        # froze it.
+        freeze = gc.get_freeze_count() == 0
+        if freeze:
+            gc.freeze()
+        try:
+            for fp, spec in pending:
+                cpu = time.process_time()
+                try:
+                    result, seconds = self._worker(*_worker_args(spec))
+                except Exception as exc:
+                    raise self._point_error(fp, exc) from exc
+                self._record(fp, result, (seconds, time.process_time() - cpu))
+        finally:
+            if freeze:
+                gc.unfreeze()
 
     def _run_resilient(self, pending: List[Tuple[str, RunSpec]]) -> None:
         """Run ``pending`` through the :class:`ResilientPointRunner`,
         wired into this scheduler's results, exclusion list, and retry
         counter."""
 
-        def on_result(fp, spec, result, seconds):
-            self._record(fp, result, seconds)
+        def on_result(fp, spec, result, times):
+            self._record(fp, result, times)
 
         def on_error(fp, spec, message):
-            raise self._point_error(spec, RuntimeError(message))
+            raise self._point_error(fp, RuntimeError(message))
 
         def on_exclude(fp, spec, reason):
             if not self._resilient:
-                raise self._point_error(spec, RuntimeError(
+                raise self._point_error(fp, RuntimeError(
                     f"{reason}; rerun with --jobs 1 to debug in-process"))
             self.excluded[fp] = reason
             self._excluded_this_run[fp] = reason
@@ -656,11 +706,32 @@ class SweepScheduler:
                 hits += 1
         return hits
 
-    def _record(self, fp: str, result: SystemResult, seconds: float) -> None:
+    def _record(self, fp: str, result: SystemResult,
+                times: Tuple[float, float]) -> None:
         self._results[fp] = result
-        self._point_seconds[fp] = seconds
+        self._point_seconds[fp], self._point_cpu_seconds[fp] = times
         if self._store is not None:
             self._store.put(fp, result)
+
+    def _result(self, fp: str, spec: RunSpec) -> SystemResult:
+        """The result of ``spec``'s point, carrying ``spec.config``.
+
+        Points that share a fingerprint build the same machine, and
+        their configs can differ only in a consistency model with the
+        same canonical model.  Such a twin gets a shallow copy with its
+        own config, made once per model, so labels with equal configs
+        share one object.  A worker result that is not a
+        :class:`SystemResult` is served as it is.
+        """
+        result = self._results[fp]
+        if not isinstance(result, SystemResult) or result.config == spec.config:
+            return result
+        key = (fp, spec.config.core.consistency)
+        if key not in self._twins:
+            twin = copy.copy(result)
+            twin.config = spec.config
+            self._twins[key] = twin
+        return self._twins[key]
 
     def _validate(self) -> None:
         """Run each spec's workload validation once, in the parent."""
@@ -672,7 +743,7 @@ class SweepScheduler:
                 if fp not in self._results:
                     continue
                 try:
-                    spec.workload.check(self._results[fp])
+                    spec.workload.check(self._result(fp, spec))
                 except AssertionError as exc:
                     raise SweepError(
                         f"sweep point {spec.label!r} in {exp_id} produced a "
@@ -682,7 +753,8 @@ class SweepScheduler:
     # ------------------------------------------------------------- results
 
     def results_for(self, exp_id: str) -> Dict[str, SystemResult]:
-        """Label -> result mapping for one registered experiment.
+        """Label -> result mapping for one registered experiment; each
+        result carries its label's own config.
 
         Raises :class:`SweepError` if any of the experiment's points was
         excluded by the resilience policy -- a table silently built from
@@ -701,7 +773,7 @@ class SweepScheduler:
         if missing:
             raise SweepError(
                 f"{exp_id}: points {missing} not simulated yet; call run()")
-        return {spec.label: self._results[fp] for fp, spec in grid}
+        return {spec.label: self._result(fp, spec) for fp, spec in grid}
 
 
 def execute_specs(specs: List[RunSpec], jobs: int = 1

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
+import re
+import time
 from dataclasses import replace
 
 import pytest
@@ -18,6 +21,7 @@ from repro.harness.experiments import (
     e6_plan,
 )
 from repro.harness.parallel import (
+    DEFAULT_MAX_CYCLES,
     RunSpec,
     SweepError,
     SweepScheduler,
@@ -28,11 +32,13 @@ from repro.harness.parallel import (
 )
 from repro.isa.program import Assembler
 from repro.sim.config import (
+    ConsistencyModel,
     InterconnectConfig,
     SpeculationMode,
     SystemConfig,
     Topology,
 )
+from repro.system import System
 from repro.workloads.base import Workload
 from repro.workloads.producer_consumer import pingpong
 from repro.workloads.protocols import gossip
@@ -142,17 +148,20 @@ def test_experiment_call_jobs_matches_serial():
 def test_cross_experiment_dedup_counts():
     kwargs = dict(n_cores=2, scale=0.1)
     scheduler = SweepScheduler(jobs=1)
-    scheduler.add("E1", e1_plan(**kwargs))           # 7 workloads x 3 models
-    assert scheduler.unique_points == 21
-    assert scheduler.duplicate_hits == 0
-    # E2's three base-* points per workload are E1's points exactly.
+    # 7 workloads x 3 models; each rmo point builds its tso twin's machine.
+    scheduler.add("E1", e1_plan(**kwargs))
+    assert scheduler.unique_points == 14
+    assert scheduler.duplicate_hits == 7
+    # E2's three base-* points per workload are E1's machines exactly, and
+    # each if-rmo point is its if-tso twin.
     scheduler.add("E2", e2_plan(**kwargs))           # 7 x 6
-    assert scheduler.unique_points == 21 + 21
-    assert scheduler.duplicate_hits == 21
+    assert scheduler.unique_points == 14 + 14
+    assert scheduler.duplicate_hits == 7 + 21 + 7
     # E6's continuous probes coincide with E3's continuous half.
     scheduler.add("E3", e3_plan(**kwargs))           # 7 x 2, on-demand == if-tso
     scheduler.add("E6", e6_plan(**kwargs))           # 7, all cached in E3
-    assert scheduler.duplicate_hits == 21 + 7 + 7
+    assert scheduler.unique_points == 35
+    assert scheduler.duplicate_hits == 35 + 7 + 7
     report = scheduler.run()
     assert report.unique_points == scheduler.unique_points
     assert len(report.point_seconds) == scheduler.unique_points
@@ -173,6 +182,59 @@ def test_rerun_uses_cache():
     assert second.cached_hits == 1
     assert scheduler.results_for("first")["p0"] is \
         scheduler.results_for("second")["other-label"]
+
+
+# ------------------------------------------------ one point per machine
+
+_TSO, _RMO, _SC = (ConsistencyModel.TSO, ConsistencyModel.RMO,
+                   ConsistencyModel.SC)
+
+
+def _run_directly(config, workload):
+    return System(config, workload.programs, workload.initial_memory).run(
+        max_cycles=DEFAULT_MAX_CYCLES)
+
+
+@pytest.mark.parametrize("plan", [e1_plan, e2_plan])
+def test_every_tso_rmo_twin_simulates_alike(plan):
+    """The oracle for keying points by machine: each RMO point of the
+    paper grids, run through ``System`` with no scheduler, gives its
+    TSO twin's fingerprint, events and cycles."""
+    specs = [spec for spec in plan(n_cores=2, scale=0.1)
+             if spec.config.core.consistency is _RMO]
+    assert len(specs) == {e1_plan: 7, e2_plan: 14}[plan]
+    for spec in specs:
+        rmo = _run_directly(spec.config, spec.workload)
+        tso = _run_directly(spec.config.with_consistency(_TSO), spec.workload)
+        assert (result_fingerprint(rmo), rmo.events, rmo.cycles) == \
+            (result_fingerprint(tso), tso.events, tso.cycles), spec.label
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_tso_and_rmo_share_a_point_and_sc_does_not(jobs):
+    seen = []
+    wl = _trivial_workload(
+        2, validate=lambda result: seen.append(result.config.core.consistency))
+    tso, rmo, sc = (small_config(2).with_consistency(model)
+                    for model in (_TSO, _RMO, _SC))
+    assert point_fingerprint(tso, wl) == point_fingerprint(rmo, wl)
+    assert point_fingerprint(sc, wl) != point_fingerprint(tso, wl)
+    scheduler = SweepScheduler(jobs=jobs)
+    scheduler.add("A", [RunSpec("tso", tso, wl), RunSpec("sc", sc, wl)])
+    scheduler.add("B", [RunSpec("rmo", rmo, wl), RunSpec("rmo-2", rmo, wl)])
+    report = scheduler.run()
+    assert (report.unique_points, report.duplicate_hits) == (2, 2)
+    first, second = scheduler.results_for("A"), scheduler.results_for("B")
+    # Each label's result carries its own config, and is checked with it.
+    assert first["tso"].config == tso
+    assert second["rmo"].config == rmo
+    assert seen == [_TSO, _SC, _RMO, _RMO]
+    assert result_fingerprint(second["rmo"]) == \
+        result_fingerprint(first["tso"])
+    # Only a differing config is copied: equal configs share one object.
+    assert second["rmo"] is second["rmo-2"]
+    assert second["rmo"] is not first["tso"]
+    assert scheduler.results_for("B")["rmo"] is second["rmo"]
 
 
 def test_results_for_before_run_raises():
@@ -216,6 +278,66 @@ def test_simulation_error_is_wrapped_with_point_label_parallel():
     ])
     with pytest.raises(SweepError, match="broken-point"):
         scheduler.run()
+
+
+def _raising_worker(config, programs, initial_memory, fault_plan=None,
+                    node_plan=None):
+    raise ValueError("point broke")
+
+
+@pytest.mark.parametrize("options", [dict(jobs=1),
+                                     dict(jobs=2, point_timeout=30.0)],
+                         ids=["in-process", "in-worker"])
+def test_failing_point_names_every_label_that_shares_it(options):
+    wl = _trivial_workload()
+    tso = RunSpec("w|tso", small_config(1).with_consistency(_TSO), wl)
+    rmo = RunSpec("w|if-rmo", small_config(1).with_consistency(_RMO), wl)
+    scheduler = SweepScheduler(worker=_raising_worker, **options)
+    scheduler.add("E1", [tso])
+    scheduler.add("E2", [rmo])
+    with pytest.raises(SweepError) as info:
+        scheduler.run()
+    message = str(info.value)
+    assert "point broke" in message
+    for name, spec in (("E1/'w|tso'", tso), ("E2/'w|if-rmo'", rmo)):
+        assert f"{name} (workload 'trivial', {spec.config.describe()})" \
+            in message
+
+
+def _sleeping_worker(config, programs, initial_memory, fault_plan=None,
+                     node_plan=None):
+    started = time.perf_counter()
+    time.sleep(0.2)
+    return programs[0].name, time.perf_counter() - started
+
+
+def test_serial_equivalent_counts_cpu_seconds_not_descheduled_time():
+    names = ("a", "b", "c", "d")
+    scheduler = SweepScheduler(jobs=2, worker=_sleeping_worker)
+    scheduler.add("g", [RunSpec(name, small_config(1),
+                                _trivial_workload(name=name), check=False)
+                        for name in names])
+    report = scheduler.run()
+    assert report.serial_seconds >= 0.2 * len(names)    # the wall sum
+    shown = re.search(r"serial-equivalent ([0-9.]+)s", report.render())
+    assert float(shown.group(1)) < 0.1 * len(names)
+    assert report.serial_cpu_seconds < 0.1 * len(names)
+
+
+def test_serial_sweep_freezes_the_collector_until_it_ends():
+    assert gc.get_freeze_count() == 0
+    during = []
+
+    def worker(*args):
+        during.append(gc.get_freeze_count())
+        raise ValueError("point broke")
+
+    scheduler = SweepScheduler(jobs=1, worker=worker)
+    scheduler.add("g", [RunSpec("p", small_config(1), _trivial_workload())])
+    with pytest.raises(SweepError, match="point broke"):
+        scheduler.run()
+    assert during and during[0] > 0
+    assert gc.get_freeze_count() == 0
 
 
 def test_dead_worker_surfaces_clear_error_instead_of_hanging():

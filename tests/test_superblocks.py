@@ -11,7 +11,7 @@ import builtins
 
 import pytest
 
-from repro.cpu.core import Core, _decode_plan
+from repro.cpu.core import Core, _compile_superblock, _decode_plan
 from repro.harness.experiments import e9_plan
 from repro.harness.parallel import result_fingerprint
 from repro.isa import Assembler
@@ -209,6 +209,9 @@ def _unrolled_program():
 
 
 def _count_compiles(monkeypatch):
+    # Compiled superblocks are cached per process: start empty, so the
+    # counts do not depend on which tests ran before.
+    _compile_superblock.cache_clear()
     calls = []
     real = builtins.compile
 
@@ -232,13 +235,19 @@ def test_straight_line_spans_never_reach_compile(monkeypatch):
     assert system.run().fused_blocks() == 8
 
 
-def test_loop_span_is_compiled_once_per_core(monkeypatch):
+def test_loop_span_is_compiled_once_for_both_cores(monkeypatch):
     program = _alu_loop_program()
     assert _loops(program) == [False, True]
     with monkeypatch.context() as patch:
         calls = _count_compiles(patch)
-        System(SystemConfig(n_cores=2), [program, program])
-    assert calls == ["<superblock core0@3>", "<superblock core1@3>"]
+        system = System(SystemConfig(n_cores=2), [program, program])
+    assert calls == ["<superblock @3>"]
+    # One code object, two functions: every binding stays per core.
+    first, second = (core._decoded[3][0] for core in system.cores)
+    assert first is not second
+    assert first.__code__ is second.__code__
+    for fused, core in ((first, system.cores[0]), (second, system.cores[1])):
+        assert [d for d in fused.__defaults__ if isinstance(d, Core)] == [core]
 
 
 def test_forcing_the_loop_flag_selects_the_executor(monkeypatch):
