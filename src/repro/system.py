@@ -74,11 +74,15 @@ class SystemResult:
     """Picklable outcome of one simulation run.
 
     Everything the harness, validators and benchmarks read -- cycle
-    count, the full statistics registry, per-core summaries, and an
-    architectural memory snapshot -- is captured by value at
-    construction time, with no reference back to the live
-    :class:`System`.  Results therefore survive ``pickle``, which lets
-    the parallel sweep runner ship them back from worker processes.
+    count, per-core summaries and an architectural memory snapshot -- is
+    captured by value at construction time.  The one exception is
+    ``stats``: it is the run's live :class:`StatsRegistry`, not a copy,
+    so every result taken from one machine (a fuzz case and its twin,
+    see :func:`repro.verification.fuzz.execute_case`) shares one
+    registry.  That is safe only because a :class:`System` runs once.
+    Nothing else refers back to the live :class:`System`, so results
+    survive ``pickle``, which lets the parallel sweep runner ship them
+    back from worker processes.
     """
 
     def __init__(self, system: "System"):
@@ -178,6 +182,7 @@ class System:
         self.config = config
         self.sim = Simulator()
         self.stats = StatsRegistry()
+        self._ran = False
         if config.interconnect.topology is Topology.MESH:
             self.net = Mesh(self.sim, config.n_cores + config.n_homes,
                             self.stats,
@@ -314,7 +319,16 @@ class System:
         blocked), :class:`~repro.faults.LivelockError` on a watchdog
         no-commit window expiry, or :class:`SimulationError` on the
         event/cycle caps; all carry a diagnostic dump.
+
+        A :class:`System` runs once: a second call raises
+        :class:`SimulationError` instead of dispatching more events on a
+        finished machine, whose results and registry callers may share.
         """
+        if self._ran:
+            raise SimulationError(
+                "System.run() called twice: a System runs once; build a "
+                "new System to run the programs again")
+        self._ran = True
         if self.node_controller is not None:
             # Before the cores: a cycle's fault events must precede that
             # cycle's instruction dispatches (FIFO within a bucket), so

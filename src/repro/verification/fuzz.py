@@ -29,12 +29,14 @@ test-only defects to prove the pipeline actually catches bugs:
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.consistency import canonical_model
 from repro.sim.config import (
     CacheConfig,
     ConsistencyModel,
@@ -175,6 +177,67 @@ def _apply_injection(system: System, inject: str) -> None:
                          f"one of {INJECTIONS}")
 
 
+#: Most finished runs held for a twin at once; the oldest is dropped
+#: first.  A campaign runs a TSO case 6 (``fuzz_sweep``'s defaults) or
+#: 12 (E12, verify-campaign) cases before its RMO twin.  A longer window
+#: keeps machines alive into the collector's oldest generation, which
+#: costs more than the few extra twins it would catch.
+TWIN_TABLE_SIZE = 16
+
+#: Models whose machine another model builds too (TSO and RMO).
+_TWINNED = frozenset(
+    model for model in ConsistencyModel
+    if sum(canonical_model(other) is canonical_model(model)
+           for other in ConsistencyModel) > 1)
+
+#: Canonical case -> (system, recorder) of a finished run that waits
+#: for the next case with its key, oldest first.
+_twins: Dict[FuzzCase, Tuple[System, ExecutionRecorder]] = {}
+
+
+def _simulate(case: FuzzCase, config: SystemConfig
+              ) -> Tuple[System, ExecutionRecorder]:
+    """Build and run ``case``'s machine with a recorder attached."""
+    programs = compile_litmus_ops(case.threads, skews=case.skews or None)
+    system = System(config, programs, fault_plan=case.fault_plan)
+    if case.inject:
+        _apply_injection(system, case.inject)
+    recorder = ExecutionRecorder.attach(system)
+    watchdog = Watchdog(system) if system.fault_plan is not None else None
+    system.run(check_invariants=True, max_cycles=FUZZ_MAX_CYCLES,
+               watchdog=watchdog)
+    return system, recorder
+
+
+def _machine(case: FuzzCase, config: SystemConfig
+             ) -> Tuple[System, ExecutionRecorder]:
+    """``case``'s finished machine: its twin's, if the twin ran recently.
+
+    A case is keyed by the machine it builds: the case with its model
+    replaced by :func:`~repro.consistency.canonical_model` and without
+    its provenance-only seed.  Only models that share their canonical
+    model with another are held.  A case whose key is held takes that
+    run out of the table, as a shallow copy of its :class:`System`
+    carrying the case's own config; otherwise it simulates and is held
+    until the next case with its key, or until
+    :data:`TWIN_TABLE_SIZE` later held runs push it out.
+    """
+    if case.model not in _TWINNED:
+        return _simulate(case, config)
+    key = replace(case, model=canonical_model(case.model), seed=0)
+    held = _twins.pop(key, None)
+    if held is not None:
+        twin, recorder = held
+        system = copy.copy(twin)
+        system.config = config
+        return system, recorder
+    system, recorder = _simulate(case, config)
+    if len(_twins) >= TWIN_TABLE_SIZE:
+        del _twins[next(iter(_twins))]
+    _twins[key] = (system, recorder)
+    return system, recorder
+
+
 def execute_case(case: FuzzCase) -> Tuple[System, Dict[str, int]]:
     """Compile, simulate and check one case; return the live system too.
 
@@ -183,18 +246,19 @@ def execute_case(case: FuzzCase) -> Tuple[System, Dict[str, int]]:
     cases run under a liveness :class:`~repro.faults.Watchdog`, and every
     fuzz execution is capped at :data:`FUZZ_MAX_CYCLES` simulated cycles,
     so a hang becomes a diagnosable exception.
+
+    An RMO case builds the same machine as its TSO twin, so the second
+    of the two to run takes the first's finished run, while it is still
+    held, instead of simulating (:func:`_machine`).  Each case still
+    checks the recorded execution against its own model.  The two
+    callers then share one machine, recorder and stats registry; that
+    is safe because a :class:`System` runs once and the checker only
+    reads the recording.
     """
-    programs = compile_litmus_ops(case.threads, skews=case.skews or None)
     config = fuzz_config(case.n_threads, case.model, case.spec)
     if not case.superblocks:
         config = config.with_superblocks(False)
-    system = System(config, programs, fault_plan=case.fault_plan)
-    if case.inject:
-        _apply_injection(system, case.inject)
-    recorder = ExecutionRecorder.attach(system)
-    watchdog = Watchdog(system) if system.fault_plan is not None else None
-    system.run(check_invariants=True, max_cycles=FUZZ_MAX_CYCLES,
-               watchdog=watchdog)
+    system, recorder = _machine(case, config)
     report = check_execution(recorder, model=case.model)
     if report["locations_skipped"] or report.get("ordering_locations_skipped"):
         raise RuntimeError(

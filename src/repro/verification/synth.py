@@ -1,9 +1,8 @@
 """Automatic fence synthesis against the per-model ordering checker.
 
-ROADMAP item 3: given a fence-free (or under-fenced) litmus program
-running on the relaxed (RMO) machine, find a **minimal set of fence
-placements** whose insertion restores a stronger *target* model's
-outcomes (SC, or TSO), in the style of Alglave et al.'s "Don't sit on
+Given a fence-free (or under-fenced) litmus program running on the
+relaxed (RMO) machine, find a **minimal set of fence placements** whose
+insertion restores a stronger *target* model's outcomes (SC, or TSO), in the style of Alglave et al.'s "Don't sit on
 the fence" -- fence selection as minimal-set search against a
 memory-model oracle.  The search is the shared delta-debugging engine
 (:func:`repro.verification.minimize.minimize`) run *upward*: start from

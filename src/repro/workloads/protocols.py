@@ -1,10 +1,10 @@
 """Distributed-protocol workloads: election, gossip, replicated log.
 
-The chaos-layer counterpart of the microbenchmark suite (ROADMAP item
-6): protocol skeletons that are *supposed* to survive node faults,
-written against the ``emit_*`` primitives so they stress atomics
-(TAS/CAS/fetch-add), fences, and the store buffer in patterns the
-lock/barrier workloads cannot.  Each factory pairs its programs with a
+The chaos-layer counterpart of the microbenchmark suite: protocol
+skeletons that are *supposed* to survive node faults, written against
+the ``emit_*`` primitives so they stress atomics (TAS/CAS/fetch-add),
+fences, and the store buffer in patterns the lock/barrier workloads
+cannot.  Each factory pairs its programs with a
 safety checker from :mod:`repro.verification.protocols` via the
 workload's ``validate`` hook, and exposes the checker plus its layout
 binding as ``workload.checker`` / ``workload.protocol_params`` so tests

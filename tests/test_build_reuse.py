@@ -2,11 +2,12 @@
 
 Within a process, litmus compiles, fuzz configs, each program's decode
 data and each component's stat names are built once and shared by
-every case that needs them; every case still builds its own
-``System``.  These tests check that sharing them is invisible: a case
-gives the same result whether its build products are warm or freshly
-built, whatever ran before it, and whether its cores run one
-``Program`` object or equal copies.
+every case that needs them.  A case builds its own ``System`` unless
+its TSO/RMO twin's finished run is held for it
+(``tests/test_fuzz_twins.py``).  These tests check that sharing them is
+invisible: a case gives the same result whether its build products are
+warm or freshly built, whatever ran before it, and whether its cores
+run one ``Program`` object or equal copies.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ def clear_build_memos() -> None:
     """Forget every build product a process shares between cases."""
     randmix._compile_litmus.cache_clear()
     fuzz.fuzz_config.cache_clear()
+    fuzz._twins.clear()
     for module in (core_module, l1_module, invisifence_module):
         module._stat_names.cache_clear()
 
@@ -48,6 +50,8 @@ def clear_build_memos() -> None:
 def test_sample_spans_the_golden_grid():
     labels = [label for label, _ in _SAMPLE]
     assert {label.split("/")[0] for label in labels} == {"p0", "p1", "p2", "p3"}
+    assert [labels[i].split("/")[1] for i in (0, 1, 4, 7)] == [
+        "sc", "sc", "tso", "rmo"]
     assert any(label.endswith("/clean") for label in labels)
     assert any(label.endswith("/drop-retry") for label in labels)
 
@@ -64,23 +68,35 @@ def test_warm_build_products_give_fresh_build_results():
 
 
 def test_results_do_not_depend_on_case_order():
+    # Each pass simulates every case: no run is held over from before.
+    fuzz._twins.clear()
     forward = {label: observe(case) for label, case in _SAMPLE}
+    fuzz._twins.clear()
     backward = {label: observe(case) for label, case in reversed(_SAMPLE)}
     assert forward == backward
 
 
-@pytest.mark.parametrize("index", [0, 1])
+_TWIN_MODEL = {fuzz.ConsistencyModel.TSO: fuzz.ConsistencyModel.RMO,
+               fuzz.ConsistencyModel.RMO: fuzz.ConsistencyModel.TSO}
+
+
+@pytest.mark.parametrize("index", [0, 1, 4, 7])
 def test_injected_defects_do_not_outlive_their_case(index):
     # A run whose machine is patched must leave nothing behind in what
-    # the next case of the same program reuses.
+    # the next case of the same program reuses, nor be handed to its
+    # clean twin: the RMO case of a TSO one (and back), or the SC case
+    # itself.
     label, case = _SAMPLE[index]
+    twin = replace(case, model=_TWIN_MODEL.get(case.model, case.model))
     before = observe(case)
     altered = False
     for inject in fuzz.INJECTIONS:
+        fuzz._twins.clear()  # hold no clean run of this machine
         try:
             altered |= observe(replace(case, inject=inject)) != before
         except ConsistencyViolation:
             altered = True
+        assert observe(twin) == before
     assert altered  # the defects really changed these runs
     assert observe(case) == before == golden_points()[label]
 

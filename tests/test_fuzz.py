@@ -26,6 +26,7 @@ from repro.verification.fuzz import (
 
 SC = ConsistencyModel.SC
 TSO = ConsistencyModel.TSO
+RMO = ConsistencyModel.RMO
 
 
 class TestLitmusIR:
@@ -84,6 +85,21 @@ class TestInjection:
                             models=[TSO], inject="stale-forward")
         assert report.failures, "injected forwarding bug was not caught"
         assert "stale" in report.failures[0].message
+
+    @pytest.mark.parametrize("models", [[RMO], [TSO, RMO]],
+                             ids=["rmo-alone", "rmo-after-tso"])
+    def test_stale_forward_caught_under_rmo(self, models):
+        # RMO runs TSO's machine: alone each RMO case simulates, after
+        # TSO it takes its twin's run; either way it carries the defect.
+        report = fuzz_sweep(n_programs=20, seed=2, ops_per_thread=10,
+                            models=models, inject="stale-forward",
+                            shrink=False, stop_after=None)
+        caught = {model: {(f.case.threads, f.case.spec, f.case.skews)
+                          for f in report.failures if f.case.model is model}
+                  for model in models}
+        assert caught[RMO], "injected forwarding bug was not caught"
+        assert all("stale" in f.message for f in report.failures)
+        assert all(found == caught[RMO] for found in caught.values())
 
     def test_unknown_injection_rejected(self):
         case = FuzzCase(threads=((MemOp("load", addr=litmus_addr(0)),),),

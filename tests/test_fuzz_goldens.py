@@ -15,7 +15,9 @@ benchmark's ``verify-campaign`` workload, recorded on the commit its
   first skew only) with superblock fusion off -- 18 cases.
 
 Every case runs through :func:`repro.verification.fuzz.execute_case`,
-so it is also checked against its own model's axioms.
+so it is also checked against its own model's axioms.  Run in order,
+each RMO case takes its TSO twin's finished run;
+``tests/test_fuzz_twins.py`` runs them fresh.
 
 Regenerate (only for an intended change of the simulated machine) with
 ``PYTHONPATH=src python -m tests.test_fuzz_goldens --record "<source>"``.
