@@ -57,6 +57,7 @@ from repro.consistency import canonical_model
 from repro.faults.nodeplan import NodeFaultPlan
 from repro.faults.plan import FaultPlan
 from repro.faults.watchdog import Watchdog
+from repro.isa.program import Program
 from repro.sim.config import SystemConfig
 from repro.system import System, SystemResult
 from repro.workloads.base import Workload
@@ -90,6 +91,15 @@ class RunSpec:
                                  self.node_plan)
 
 
+def _program_digest(program: Program) -> bytes:
+    """The sha256 digest of a program's *assembled* instruction stream."""
+    hasher = hashlib.sha256()
+    for instr in program.instructions:
+        hasher.update(repr(instr).encode())
+        hasher.update(b";")
+    return hasher.digest()
+
+
 def point_fingerprint(config: SystemConfig, workload: Workload,
                       fault_plan: Optional[FaultPlan] = None,
                       node_plan: Optional[NodeFaultPlan] = None) -> str:
@@ -98,17 +108,22 @@ def point_fingerprint(config: SystemConfig, workload: Workload,
 
     Hashes the configuration (frozen dataclasses with deterministic
     ``repr``) with its consistency model replaced by the model's
-    :func:`~repro.consistency.canonical_model`, and the *assembled*
-    instruction streams plus initial memory.  The core reads its model
-    only through its policy, so an RMO point builds the same machine as
-    its TSO twin and shares its key; SC and TSO configs hash exactly as
-    before.  Symbolic label names are excluded -- they contain a
-    process-global uniquifying counter, so two builds of the same
-    workload factory would otherwise never match -- while branch targets
-    are already resolved to instruction indices and are covered.  An
-    active fault plan is part of the point's identity; ``None`` hashes
-    exactly as before the fault subsystem existed, so historical
-    fingerprints (and the golden files built on them) are unchanged.
+    :func:`~repro.consistency.canonical_model`, the digest of each
+    program's *assembled* instruction stream, and the initial memory.
+    The core reads its model only through its policy, so an RMO point
+    builds the same machine as its TSO twin and shares its key.
+    Symbolic label names are excluded -- they contain a process-global
+    uniquifying counter, so two builds of the same workload factory
+    would otherwise never match -- while branch targets are already
+    resolved to instruction indices and are covered.  An active fault
+    plan is part of the point's identity.
+
+    Each program's digest is computed once per program object and
+    cached on it (:meth:`~repro.isa.program.Program.derived`), so the
+    points of a plan that share programs hash each one once.  Key
+    *values* may change between versions of this module -- the result
+    store files records under the simulator's source digest, so no
+    store outlives them -- but which points share a key may not.
     """
     canonical = canonical_model(config.core.consistency)
     if canonical is not config.core.consistency:
@@ -119,9 +134,7 @@ def point_fingerprint(config: SystemConfig, workload: Workload,
     hasher.update(workload.name.encode())
     for program in workload.programs:
         hasher.update(b"\x00prog\x00")
-        for instr in program.instructions:
-            hasher.update(repr(instr).encode())
-            hasher.update(b";")
+        hasher.update(program.derived("point_digest", _program_digest))
     for addr in sorted(workload.initial_memory):
         hasher.update(f"\x00{addr}={workload.initial_memory[addr]}".encode())
     if fault_plan is not None:
@@ -566,9 +579,14 @@ class SweepScheduler:
     # ---------------------------------------------------------------- grid
 
     def add(self, exp_id: str, specs: List[RunSpec]) -> None:
-        """Register one experiment's run grid (labels unique per grid)."""
-        grid = self._grids.setdefault(exp_id, [])
-        seen_labels = {s.label for _, s in grid}
+        """Register one experiment's run grid (labels unique per grid).
+
+        All or nothing: every spec is checked and fingerprinted before
+        any is registered, so a grid that raises ``ValueError`` leaves
+        the scheduler as it was.
+        """
+        seen_labels = {s.label for _, s in self._grids.get(exp_id, ())}
+        keyed = []
         for spec in specs:
             if spec.label in seen_labels:
                 raise ValueError(
@@ -579,12 +597,13 @@ class SweepScheduler:
                     f"{exp_id}/{spec.label}: workload {spec.workload.name!r} "
                     f"has {len(spec.workload.programs)} threads but config "
                     f"has {spec.config.n_cores} cores")
-            fp = spec.fingerprint()
+            keyed.append((spec.fingerprint(), spec))
+        for fp, spec in keyed:
             if fp in self._points:
                 self.duplicate_hits += 1
             else:
                 self._points[fp] = spec
-            grid.append((fp, spec))
+        self._grids.setdefault(exp_id, []).extend(keyed)
 
     @property
     def unique_points(self) -> int:

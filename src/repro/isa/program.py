@@ -53,7 +53,8 @@ class Program:
 
         The one rule for data derived from a program's text (the
         interpreter's dispatch pairs, superblock spans, the timing
-        core's decode plan): it is cached on the program under ``key``,
+        core's decode plan, the sweep's point digest): it is cached on
+        the program under ``key``,
         stamped with the ``instructions`` tuple it was derived from.
         Replacing the tuple -- the only way to mutate a frozen
         ``Program``, via ``object.__setattr__`` -- invalidates every

@@ -16,7 +16,9 @@ comm./sync --                     ``producer-consumer`` (fence-bound)
 
 from __future__ import annotations
 
-from typing import Dict
+from dataclasses import replace
+from functools import lru_cache
+from typing import Dict, Tuple
 
 from repro.workloads import barriers, locks, producer_consumer, streaming
 from repro.workloads.base import Workload
@@ -34,17 +36,38 @@ SUITE_NAMES = (
 )
 
 
+#: Built suites kept by :func:`standard_suite`.  A full
+#: ``run_experiments.py`` run plans four distinct ``(n_cores, scale)``
+#: pairs, and ``--quick`` two more.
+SUITE_MEMO_SIZE = 8
+
+
 def standard_suite(n_cores: int, scale: float = 1.0) -> Dict[str, Workload]:
     """Build the benchmark suite for ``n_cores`` threads.
 
     ``scale`` multiplies the per-thread work (1.0 is the default used in
     EXPERIMENTS.md; tests use smaller scales for speed).
+
+    Suites are memoized per process (an LRU of :data:`SUITE_MEMO_SIZE`
+    entries keyed by ``(n_cores, scale)``): every call returns a new
+    dict of new :class:`Workload` shells, each with its own
+    ``programs`` list and ``initial_memory`` dict, but repeated calls
+    share the same frozen :class:`~repro.isa.program.Program` objects
+    and ``validate`` closures, and with them each program's derived
+    data (see :meth:`~repro.isa.program.Program.derived`).
     """
     if n_cores < 2:
         raise ValueError("the suite needs at least 2 cores")
     if n_cores % 2 != 0:
         raise ValueError("producer-consumer pairs need an even core count")
+    return {name: replace(workload, programs=list(workload.programs),
+                          initial_memory=dict(workload.initial_memory))
+            for name, workload in zip(SUITE_NAMES,
+                                      _build_suite(n_cores, scale))}
 
+
+@lru_cache(maxsize=SUITE_MEMO_SIZE)
+def _build_suite(n_cores: int, scale: float) -> Tuple[Workload, ...]:
     def n(base: int) -> int:
         return max(2, int(base * scale))
 
@@ -70,7 +93,7 @@ def standard_suite(n_cores: int, scale: float = 1.0) -> Dict[str, Workload]:
             n_pairs=n_cores // 2, rounds=n(8), payload_words=8),
     }
     assert tuple(suite) == SUITE_NAMES
-    return suite
+    return tuple(suite.values())
 
 
 #: Workload classes for grouping in reports.

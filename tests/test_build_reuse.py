@@ -1,13 +1,15 @@
-"""A leak oracle for the build products fuzz campaigns share.
+"""A leak oracle for the build products fuzz campaigns and sweep plans
+share.
 
-Within a process, litmus compiles, fuzz configs, each program's decode
-data and each component's stat names are built once and shared by
-every case that needs them.  A case builds its own ``System`` unless
-its TSO/RMO twin's finished run is held for it
-(``tests/test_fuzz_twins.py``).  These tests check that sharing them is
-invisible: a case gives the same result whether its build products are
-warm or freshly built, whatever ran before it, and whether its cores
-run one ``Program`` object or equal copies.
+Within a process, litmus compiles, fuzz configs, standard suites, each
+program's decode data and point digest, and each component's stat names
+are built once and shared by every case or plan that needs them.  A
+case builds its own ``System`` unless its TSO/RMO twin's finished run
+is held for it (``tests/test_fuzz_twins.py``).  These tests check that
+sharing them is invisible: a case gives the same result whether its
+build products are warm or freshly built, whatever ran before it, and
+whether its cores run one ``Program`` object or equal copies; and a
+plan mutated after planning changes no later plan.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ import repro.coherence.l1 as l1_module
 import repro.core.invisifence as invisifence_module
 import repro.cpu.core as core_module
 import repro.workloads.randmix as randmix
-from repro.harness.parallel import result_fingerprint
+import repro.workloads.suite as suite_module
+from repro.harness.experiments import e1_plan, e2_plan
+from repro.harness.parallel import SweepScheduler, result_fingerprint
 from repro.isa import Assembler
 from repro.isa.interpreter import ReferenceInterpreter
 from repro.sim.config import SpeculationConfig, SpeculationMode
@@ -41,6 +45,7 @@ _SAMPLE = fuzz_golden_cases()[::5]
 def clear_build_memos() -> None:
     """Forget every build product a process shares between cases."""
     randmix._compile_litmus.cache_clear()
+    suite_module._build_suite.cache_clear()
     fuzz.fuzz_config.cache_clear()
     fuzz._twins.clear()
     for module in (core_module, l1_module, invisifence_module):
@@ -191,3 +196,109 @@ def test_decoded_programs_pickle_like_fresh_ones():
         assert program.__dict__.get("_derived")  # decode data is cached
         assert pickle.dumps(program) == data
         assert pickle.loads(data) == program
+
+
+# ------------------------------------------------------------------ plans
+
+def _reject(result) -> None:
+    raise AssertionError("a replaced validate")
+
+
+#: Ways a caller can change a workload after planning.
+_PLAN_MUTATIONS = {
+    "append-program": lambda w: w.programs.append(w.programs[0]),
+    "write-memory": lambda w: w.initial_memory.__setitem__(0x1_0000, 7),
+    "reassign-memory": lambda w: setattr(w, "initial_memory", {0x1_0000: 7}),
+    "reassign-validate": lambda w: setattr(w, "validate", _reject),
+}
+
+
+def _workload_view(workload) -> tuple:
+    """Everything of a workload that a point runs or checks with."""
+    return (workload.name, tuple(map(id, workload.programs)),
+            sorted(workload.initial_memory.items()), workload.validate)
+
+
+def _plan_view(specs) -> list:
+    return [(spec.label, spec.fingerprint(), _workload_view(spec.workload))
+            for spec in specs]
+
+
+def _mutate_plan(specs, mutate) -> None:
+    for workload in {id(s.workload): s.workload for s in specs}.values():
+        mutate(workload)
+
+
+@pytest.mark.parametrize("mutation", sorted(_PLAN_MUTATIONS))
+def test_a_mutated_suite_does_not_reach_a_later_call(mutation):
+    clear_build_memos()
+    first = standard_suite(2, 0.1)
+    before = {name: _workload_view(w) for name, w in first.items()}
+    for workload in first.values():
+        _PLAN_MUTATIONS[mutation](workload)
+    assert {name: _workload_view(w) for name, w in first.items()} != before
+    again = standard_suite(2, 0.1)
+    assert {name: _workload_view(w) for name, w in again.items()} == before
+    assert all(again[name] is not first[name] for name in first)
+
+
+@pytest.mark.parametrize("mutation", sorted(_PLAN_MUTATIONS))
+def test_a_mutated_plan_does_not_reach_another_experiments_plan(mutation):
+    clear_build_memos()
+    expected = _plan_view(e2_plan(n_cores=2, scale=0.1))
+    e1 = e1_plan(n_cores=2, scale=0.1)
+    before = _plan_view(e1)
+    _mutate_plan(e1, _PLAN_MUTATIONS[mutation])
+    assert _plan_view(e1) != before
+    assert _plan_view(e2_plan(n_cores=2, scale=0.1)) == expected
+    assert _plan_view(e1_plan(n_cores=2, scale=0.1)) == before
+
+
+def _sweep_fingerprints(exp_id, specs) -> dict:
+    scheduler = SweepScheduler(jobs=1)
+    scheduler.add(exp_id, specs)
+    scheduler.run()
+    return {f"{exp_id}/{label}": result_fingerprint(result)
+            for label, result in scheduler.results_for(exp_id).items()}
+
+
+def test_warm_suite_memo_gives_fresh_build_results():
+    # Cold: each plan builds its own suite, as every plan did before
+    # suites were shared.  Warm: both plans reuse the suite, and its
+    # programs' decode data, from the cold pass.
+    cold = {}
+    for exp_id, plan in (("E1", e1_plan), ("E2", e2_plan)):
+        clear_build_memos()
+        cold.update(_sweep_fingerprints(exp_id, plan(n_cores=2, scale=0.1)))
+    warm = {}
+    for exp_id, plan in (("E1", e1_plan), ("E2", e2_plan)):
+        warm.update(_sweep_fingerprints(exp_id, plan(n_cores=2, scale=0.1)))
+    assert len(warm) == 21 + 42
+    assert warm == cold
+
+
+def test_suites_are_shared_but_every_call_gets_its_own_shells():
+    first = standard_suite(2, 0.1)
+    second = standard_suite(2, scale=0.1)
+    assert first is not second and list(first) == list(second)
+    for name, workload in first.items():
+        other = second[name]
+        assert workload is not other
+        assert workload.programs is not other.programs
+        assert workload.initial_memory is not other.initial_memory
+        assert all(a is b for a, b in zip(workload.programs, other.programs))
+        assert workload.validate is other.validate
+
+
+def test_suite_memo_is_bounded_and_cleared_with_the_others():
+    clear_build_memos()
+    first = standard_suite(2, 0.1)
+    for k in range(1, suite_module.SUITE_MEMO_SIZE + 3):
+        standard_suite(2, 0.1 + k / 100)
+    info = suite_module._build_suite.cache_info()
+    assert info.maxsize == suite_module.SUITE_MEMO_SIZE
+    assert info.currsize == suite_module.SUITE_MEMO_SIZE
+    again = standard_suite(2, 0.1)  # evicted, rebuilt
+    assert again["locks-tas"].programs[0] is not first["locks-tas"].programs[0]
+    clear_build_memos()
+    assert suite_module._build_suite.cache_info().currsize == 0

@@ -3,15 +3,22 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import os
 import pickle
 import re
 import time
+from collections import defaultdict
 from dataclasses import replace
 
 import pytest
 
+import repro.harness.experiments as experiments_module
+import repro.harness.parallel as parallel_module
+import repro.workloads.suite as suite_module
+from repro.consistency import canonical_model
 from repro.faults import PAUSE, FaultPlan, NodeFault, NodeFaultPlan
+from repro.harness import all_experiments
 from repro.harness.experiments import (
     e1_plan,
     e2_build,
@@ -30,7 +37,8 @@ from repro.harness.parallel import (
     result_fingerprint,
     simulate_point,
 )
-from repro.isa.program import Assembler
+from repro.isa.instructions import Instruction, Opcode
+from repro.isa.program import Assembler, Program
 from repro.sim.config import (
     ConsistencyModel,
     InterconnectConfig,
@@ -39,7 +47,9 @@ from repro.sim.config import (
     Topology,
 )
 from repro.system import System
+from repro.workloads import producer_consumer
 from repro.workloads.base import Workload
+from repro.workloads.locks import lock_contention
 from repro.workloads.producer_consumer import pingpong
 from repro.workloads.protocols import gossip
 from repro.workloads.suite import standard_suite
@@ -75,11 +85,13 @@ def _broken_workload() -> Workload:
 def test_fingerprint_stable_across_workload_rebuilds():
     # Factories use a process-global label counter, so two builds of the
     # same workload differ in label *names*; the fingerprint must cover
-    # only the resolved instruction streams and match.
+    # only the resolved instruction streams and match.  The builds come
+    # from the factory: two standard_suite calls share their programs.
     config = small_config(2)
-    a = standard_suite(2, 0.1)["locks-ticket"]
-    b = standard_suite(2, 0.1)["locks-ticket"]
-    assert a is not b
+    a, b = (lock_contention(2, increments=3, lock_kind="ticket")
+            for _ in range(2))
+    assert a.programs[0] is not b.programs[0]
+    assert set(a.programs[0].labels) != set(b.programs[0].labels)
     assert point_fingerprint(config, a) == point_fingerprint(config, b)
 
 
@@ -90,6 +102,115 @@ def test_fingerprint_sensitive_to_config_and_workload():
     assert point_fingerprint(config, wl) != point_fingerprint(spec_config, wl)
     other = _trivial_workload(2, name="other")
     assert point_fingerprint(config, wl) != point_fingerprint(config, other)
+
+
+def test_replacing_a_programs_instructions_changes_its_points_keys():
+    config = small_config(2)
+    wl = _trivial_workload(2)
+    before = point_fingerprint(config, wl)  # caches each program's digest
+    program = wl.programs[1]
+    object.__setattr__(program, "instructions",
+                       (Instruction(Opcode.NOP),) + program.instructions)
+    after = point_fingerprint(config, wl)
+    assert after != before
+    fresh = Workload(wl.name, [Program(p.name, p.instructions, dict(p.labels))
+                               for p in wl.programs])
+    assert point_fingerprint(config, fresh) == after
+
+
+#: E1-E10 at test scale: each experiment's plan keyword arguments.
+_TEST_SCALE = {
+    "E1": dict(n_cores=2, scale=0.1),
+    "E2": dict(n_cores=2, scale=0.1),
+    "E3": dict(n_cores=2, scale=0.1),
+    "E4": dict(n_cores=2),
+    "E5": dict(n_cores=2),
+    "E6": dict(n_cores=2, scale=0.1),
+    "E7": dict(scale=0.1, core_counts=(2, 4)),
+    "E8": dict(n_cores=2, scale=0.1),
+    "E9": dict(core_counts=(2, 4), scale=0.1),
+    "E10": {},
+}
+
+
+def _reference_key(spec: RunSpec) -> str:
+    """The machine a spec builds, hashed the long way: the config with
+    its canonical model, then every instruction's ``repr`` of every
+    program, streamed, then memory and plans."""
+    config = spec.config.with_consistency(
+        canonical_model(spec.config.core.consistency))
+    hasher = hashlib.sha256(repr(config).encode())
+    hasher.update(f"|{spec.workload.name}".encode())
+    for program in spec.workload.programs:
+        hasher.update(b"|program|")
+        for instr in program.instructions:
+            hasher.update(f"{instr!r};".encode())
+    hasher.update(repr(sorted(spec.workload.initial_memory.items())).encode())
+    hasher.update(repr((spec.fault_plan, spec.node_plan)).encode())
+    return hasher.hexdigest()
+
+
+def _classes(keys: dict) -> set:
+    """The partition of ``keys``' names into groups of equal keys."""
+    groups = defaultdict(set)
+    for name, key in keys.items():
+        groups[key].add(name)
+    return {frozenset(group) for group in groups.values()}
+
+
+def test_points_dedup_into_the_classes_of_a_streamed_reference_hash():
+    registry = all_experiments()
+    specs = {f"{exp_id}/{spec.label}": spec
+             for exp_id, kwargs in _TEST_SCALE.items()
+             for spec in registry[exp_id].plan(**kwargs)}
+    # E1 again, with programs that differ from E1's only in operands (loop
+    # counts): a key that lost operands would merge the two.
+    specs.update((f"E1-0.2/{spec.label}", spec)
+                 for spec in e1_plan(n_cores=2, scale=0.2))
+    classes = _classes({name: spec.fingerprint()
+                        for name, spec in specs.items()})
+    assert classes == _classes({name: _reference_key(spec)
+                                for name, spec in specs.items()})
+    by_name = {name: group for group in classes for name in group}
+    # Twins and cross-experiment repeats share a point; SC does not.
+    assert {"E1/locks-tas|tso", "E1/locks-tas|rmo", "E2/locks-tas|base-tso",
+            "E2/locks-tas|base-rmo"} <= by_name["E1/locks-tas|tso"]
+    assert "E1/locks-tas|sc" not in by_name["E1/locks-tas|tso"]
+    assert "E1-0.2/locks-tas|tso" not in by_name["E1/locks-tas|tso"]
+    assert len(classes) < len(specs)
+
+
+def test_planning_builds_each_suite_once_and_digests_each_program_once(
+        monkeypatch):
+    """Counts, not timings: planning E1-E10 at default scale calls
+    ``standard_suite`` 12 times for 4 distinct suites, and hashes each
+    distinct ``Program`` object once over 153 point fingerprints."""
+    suite_module._build_suite.cache_clear()
+    calls, builds, digested = [], [], []
+
+    def wrap(module, name, log):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            log.append(args + tuple(kwargs.values()))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    wrap(experiments_module, "standard_suite", calls)
+    wrap(producer_consumer, "pingpong", builds)  # once per suite built
+    wrap(parallel_module, "_program_digest", digested)
+    registry = all_experiments()
+    scheduler = SweepScheduler(jobs=2)
+    programs = {}
+    for index in range(1, 11):
+        specs = registry[f"E{index}"].plan()
+        scheduler.add(f"E{index}", specs)
+        programs.update((id(program), program) for spec in specs
+                        for program in spec.workload.programs)
+    assert (scheduler.unique_points, scheduler.duplicate_hits) == (94, 59)
+    assert len(calls) == 12 and len(set(calls)) == len(builds) == 4
+    assert len(builds) <= suite_module.SUITE_MEMO_SIZE
+    assert sorted(id(program) for (program,) in digested) == sorted(programs)
 
 
 # -------------------------------------------------- serial == parallel
@@ -258,6 +379,28 @@ def test_thread_count_mismatch_rejected():
     with pytest.raises(ValueError, match="2 threads"):
         scheduler.add("g", [RunSpec("p", small_config(1),
                                     _trivial_workload(2))])
+
+
+def test_a_rejected_grid_registers_none_of_its_specs():
+    scheduler = SweepScheduler(jobs=1)
+    wl = _trivial_workload(2)
+    first = RunSpec("a", small_config(2), wl)
+    repeat = RunSpec("a", small_config(2).with_speculation(
+        SpeculationMode.ON_DEMAND), wl)
+    wrong_cores = RunSpec("b", small_config(4), wl)
+    for bad in (repeat, wrong_cores):
+        with pytest.raises(ValueError):
+            scheduler.add("X", [first, bad])
+    assert (scheduler.unique_points, scheduler.duplicate_hits) == (0, 0)
+    with pytest.raises(KeyError):
+        scheduler.results_for("X")
+    scheduler.add("Y", [RunSpec("y", small_config(2), wl)])
+    with pytest.raises(ValueError, match="duplicate label"):
+        scheduler.add("Y", [RunSpec("z", small_config(1),
+                                    _trivial_workload()),
+                            RunSpec("y", small_config(2), wl)])
+    assert scheduler.run().unique_points == 1
+    assert list(scheduler.results_for("Y")) == ["y"]
 
 
 # ------------------------------------------------------------ failure paths
