@@ -127,6 +127,14 @@ class Directory:
         self._retry_plan = None
         self._seen_uids: Optional[Set[int]] = None
 
+    def disconnect(self) -> None:
+        """Drop the handler tables and a hardened ``receive``, all bound
+        to this directory (see ``System.run``).  The backing store and
+        the block entries stay readable."""
+        self._receive_handlers.clear()
+        self._process_handlers.clear()
+        self.__dict__.pop("receive", None)
+
     # ------------------------------------------------------------- storage
 
     @property

@@ -240,6 +240,25 @@ class L1Cache:
         self._read_callback: Optional[Callable[[int], None]] = None
         self._start_read_h = self._start_read
 
+    def disconnect(self) -> None:
+        """Drop every callback this L1 holds (see ``System.run``).
+
+        Its own bound methods (the handler table, the cached start
+        handlers), the core's violation and read callbacks, the
+        recorder's listeners, and instance overrides of its methods:
+        fault hardening's ``receive`` and ``_miss``, the recorder's
+        ``commit_speculation`` and ``rollback_speculation``.  The cache
+        array and the counters stay readable.
+        """
+        self._receive_handlers.clear()
+        del self._start_h, self._start_read_h
+        self._read_callback = self.violation_listener = None
+        self.access_listener = self.forward_listener = None
+        self.fence_listener = None
+        for name in ("receive", "_miss", "commit_speculation",
+                     "rollback_speculation"):
+            self.__dict__.pop(name, None)
+
     # ------------------------------------------------------------ core API
 
     def read(self, addr: int, callback: Callable[[int], None],

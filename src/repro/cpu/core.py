@@ -238,6 +238,20 @@ class Core:
             # handler directly (see _finish_direct and _make_alu).
             self._finish = self._finish_direct  # type: ignore[method-assign]
 
+    def disconnect(self) -> None:
+        """Drop every callback that leads back to this core (see
+        ``System.run``): the decoded slots and prebuilt entries, whose
+        closures capture the core; the bound-method caches; the halt
+        callback into the system; and a crashed core's ``_maybe_drain``
+        override.  Registers, counters and the store buffer stay
+        readable."""
+        self._decoded.clear()
+        self._entries.clear()
+        for name in ("_finish", "_load_done_h", "_rmw_done_h",
+                     "_drain_done_h", "_load_hit_h", "_maybe_drain"):
+            self.__dict__.pop(name, None)
+        self.on_halt = None
+
     # -------------------------------------------------------------- decode
 
     def _decode_program(self, program: Program) -> List[Tuple[Callable, Instruction]]:
@@ -1493,10 +1507,11 @@ def _make_superblock(core: Core, span: SuperblockSpan, relay: tuple,
     source = (f"def _superblock(instr, {params}):\n"
               + "\n".join(lines) + "\n")
     # The code object is shared; exec-ing it into this core's own
-    # namespace binds every default to this core.
+    # namespace binds every default to this core.  Popped, not read:
+    # left in its own globals, the function would be a reference cycle.
     namespace = dict(bindings)
     exec(_compile_superblock(source, start), namespace)
-    return namespace["_superblock"]
+    return namespace.pop("_superblock")
 
 
 @lru_cache(maxsize=256)

@@ -89,6 +89,11 @@ class FaultInjector:
         self._endpoints[node_id] = endpoint
         self.inner.attach(node_id, endpoint)
 
+    def disconnect(self) -> None:
+        """Drop both layers' endpoint maps (see ``System.run``)."""
+        self._endpoints.clear()
+        self.inner.disconnect()
+
     def send(self, src: int, dst: int, msg: Any) -> None:
         plan = self.plan
         rng = self._rng

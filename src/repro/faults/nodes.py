@@ -52,6 +52,10 @@ class NodeFaultController:
         self.stat_pauses = stats.counter("nodefaults.pauses")
         self.stat_resumes = stats.counter("nodefaults.resumes")
 
+    def disconnect(self) -> None:
+        """Drop the crash callback into the system (see ``System.run``)."""
+        self.on_crash = None
+
     def start(self) -> None:
         """Schedule every planned fault.  Call before the cores start."""
         for fault in self.plan.faults:

@@ -775,11 +775,17 @@ class SweepScheduler:
         """Label -> result mapping for one registered experiment; each
         result carries its label's own config.
 
-        Raises :class:`SweepError` if any of the experiment's points was
-        excluded by the resilience policy -- a table silently built from
-        a partial grid would be worse than no table.
+        Raises :class:`SweepError` if ``exp_id`` was never added (a
+        rejected :meth:`add` adds nothing), or if any of the
+        experiment's points was excluded by the resilience policy -- a
+        table silently built from a partial grid would be worse than no
+        table.
         """
-        grid = self._grids[exp_id]
+        grid = self._grids.get(exp_id)
+        if grid is None:
+            raise SweepError(
+                f"no experiment {exp_id!r} was added; added: "
+                f"{sorted(self._grids) or 'none'}")
         dropped = [(spec.label, self.excluded[fp]) for fp, spec in grid
                    if fp in self.excluded and fp not in self._results]
         if dropped:

@@ -59,6 +59,12 @@ class Crossbar:
         self._endpoints[node_id] = endpoint
         self._port_free_at[node_id] = 0
 
+    def disconnect(self) -> None:
+        """Drop the endpoint map and the cached delivery handler, each a
+        path back to this crossbar (see ``System.run``)."""
+        self._endpoints.clear()
+        del self._deliver_h
+
     def send(self, src: int, dst: int, msg: Any) -> None:
         """Inject ``msg`` from ``src``; deliver to ``dst`` after transit.
 

@@ -104,6 +104,12 @@ class Mesh:
             raise ValueError(f"node id {node_id} already attached")
         self._endpoints[node_id] = endpoint
 
+    def disconnect(self) -> None:
+        """Drop the endpoint map and the hop closure, each a path back to
+        this mesh (see ``System.run``)."""
+        self._endpoints.clear()
+        del self._hop
+
     def coordinates(self, node_id: int) -> Tuple[int, int]:
         return self._coords[node_id]
 

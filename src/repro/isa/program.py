@@ -16,7 +16,8 @@ one method per opcode plus symbolic labels::
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Tuple, TypeVar
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Tuple, TypeVar
 
 from repro.isa.instructions import FenceKind, Instruction, Opcode, WORD_BYTES
 
@@ -37,7 +38,14 @@ class Program:
 
     name: str
     instructions: Tuple[Instruction, ...]
-    labels: Dict[str, int] = field(default_factory=dict)
+    #: label -> instruction index, read-only: one program object is
+    #: shared by every plan that takes it from a memo (the standard
+    #: suite, litmus compiles), so an edit would reach them all.
+    labels: Mapping[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "labels",
+                           MappingProxyType(dict(self.labels)))
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -82,10 +90,17 @@ class Program:
     def __getstate__(self) -> dict:
         # A decoded program pickles (and copies) exactly like a fresh
         # one: derived entries are rebuilt where they are used, and some
-        # hold functions that cannot be pickled at all.
+        # hold functions that cannot be pickled at all.  The labels
+        # travel as a plain dict (a mapping proxy cannot be pickled) and
+        # come back read-only.
         state = dict(self.__dict__)
         state.pop(_DERIVED, None)
+        state["labels"] = dict(self.labels)
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state,
+                             labels=MappingProxyType(dict(state["labels"])))
 
     def listing(self) -> str:
         """Human-readable disassembly with labels."""

@@ -83,6 +83,11 @@ class SystemResult:
     Nothing else refers back to the live :class:`System`, so results
     survive ``pickle``, which lets the parallel sweep runner ship them
     back from worker processes.
+
+    :meth:`System.run` builds its result before it disconnects the
+    machine; a result built later from the same disconnected
+    :class:`System` reads the same values, since everything captured
+    here stays readable after the run.
     """
 
     def __init__(self, system: "System"):
@@ -323,6 +328,17 @@ class System:
         A :class:`System` runs once: a second call raises
         :class:`SimulationError` instead of dispatching more events on a
         finished machine, whose results and registry callers may share.
+
+        A successful run ends disconnected: once the result is built,
+        every component drops the callbacks that wire it to itself and
+        its peers, so the finished machine is freed by reference
+        counting as soon as its last reference goes, not by the cyclic
+        collector.  What the run left stays readable: registers and
+        counters, cache arrays and the directories' backing store,
+        recorder logs, ``sim.now`` and ``events_dispatched`` -- so
+        :class:`SystemResult`, :meth:`read_word`, :meth:`memory_snapshot`
+        and :meth:`check_swmr` read exactly as before.  A run that raises
+        keeps its wiring for diagnosis.
         """
         if self._ran:
             raise SimulationError(
@@ -368,7 +384,23 @@ class System:
             )
         if check_invariants:
             self.check_swmr()
-        return SystemResult(self)
+        result = SystemResult(self)
+        self._disconnect()
+        return result
+
+    def _disconnect(self) -> None:
+        """Unwire a finished machine (see :meth:`run`).
+
+        Each component drops what it holds; the system drops the
+        interconnect ``send`` that :meth:`enable_tracing` installed,
+        whose closure captures the system.
+        """
+        self.net.__dict__.pop("send", None)
+        self.net.disconnect()
+        for component in (*self.cores, *self.l1s, *self.directories):
+            component.disconnect()
+        if self.node_controller is not None:
+            self.node_controller.disconnect()
 
     def enable_tracing(self, limit: int = 10_000):
         """Record every coherence message into a bounded ring buffer.

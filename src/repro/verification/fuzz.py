@@ -165,8 +165,10 @@ def _apply_injection(system: System, inject: str) -> None:
         for core in system.cores:
             sb = core.sb
 
-            def oldest(addr: int, _sb=sb) -> Optional[int]:
-                for entry in _sb:
+            # Over the entry deque, not the buffer: the buffer holding a
+            # closure over itself would be a reference cycle.
+            def oldest(addr: int, _entries=sb._entries) -> Optional[int]:
+                for entry in _entries:
                     if entry.addr == addr:
                         return entry.value
                 return None
@@ -179,9 +181,11 @@ def _apply_injection(system: System, inject: str) -> None:
 
 #: Most finished runs held for a twin at once; the oldest is dropped
 #: first.  A campaign runs a TSO case 6 (``fuzz_sweep``'s defaults) or
-#: 12 (E12, verify-campaign) cases before its RMO twin.  A longer window
-#: keeps machines alive into the collector's oldest generation, which
-#: costs more than the few extra twins it would catch.
+#: 12 (E12, verify-campaign) cases before its RMO twin, so 16 holds every
+#: twin those campaigns pair.  What bounds it is memory: a held run keeps
+#: its whole finished machine (cache arrays, directory store, recorder
+#: log) until its twin takes it or it is pushed out, and reference
+#: counting frees it then (see ``System.run``).
 TWIN_TABLE_SIZE = 16
 
 #: Models whose machine another model builds too (TSO and RMO).

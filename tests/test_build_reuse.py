@@ -254,6 +254,22 @@ def test_a_mutated_plan_does_not_reach_another_experiments_plan(mutation):
     assert _plan_view(e1_plan(n_cores=2, scale=0.1)) == before
 
 
+def test_shared_program_labels_are_read_only():
+    clear_build_memos()
+    program = standard_suite(2, 0.1)["locks-tas"].programs[0]
+    labels, listing = dict(program.labels), program.listing()
+    with pytest.raises(TypeError):
+        program.labels["injected"] = 0
+    again = standard_suite(2, 0.1)["locks-tas"].programs[0]
+    assert again is program
+    assert dict(again.labels) == labels and "injected" not in again.labels
+    assert again.listing() == listing
+    for copied in (pickle.loads(pickle.dumps(program)), replace(program)):
+        assert copied == program and copied.listing() == listing
+        with pytest.raises(TypeError):
+            copied.labels["injected"] = 0
+
+
 def _sweep_fingerprints(exp_id, specs) -> dict:
     scheduler = SweepScheduler(jobs=1)
     scheduler.add(exp_id, specs)

@@ -198,6 +198,9 @@ class ReferenceMesh:
     def attach(self, node_id, endpoint):
         self._endpoints[node_id] = endpoint
 
+    def disconnect(self):
+        self._endpoints.clear()
+
     def _route(self, src, dst):
         (x, y), (dx, dy) = self._coords[src], self._coords[dst]
         path = [(x, y)]

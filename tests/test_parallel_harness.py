@@ -392,7 +392,7 @@ def test_a_rejected_grid_registers_none_of_its_specs():
         with pytest.raises(ValueError):
             scheduler.add("X", [first, bad])
     assert (scheduler.unique_points, scheduler.duplicate_hits) == (0, 0)
-    with pytest.raises(KeyError):
+    with pytest.raises(SweepError, match="no experiment 'X'"):
         scheduler.results_for("X")
     scheduler.add("Y", [RunSpec("y", small_config(2), wl)])
     with pytest.raises(ValueError, match="duplicate label"):
@@ -400,6 +400,24 @@ def test_a_rejected_grid_registers_none_of_its_specs():
                                     _trivial_workload()),
                             RunSpec("y", small_config(2), wl)])
     assert scheduler.run().unique_points == 1
+    assert list(scheduler.results_for("Y")) == ["y"]
+
+
+def test_results_for_an_unknown_experiment_names_the_added_ones():
+    scheduler = SweepScheduler(jobs=1)
+    with pytest.raises(SweepError,
+                       match=r"no experiment 'nope' was added; added: none"):
+        scheduler.results_for("nope")
+    wl = _trivial_workload(2)
+    scheduler.add("Y", [RunSpec("y", small_config(2), wl)])
+    with pytest.raises(ValueError):
+        scheduler.add("X", [RunSpec("x", small_config(4), wl)])
+    scheduler.run()
+    for exp_id in ("nope", "X"):
+        with pytest.raises(SweepError,
+                           match=rf"no experiment '{exp_id}' was added; "
+                                 r"added: \['Y'\]"):
+            scheduler.results_for(exp_id)
     assert list(scheduler.results_for("Y")) == ["y"]
 
 
