@@ -37,21 +37,6 @@ def test_deep_clean_sweep(n_threads):
     assert report.clean, report.failures[0].message
 
 
-@pytest.mark.parametrize("n_threads", [2, 3])
-def test_deep_clean_sweep_superblocks_axis(n_threads):
-    """Trace-compiled execution is invisible to the consistency checker.
-
-    Every case runs twice -- superblocks on and off -- and the whole
-    matrix must stay clean on the faithful machine either way.
-    """
-    report = fuzz_sweep(n_programs=30, seed=4200 + n_threads,
-                        n_threads=n_threads, ops_per_thread=12,
-                        skew_variants=2, stop_after=None,
-                        superblocks_axis=(True, False))
-    assert report.cases_run == 30 * len(ConsistencyModel) * 3 * 2 * 2
-    assert report.clean, report.failures[0].message
-
-
 def test_deep_injection_still_shrinks_small():
     report = fuzz_sweep(n_programs=40, seed=77, ops_per_thread=12,
                         models=[ConsistencyModel.SC],

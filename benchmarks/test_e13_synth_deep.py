@@ -3,10 +3,9 @@ canonical litmus shape and both stronger targets.
 
 The tier-1 suite synthesizes against a trimmed dynamic grid
 (``tests/test_synth.py``); this benchmark runs the full default axes
--- every speculation mode, seeded skew retries, superblock fusion on
-AND off -- and must still recover exactly the known-minimal fence
-sets, across several seeds, with the static oracle never hitting its
-witness cap.  It also regenerates the E13 table and asserts the cycle
+-- every speculation mode and seeded skew retries -- and must still
+recover exactly the known-minimal fence sets, across several seeds,
+with the static oracle never hitting its witness cap.  It also regenerates the E13 table and asserts the cycle
 economics: synthesized StoreLoad fences stall the machine with
 speculation off, on-demand speculation wins the loss back, and the
 directional fences MP/LB need are nearly free.

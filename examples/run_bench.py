@@ -29,11 +29,10 @@ look when chasing an events/sec regression.
 ``--superblock-stats`` also skips the timing bench: it runs every grid
 point once (``--quick``/``--check`` select the grids as usual) and
 prints the trace-compiled-execution coverage per workload -- the
-fraction of dynamic instructions retired inside fused superblocks, the
-mean fused-block length, and how many of the point's superblock spans
-are loop spans (the only ones a core compiles).  Use it to see where
-the fusion detector does and does not engage before reading a BENCH
-delta.
+fraction of dynamic instructions retired inside fused superblocks
+(compiled loop spans, the only spans there are) and the mean
+fused-block length.  Use it to see where the fusion detector does and
+does not engage before reading a BENCH delta.
 """
 
 import sys
@@ -82,19 +81,6 @@ def _profile_point(top_n):
     return 0
 
 
-def _loop_spans(spec):
-    """(loop spans, spans) over a point's programs, from the detector.
-
-    Cores trace-compile only loop spans; the rest run fused but
-    uncompiled (see ``repro.cpu.core._make_fused_span``).
-    """
-    from repro.isa.interpreter import superblock_spans
-
-    spans = [span for program in spec.workload.programs
-             for span in superblock_spans(program)]
-    return sum(span.loops for span in spans), len(spans)
-
-
 def _superblock_stats(grids):
     """Run every grid point once; print per-workload fusion coverage."""
     from repro.system import System
@@ -103,16 +89,14 @@ def _superblock_stats(grids):
     for grid_id, specs in sorted(grids.items()):
         print(f"{grid_id}:")
         print(f"  {'point'.ljust(width)}  coverage  mean-len  "
-              "loop-spans/spans  fused-instr  total-instr")
+              "fused-instr  total-instr")
         for spec in specs:
             result = System(spec.config, spec.workload.programs,
                             spec.workload.initial_memory).run()
             total = result.total_instructions()
-            loops, spans = _loop_spans(spec)
             print(f"  {spec.label.ljust(width)}  "
                   f"{result.fusion_coverage():8.1%}  "
                   f"{result.mean_superblock_length():8.2f}  "
-                  f"{f'{loops}/{spans}':>16}  "
                   f"{result.fused_instructions():11d}  {total:11d}")
     return 0
 
@@ -164,27 +148,18 @@ def main(argv):
         attach_baseline(doc, load_bench(baseline_path))
 
     if check:
-        # The smoke points are ALU-heavy spin workloads: if none of them
-        # retires instructions inside fused superblocks, trace-compiled
-        # execution silently disengaged -- fail the check, don't just
-        # report a slower bench later.
+        # The smoke points are ALU-heavy spin workloads: only compiled
+        # loop spans fuse, so if none of them retires instructions
+        # inside fused superblocks, trace-compiled execution silently
+        # disengaged -- fail the check, don't just report a slower
+        # bench later.
         unfused = [p["label"] for g in doc["grids"].values()
                    for p in g["points"] if not p["fused_instructions"]]
         if unfused:
             print("bench --check: zero superblock fusion coverage on: "
                   + ", ".join(unfused))
             return 1
-        # The uncompiled executor also fuses, so coverage alone cannot
-        # show that the trace compiler still engages: each smoke point
-        # must keep a loop span.
-        uncompiled = [spec.label for specs in grids.values()
-                      for spec in specs if not _loop_spans(spec)[0]]
-        if uncompiled:
-            print("bench --check: no loop span to trace-compile on: "
-                  + ", ".join(uncompiled))
-            return 1
-        print("bench --check: schema ok, fusion coverage nonzero, "
-              "loop spans compiled "
+        print("bench --check: schema ok, fusion coverage nonzero "
               f"({sum(len(g['points']) for g in doc['grids'].values())} "
               "points measured)")
         print(render_bench(doc))

@@ -30,8 +30,6 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from dataclasses import replace  # noqa: E402
-
 from repro.faults import (  # noqa: E402
     CRASH,
     PAUSE,
@@ -82,10 +80,8 @@ def demo_failstop() -> None:
 
 # ------------------------------------------------------------- selftest
 
-def _run_point(workload, node_plan, fault_plan=None, superblocks=True):
+def _run_point(workload, node_plan, fault_plan=None):
     config = SystemConfig(n_cores=len(workload.programs))
-    if not superblocks:
-        config = replace(config, superblocks=False)
     system = System(config, workload.programs, workload.initial_memory,
                     fault_plan=fault_plan, node_plan=node_plan)
     return system.run(watchdog=Watchdog(system))
@@ -121,19 +117,15 @@ def selftest(seed=0) -> int:
     except Exception as exc:  # noqa: BLE001 - any failure fails the gate
         check("E14 grid holds all safety properties", False, str(exc))
 
-    # Determinism: same seed + plans => byte-identical results, with
-    # superblock fusion on or off.
+    # Determinism: same seed + plans => byte-identical results.
     scenarios = node_fault_scenarios(seed=seed, n_cores=4,
                                      window=E14_WINDOW,
                                      pause_cycles=E14_PAUSE_CYCLES)
     workload = leader_election(4)
     link = FaultPlan(seed=seed, drop_prob=0.08)
-    fps = [result_fingerprint(_run_point(workload, scenarios["crash"], link,
-                                         superblocks=sb))
-           for sb in (True, True, False)]
+    fps = [result_fingerprint(_run_point(workload, scenarios["crash"], link))
+           for _ in range(2)]
     check("chaos replay is byte-identical", fps[0] == fps[1])
-    check("superblocks on/off changes nothing observable",
-          fps[0] == fps[2])
 
     # Fault-free invisibility: an inactive plan leaves no trace.
     clean = _run_point(gossip(4), None)

@@ -88,13 +88,22 @@ def main(argv):
     if unknown_flags:
         print(f"unknown flag(s): {' '.join(unknown_flags)}")
         return 1
-    requested = [a.upper() for a in argv]
+    # Each named experiment runs once, in the order first named.
+    requested = list(dict.fromkeys(a.upper() for a in argv))
     registry = dict(all_experiments())
     registry.update(all_ablations())
     targets = requested or list(registry)
     for exp_id in targets:
         if exp_id not in registry:
             print(f"unknown experiment {exp_id}; choose from {list(registry)}")
+            return 1
+
+    if csv_dir is not None:
+        try:
+            os.makedirs(csv_dir, exist_ok=True)
+        except OSError as exc:
+            print(f"--csv {csv_dir}: cannot write CSVs there: "
+                  f"{exc.strerror or exc}")
             return 1
 
     # Phase 1: declare every experiment's grid; the shared scheduler

@@ -6,9 +6,9 @@ passing, load buffering), runs them on the relaxed (RMO) machine, and
 searches the minimal set of fence placements that restores a stronger
 target model (SC or TSO) -- delta-debug style, against a two-layer
 oracle: exhaustive axiomatic witness enumeration plus confirming
-machine sweeps across speculation modes, timing skews and superblock
-fusion.  Then prices the synthesized fences in cycles under each
-speculation mode (the E13 table).
+machine sweeps across speculation modes and timing skews.  Then
+prices the synthesized fences in cycles under each speculation mode
+(the E13 table).
 
 Usage:
     python examples/run_synth.py                     # all shapes, both targets

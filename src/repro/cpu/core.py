@@ -286,37 +286,20 @@ class Core:
         return decoded
 
     def _install_superblocks(self, program: Program) -> None:
-        """Overlay fused closures onto superblock head slots.
+        """Overlay trace-compiled closures onto loop superblock heads.
 
         Only the *head* slot of each span is replaced; interior slots
         keep their per-instruction closures.  For non-speculating cores
         the interiors are unreachable (no slot after the head is a
         branch target); speculation-capable cores execute them when the
         fused closure falls back to per-instruction dispatch during an
-        active episode (see :func:`_make_superblock`).
-
-        Each span's event cadence -- its per-slot deltas and the relay
-        entry that replays them (see :meth:`Simulator.make_relay`) -- is
-        built here, once per core, and handed to whichever executor runs
-        the span.  ``deltas[k]`` is the cycle count between the span's
-        k-th slot's event and its successor's.  The relay's payload is
-        rewritten by every fused dispatch, so it is never shared between
-        cores.  Spans that may run more than once per pass
-        (``span.loops``) are trace-compiled; the rest run at most once,
-        where a ``compile()`` never pays back, so they get the
-        uncompiled :func:`_make_fused_span`.
+        active episode (see :func:`_make_superblock`).  Every slot
+        outside a span -- all of straight-line code -- dispatches one
+        instruction at a time.
         """
-        decoded = self._decoded
-        plan = _decode_plan(program)
-        alu_latency = self._alu_latency
         for span in superblock_spans(program):
-            slots = plan[span.start:span.stop]
-            deltas = [alu_latency if latency is None else latency
-                      for _kind, _fn, latency in slots]
-            relay = Simulator.make_relay(deltas)
-            make = _make_superblock if span.loops else _make_fused_span
-            fused = make(self, span, relay, decoded, slots)
-            decoded[span.start] = (fused, program.instructions[span.start])
+            self._decoded[span.start] = (_make_superblock(self, span),
+                                         program.instructions[span.start])
 
     # ----------------------------------------------------------- lifecycle
 
@@ -1290,8 +1273,7 @@ def _make_load(core: Core, instr: Instruction) -> Callable:
     return exec_load
 
 
-def _make_superblock(core: Core, span: SuperblockSpan, relay: tuple,
-                     decoded: list, slots: tuple) -> Callable:
+def _make_superblock(core: Core, span: SuperblockSpan) -> Callable:
     """Trace-compile one loop superblock span into a single fused closure.
 
     The span's register work is code-generated into straight-line
@@ -1326,17 +1308,20 @@ def _make_superblock(core: Core, span: SuperblockSpan, relay: tuple,
     conservative-window countdown, batch-decremented by the executed
     count -- arithmetically identical to N ``note_instruction`` calls.
 
-    ``relay`` carries the span's cadence, built once by
-    :meth:`Core._install_superblocks` and shared with the uncompiled
-    twin :func:`_make_fused_span`, which runs the spans that execute at
-    most once; ``slots`` is the span's slice of the decode plan.  Every
-    schedule is a raw calendar-bucket append.
+    ``deltas[k]`` is the cycle count between the span's k-th slot's
+    event and its successor's; the relay's payload is rewritten by every
+    fused dispatch, so each core builds its own.  Every schedule is a
+    raw calendar-bucket append.
     """
     instructions = core.program.instructions
     start, stop = span.start, span.stop
     spec = core.spec
+    slots = _decode_plan(core.program)[start:stop]
+    alu_latency = core._alu_latency
+    deltas = [alu_latency if latency is None else latency
+              for _kind, _fn, latency in slots]
+    relay = Simulator.make_relay(deltas)
     payload = relay[1]
-    deltas = payload[0]
 
     M = semantics.WORD_MASK
     S = semantics.SIGN_BIT
@@ -1356,7 +1341,7 @@ def _make_superblock(core: Core, span: SuperblockSpan, relay: tuple,
     }
     if spec is not None:
         bindings["_spec"] = spec
-        bindings["_plain"] = decoded[start][0]
+        bindings["_plain"] = core._decoded[start][0]
         bindings["_step"] = core._step
     else:
         # Successor entries are the core's prebuilt (handler, (instr,))
@@ -1520,86 +1505,6 @@ def _compile_superblock(source: str, start: int):
     cores running the same program, and programs with the same loop
     body, generate the same source."""
     return compile(source, f"<superblock @{start}>", "exec")
-
-
-def _make_fused_span(core: Core, span: SuperblockSpan, relay: tuple,
-                     decoded: list, slots: tuple) -> Callable:
-    """Run one straight-line superblock span fused, without compiling it.
-
-    For spans that run at most once per pass (``not span.loops``),
-    where the ~300 us ``compile()`` of a 25-line span would never pay
-    back.  The closure walks a per-span tuple of ``(evaluator, instr,
-    delta)`` steps through the shared ``repro.isa.semantics`` tables
-    and does exactly what a generated exit of :func:`_make_superblock`
-    does: the same register writes (none for NOP or ``rd == 0``, whose
-    evaluator is None), the same early exit at a taken branch, the same
-    busy, instruction and fusion counts and conservative-window
-    countdown, the same pc, and the same relay chain appended at the
-    same moment.  A speculation-capable core falls back to the head's
-    per-instruction closure while an episode is active.
-    """
-    payload = relay[1]
-    steps = []
-    for (kind, fn, _latency), instr, delta in zip(
-            slots, core.program.instructions[span.start:span.stop],
-            payload[0]):
-        # ALU slots with rd == 0 and NOPs write nothing: no evaluator.
-        evaluate = (fn if kind == _BRANCH_SLOT
-                    or (kind == _ALU_SLOT and instr.rd) else None)
-        steps.append((evaluate, instr, delta))
-
-    def fused_span(instr, _steps=tuple(steps), _stop=span.stop,
-                   _d0=payload[0][0], _r=core.regs._regs,
-                   _busy=core.stat_busy, _icnt=core.stat_instructions,
-                   _core=core, _spec=core.spec, _plain=decoded[span.start][0],
-                   _step=core._step, _entries=core._entries, _sim=core.sim,
-                   _buckets=core.sim._buckets, _times=core.sim._times,
-                   _push=_heappush, _pl=payload, _relay=relay):
-        if _spec is not None and _spec.active:
-            _plain(instr)
-            return
-        n = lat = 0
-        pc = _stop
-        for evaluate, ins, delta in _steps:
-            n += 1
-            lat += delta
-            if ins.target is None:
-                if evaluate is not None:
-                    _r[ins.rd] = evaluate(ins, _r[ins.rs], _r[ins.rt])
-            elif evaluate(ins, _r[ins.rs], _r[ins.rt]):
-                pc = ins.target
-                break
-        _busy.value += lat
-        _icnt.value += n
-        _core.instructions += n
-        _core.fused_instructions += n
-        _core.fused_blocks += 1
-        if _spec is None:
-            item = _entries[pc]
-        else:
-            # Batched note_instruction(): idle episodes only tick the
-            # conservative-window countdown.
-            rem = _spec._conservative_remaining
-            if rem > 0:
-                _spec._conservative_remaining = rem - n if rem > n else 0
-            item = (_step, (_core.epoch,))
-        _core.pc = pc
-        if n > 1:
-            # Elided slots: the relay chain appends the successor.
-            _pl[1] = 1
-            _pl[2] = n
-            _pl[3] = item
-            item = _relay
-        t = _sim._now + _d0
-        b = _buckets.get(t)
-        if b is None:
-            _buckets[t] = [item]
-            _push(_times, t)
-        else:
-            b.append(item)
-        _sim._pending += 1
-
-    return fused_span
 
 
 #: Decode-plan slot kinds (see :func:`_decode_plan`).

@@ -14,7 +14,7 @@ retirement, superblock relays) gate at instruction boundaries.  Cores a
 plan targets are built *without* superblock fusion (see ``System``): a
 fused block executes atomically at its head dispatch, so a fault landing
 mid-block would settle at different instruction boundaries fused vs.
-unfused, breaking the superblocks-on/off determinism proof.  Untargeted
+unfused, breaking the fusion-on/off determinism proof.  Untargeted
 cores keep fusion and the original closures.
 
 Stats counters (created lazily, only when a plan is active, so the

@@ -72,8 +72,8 @@ class BenchPoint:
     cycles_per_sec: float
     fingerprint: str
     #: Dynamic instructions retired inside fused superblocks and the
-    #: number of fused dispatches (trace-compiled execution; zero when
-    #: the point runs with ``superblocks=False`` or nothing fuses).
+    #: number of fused dispatches (trace-compiled loop spans; zero when
+    #: the point's programs have no loop span).
     #: These ride along in the document but are not required keys, so
     #: bench files recorded before fusion existed still validate.
     fused_instructions: int = 0

@@ -170,9 +170,9 @@ def _decode_pairs(program: Program) -> Tuple[Tuple[Callable, Instruction], ...]:
 # ----------------------------------------------------------- superblocks
 #
 # Trace-compilation support: a *superblock* is a maximal straight-line
-# run of pure ALU/NOP instructions (optionally closed by one terminal
-# branch) that a timing core may execute atomically in a single event.
-# The correctness framing is the "instantaneous instruction execution"
+# run of pure ALU/NOP instructions and branches, inside a loop, that a
+# timing core compiles and executes atomically in a single event.  The
+# correctness framing is the "instantaneous instruction execution"
 # argument: register-to-register work never interacts with the memory
 # model, so batching it is invisible as long as loads, stores, RMWs,
 # fences, and HALT remain scheduling boundaries.  Detection is purely
@@ -185,41 +185,23 @@ class SuperblockSpan:
 
     A span holds only *core-private* instructions -- ALU, NOP, and
     branches; loads, stores, atomics, fences, and HALT always break it.
-    ``has_branch`` marks a span containing at least one branch.  A
-    conditional branch inside a span is an early exit: execution leaves
-    the span at its target, having run only the prefix up to and
+    A conditional branch inside a span is an early exit: execution
+    leaves the span at its target, having run only the prefix up to and
     including the branch.  An unconditional JMP ends the span (its
     fall-through is unreachable).  No slot after ``start`` is a branch
     target -- a jump can enter a span only at its head, so executing a
     span's register work atomically at the head preserves every possible
     control-flow path.
-
-    ``loops`` marks a span whose head lies inside some backward branch's
-    range: a branch at slot ``b`` with target ``t <= b`` and
-    ``t <= start <= b``.  Any control-flow cycle through a slot ``s``
-    contains such a branch (pc only falls through upward, so returning
-    to ``s`` needs a jump from at or after ``s`` to at or before it).
-    A span without the flag therefore runs at most once per pass through
-    the program, apart from re-execution after a speculation rollback.
     """
 
-    __slots__ = ("start", "stop", "has_branch", "loops")
+    __slots__ = ("start", "stop")
 
-    def __init__(self, start: int, stop: int, has_branch: bool,
-                 loops: bool):
+    def __init__(self, start: int, stop: int):
         self.start = start
         self.stop = stop
-        self.has_branch = has_branch
-        self.loops = loops
-
-    @property
-    def length(self) -> int:
-        return self.stop - self.start
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        tail = ("+branch" if self.has_branch else "") + (
-            "+loops" if self.loops else "")
-        return f"<SuperblockSpan [{self.start},{self.stop}){tail}>"
+        return f"<SuperblockSpan [{self.start},{self.stop})>"
 
 
 def branch_targets(program: Program) -> FrozenSet[int]:
@@ -246,7 +228,7 @@ def _loop_slots(instructions: Sequence[Instruction]) -> List[bool]:
 
 
 def superblock_spans(program: Program) -> Tuple[SuperblockSpan, ...]:
-    """Detect every superblock in ``program`` (cached on the program).
+    """Detect every loop superblock in ``program`` (cached on the program).
 
     Fusion rules:
 
@@ -263,10 +245,17 @@ def superblock_spans(program: Program) -> Tuple[SuperblockSpan, ...]:
     * spans are at least two instructions long (fusing one instruction
       buys nothing);
     * a span that can fall through never reaches the end of the program
-      text, so the fall-through successor slot always exists.
-
-    Each span also records whether it may run more than once per pass
-    (``loops``, see :class:`SuperblockSpan`).
+      text, so the fall-through successor slot always exists;
+    * only *loop spans* are returned: spans whose head lies inside some
+      backward branch's range, a branch at slot ``b`` with target
+      ``t <= b`` and ``t <= start <= b``.  Any control-flow cycle
+      through a slot ``s`` contains such a branch (pc only falls
+      through upward, so returning to ``s`` needs a jump from at or
+      after ``s`` to at or before it).  Every other span runs at most
+      once per pass through the program, apart from re-execution after
+      a speculation rollback, so compiling it never pays back and its
+      instructions dispatch one by one.  Straight-line code has no
+      spans at all.
 
     Cached on the program (see :meth:`Program.derived`), so a mutated
     or rebuilt program re-detects.
@@ -287,14 +276,12 @@ def _detect_spans(program: Program) -> Tuple[SuperblockSpan, ...]:
             i += 1
             continue
         j = i
-        has_branch = False
         falls_through = True
         while j < n:
             op = instructions[j].op
             if j > i and j in targets:
                 break  # entry point: a jump may land here mid-span
             if op in _BRANCHES:
-                has_branch = True
                 j += 1
                 if op is Opcode.JMP:
                     falls_through = False
@@ -304,8 +291,8 @@ def _detect_spans(program: Program) -> Tuple[SuperblockSpan, ...]:
                 break  # memory / fence / atomic / HALT boundary
             j += 1
         stop = j
-        if stop - i >= 2 and (stop < n or not falls_through):
-            spans.append(SuperblockSpan(i, stop, has_branch, in_loop[i]))
+        if in_loop[i] and stop - i >= 2 and (stop < n or not falls_through):
+            spans.append(SuperblockSpan(i, stop))
         i = max(stop, i + 1)
     return tuple(spans)
 

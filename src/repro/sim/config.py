@@ -224,14 +224,6 @@ class SystemConfig:
     core: CoreConfig = field(default_factory=CoreConfig)
     speculation: SpeculationConfig = field(default_factory=SpeculationConfig)
     seed: int = 1
-    # Trace-compiled execution: at program load each core fuses maximal
-    # straight-line runs of ALU and branch instructions into single
-    # superblock closures that do the span's register work, branch
-    # decisions and pc update in its head event, while relay entries
-    # keep the per-instruction event cadence (see docs/PERF.md).
-    # Semantically invisible -- the golden suites pin every result with
-    # fusion on and off -- and forced off in CONTINUOUS speculation.
-    superblocks: bool = True
     # Number of directory home nodes.  1 keeps the historical single
     # directory at node id n_cores; H > 1 spreads directory state over
     # nodes n_cores..n_cores+H-1 via the consistent-hash home map
@@ -253,10 +245,6 @@ class SystemConfig:
 
     def with_cores(self, n_cores: int) -> "SystemConfig":
         return replace(self, n_cores=n_cores)
-
-    def with_superblocks(self, enabled: bool) -> "SystemConfig":
-        """A copy of this config with superblock fusion on/off."""
-        return replace(self, superblocks=enabled)
 
     def with_homes(self, n_homes: int) -> "SystemConfig":
         """A copy of this config with ``n_homes`` directory home nodes."""

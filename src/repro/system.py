@@ -258,14 +258,13 @@ class System:
             # Targeted cores run per-instruction: a fused superblock
             # executes atomically at its head dispatch, so a fault
             # landing mid-block would settle at different instruction
-            # boundaries fused vs. unfused, breaking the superblocks
-            # on/off determinism guarantee.  Untargeted cores keep
-            # fusion (and their original closures).
+            # boundaries fused vs. unfused, breaking the guarantee that
+            # fusion is invisible.  Untargeted cores keep fusion (and
+            # their original closures).
             core = Core(self.sim, core_id, config.core, config.speculation,
                         program, l1, self.stats, on_halt=self._on_core_halt,
                         commit_arbiter=self.commit_arbiter,
-                        superblocks=config.superblocks
-                        and core_id not in targeted)
+                        superblocks=core_id not in targeted)
             self.l1s.append(l1)
             self.cores.append(core)
 

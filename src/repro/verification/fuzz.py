@@ -113,10 +113,6 @@ class FuzzCase:
     #: cases and reproducers carry it unchanged, so a failure found
     #: under faults is replayed under the same faults
     fault_plan: Optional[FaultPlan] = None
-    #: trace-compiled execution (superblock fusion) knob; True is the
-    #: production default, False pins the per-instruction dispatch so
-    #: the sweep can difference the two
-    superblocks: bool = True
 
     @property
     def n_threads(self) -> int:
@@ -130,7 +126,6 @@ class FuzzCase:
                 f"spec={self.spec.value} threads={self.n_threads} "
                 f"instructions={self.instruction_count()}"
                 + (f" inject={self.inject}" if self.inject else "")
-                + ("" if self.superblocks else " superblocks=off")
                 + (f" faults[{self.fault_plan.describe()}]"
                    if self.fault_plan is not None else ""))
 
@@ -213,8 +208,7 @@ def _simulate(case: FuzzCase, config: SystemConfig
     return system, recorder
 
 
-def _machine(case: FuzzCase, config: SystemConfig
-             ) -> Tuple[System, ExecutionRecorder]:
+def _machine(case: FuzzCase) -> Tuple[System, ExecutionRecorder]:
     """``case``'s finished machine: its twin's, if the twin ran recently.
 
     A case is keyed by the machine it builds: the case with its model
@@ -226,6 +220,7 @@ def _machine(case: FuzzCase, config: SystemConfig
     until the next case with its key, or until
     :data:`TWIN_TABLE_SIZE` later held runs push it out.
     """
+    config = fuzz_config(case.n_threads, case.model, case.spec)
     if case.model not in _TWINNED:
         return _simulate(case, config)
     key = replace(case, model=canonical_model(case.model), seed=0)
@@ -259,10 +254,7 @@ def execute_case(case: FuzzCase) -> Tuple[System, Dict[str, int]]:
     is safe because a :class:`System` runs once and the checker only
     reads the recording.
     """
-    config = fuzz_config(case.n_threads, case.model, case.spec)
-    if not case.superblocks:
-        config = config.with_superblocks(False)
-    system, recorder = _machine(case, config)
+    system, recorder = _machine(case)
     report = check_execution(recorder, model=case.model)
     if report["locations_skipped"] or report.get("ordering_locations_skipped"):
         raise RuntimeError(
@@ -393,7 +385,6 @@ def fuzz_sweep(
     shrink: bool = True,
     stop_after: Optional[int] = 1,
     fault_plans: Sequence[Optional[FaultPlan]] = (None,),
-    superblocks_axis: Sequence[bool] = (True,),
 ) -> FuzzReport:
     """Run the full fuzz matrix: programs x models x specs x skews.
 
@@ -401,9 +392,7 @@ def fuzz_sweep(
     (model, speculation-mode) pair, ``skew_variants`` timing skews, and
     every entry of the ``fault_plans`` axis (default: just the
     fault-free machine), checked against the *same* model the machine
-    was configured with.  ``superblocks_axis`` optionally widens the
-    matrix across trace-compiled execution on/off (default: on only,
-    the production configuration).  Violating cases are shrunk (when
+    was configured with.  Violating cases are shrunk (when
     ``shrink``) with the fault plan held fixed; ``stop_after`` bounds
     how many failures are collected before returning early (None: all).
     """
@@ -417,12 +406,11 @@ def fuzz_sweep(
         skew_sets = [tuple(rng.choice(SKEW_CHOICES)
                            for _ in range(n_threads))
                      for _ in range(skew_variants)]
-        for model, spec, skews, plan, fuse in product(
-                models, specs, skew_sets, fault_plans, superblocks_axis):
+        for model, spec, skews, plan in product(
+                models, specs, skew_sets, fault_plans):
             case = FuzzCase(threads=ir, model=model, spec=spec,
                             skews=skews, seed=prog_seed,
-                            inject=inject, fault_plan=plan,
-                            superblocks=fuse)
+                            inject=inject, fault_plan=plan)
             report.cases_run += 1
             message = _violation_of(case)
             if message is None:
@@ -485,7 +473,6 @@ def reproducer_script(case: FuzzCase) -> str:
         f"    skews={tuple(case.skews)!r},",
         f"    seed={case.seed},",
         f"    inject={case.inject!r},",
-        f"    superblocks={case.superblocks!r},",
     ]
     if case.fault_plan is not None:
         # The dataclass repr is eval-able, so the plan replays exactly.

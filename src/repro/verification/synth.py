@@ -28,11 +28,11 @@ an execution-only oracle would wrongly certify the empty fence set.
 
 **Dynamic (confirming):** run the fenced program on the actual RMO
 machine across the fuzzer's axes -- speculation modes x timing skews
-(plus seeded skew retries) x superblock fusion on/off -- and check each
-recorded execution against the target model.  Timing noise therefore
-gets extra chances to *refute* a candidate reduction, never to certify
-one; and a machine weaker than its own axioms (a real bug) is caught
-here rather than silently fenced around.
+(plus seeded skew retries) -- and check each recorded execution against
+the target model.  Timing noise therefore gets extra chances to
+*refute* a candidate reduction, never to certify one; and a machine
+weaker than its own axioms (a real bug) is caught here rather than
+silently fenced around.
 
 Soundness caveat (see docs/VERIFICATION.md): the static layer is exact
 only below the witness cap, the dynamic layer is execution-based, and
@@ -248,28 +248,23 @@ def dynamic_counterexample(threads: Sequence[Sequence[MemOp]],
                            target: ConsistencyModel,
                            specs: Sequence[SpeculationMode] = SWEEP_SPECS,
                            skew_sets: Sequence[Tuple[int, ...]] = ((),),
-                           superblocks_axis: Sequence[bool] = (True, False),
                            stats: Optional[OracleStats] = None,
                            ) -> Optional[str]:
     """Run the program on the ``source`` machine across the sweep axes
     and check every recorded execution against ``target``; the first
     violating point rendered, or None when the whole grid is clean."""
     stats = stats if stats is not None else OracleStats()
-    for spec, skews, fuse in product(specs, skew_sets, superblocks_axis):
+    for spec, skews in product(specs, skew_sets):
         programs = compile_litmus_ops(threads, skews=skews or None,
                                       name="synth")
-        config = fuzz_config(len(threads), source, spec)
-        if not fuse:
-            config = config.with_superblocks(False)
-        system = System(config, programs)
+        system = System(fuzz_config(len(threads), source, spec), programs)
         recorder = ExecutionRecorder.attach(system)
         system.run(check_invariants=True, max_cycles=FUZZ_MAX_CYCLES)
         stats.dynamic_runs += 1
         try:
             report = check_execution(recorder, model=target)
         except ConsistencyViolation as exc:
-            return (f"spec={spec.value} skews={tuple(skews)} "
-                    f"superblocks={fuse}: {exc}")
+            return f"spec={spec.value} skews={tuple(skews)}: {exc}"
         if report["locations_skipped"] or report.get(
                 "ordering_locations_skipped"):
             raise RuntimeError(
@@ -317,7 +312,6 @@ def synthesize_fences(threads: Sequence[Sequence[MemOp]],
                       max_queries: int = 200,
                       skew_retries: int = 2,
                       specs: Sequence[SpeculationMode] = SWEEP_SPECS,
-                      superblocks_axis: Sequence[bool] = (True, False),
                       max_witnesses: int = MAX_WITNESSES,
                       ) -> SynthesisResult:
     """Search the minimal fence set restoring ``target`` on the
@@ -356,7 +350,7 @@ def synthesize_fences(threads: Sequence[Sequence[MemOp]],
             return False
         return dynamic_counterexample(
             fenced, source, target, specs=specs, skew_sets=skew_sets,
-            superblocks_axis=superblocks_axis, stats=stats) is None
+            stats=stats) is None
 
     def result(placements: Tuple[FencePlacement, ...],
                ok: bool, gaps: int) -> SynthesisResult:

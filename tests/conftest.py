@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import signal
 import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -52,38 +53,32 @@ def counter_workload(n_cores: int = 2, iters: int = 50) -> Workload:
     return Workload(f"nf-counter-{n_cores}", programs, {})
 
 
-#: Superblock executor selections for differential tests: the program
-#: text's own choice (``None``), every span trace-compiled (``True``),
-#: every span through the uncompiled fused executor (``False``).
-SPAN_EXECUTORS = {"default": None, "compiled": True, "uncompiled": False}
+@pytest.fixture
+def fusion_off(monkeypatch):
+    """``with fusion_off(): ...`` runs its block with superblock fusion off.
 
-
-def force_span_executor(monkeypatch, loops: bool) -> None:
-    """Make every superblock span the cores see carry ``loops``.
-
-    Cores trace-compile spans flagged ``loops`` and run the rest through
-    the uncompiled fused executor, so forcing the flag selects one
-    executor for every span without a configuration option.
+    The cores' span lookup finds no spans, so every instruction
+    dispatches on its own, and every ``System.run`` in the block must
+    report nothing fused -- an "off" run that still fuses fails.
     """
     import repro.cpu.core as core_module
-    from repro.isa.interpreter import SuperblockSpan, superblock_spans
+    from repro.system import System
 
-    def spans(program):
-        return tuple(SuperblockSpan(s.start, s.stop, s.has_branch, loops)
-                     for s in superblock_spans(program))
+    real_run = System.run
 
-    monkeypatch.setattr(core_module, "superblock_spans", spans)
+    def run_unfused(self, *args, **kwargs):
+        result = real_run(self, *args, **kwargs)
+        assert result.fused_instructions() == 0, "fusion was not off"
+        return result
 
-
-def run_each_executor(monkeypatch, run) -> dict:
-    """``run()`` once per :data:`SPAN_EXECUTORS` entry, by its name."""
-    results = {}
-    for name, loops in SPAN_EXECUTORS.items():
+    @contextmanager
+    def off():
         with monkeypatch.context() as patch:
-            if loops is not None:
-                force_span_executor(patch, loops)
-            results[name] = run()
-    return results
+            patch.setattr(core_module, "superblock_spans", lambda program: ())
+            patch.setattr(System, "run", run_unfused)
+            yield
+
+    return off
 
 
 @pytest.fixture

@@ -37,8 +37,7 @@ from repro.workloads.suite import standard_suite
 from tests.conftest import small_config
 from tests.test_fuzz_goldens import fuzz_golden_cases, golden_points, observe
 
-#: Every fifth pinned case: all four programs, both plans, fusion on
-#: and off.
+#: Every fifth pinned case: all four programs, both plans.
 _SAMPLE = fuzz_golden_cases()[::5]
 
 
@@ -107,8 +106,8 @@ def test_injected_defects_do_not_outlive_their_case(index):
 
 
 def _span_program():
-    """A loop span (trace-compiled) and a straight-line span (the
-    uncompiled fused executor), around memory operations."""
+    """A loop span (trace-compiled) and a straight-line run (dispatched
+    per instruction), around memory operations."""
     asm = Assembler("spans")
     asm.li(1, 6).li(2, 1).li(3, 0)
     asm.label("loop")
@@ -137,8 +136,8 @@ def test_cores_sharing_one_program_object_match_equal_copies(mode):
                 result.fused_instructions())
 
     shared = _span_program()
-    assert {s.loops for s in core_module.superblock_spans(shared)} == {
-        True, False}
+    assert [(s.start, s.stop)
+            for s in core_module.superblock_spans(shared)] == [(3, 7)]
     one_object = run([shared, shared])
     copies = run([_span_program(), _span_program()])
     assert one_object == copies

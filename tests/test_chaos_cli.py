@@ -2,9 +2,11 @@
 
 The selftest is the CI gate for the chaos layer: it runs the E14 chaos
 matrix (protocol workloads under node + link faults, every safety
-property checked), proves replays are byte-identical with superblock
-fusion on or off, shows the watchdog's deadlock dump naming a
-crash-stopped node, and exercises a real pause-resume recovery.
+property checked), proves replays are byte-identical, shows the
+watchdog's deadlock dump naming a crash-stopped node, and exercises a
+real pause-resume recovery.  That fusion changes nothing under chaos is
+tier-1's own check (``tests/test_fastpath_determinism.py`` and
+``tests/test_node_faults.py``).
 """
 
 from __future__ import annotations

@@ -1,15 +1,19 @@
-"""The docs name only files that exist, and quote artifacts exactly.
+"""The docs name only files and code that exist, and quote artifacts
+exactly.
 
 Every ``examples/``, ``docs/``, ``tests/``, ``benchmarks/`` and
 ``src/repro/`` path named in the top-level docs, ``docs/*.md`` and the
 verification recipe must exist in the checkout, so deleting or renaming
 a file fails tier-1 until the docs that point at it are updated.  So
 must every ``BENCH_<n>.json`` they name, and every figure they quote
-from one must read exactly as formatted from the artifact.
+from one must read exactly as formatted from the artifact.  Every
+backquoted ``repro.`` dotted name they give must resolve to a module or
+an attribute, unless it is listed in :data:`WITHDRAWN` as history.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import pathlib
 import re
@@ -45,6 +49,63 @@ def test_doc_names_only_existing_paths(doc):
     missing = [path for path in named_paths(doc.read_text())
                if not (_ROOT / path).exists()]
     assert not missing, f"{doc.relative_to(_ROOT)} names missing {missing}"
+
+
+#: A backquoted dotted name in the package, e.g. ``repro.cpu.core``.
+_CODE_NAME = re.compile(r"`(repro(?:\.\w+)+)`")
+
+#: Names the docs keep as history of deleted code, each with the change
+#: that deleted it.
+WITHDRAWN = {
+    "repro.sim.sharded": "the sharded engine's deletion",
+    "repro.cpu.core._make_fused_span":
+        "the uncompiled superblock executor's deletion",
+}
+
+
+def named_code(text: str):
+    return sorted(set(_CODE_NAME.findall(text)))
+
+
+def resolves(name: str) -> bool:
+    """Is ``name`` a module, or an attribute path from the longest
+    importable module prefix of it?"""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(found, attr):
+                return False
+            found = getattr(found, attr)
+        return True
+    return False
+
+
+def test_code_name_resolution():
+    assert named_code("`repro.isa` and `repro.faults.Watchdog(system)`, "
+                      "`repro.cpu.core._decode_plan`.") == [
+        "repro.cpu.core._decode_plan", "repro.isa"]
+    assert resolves("repro.isa.interpreter.superblock_spans")
+    assert resolves("repro.faults.Watchdog")
+    assert not resolves("repro.core.modes")
+    assert not resolves("repro.isa.interpreter.no_such_name")
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda p: str(p.relative_to(_ROOT)))
+def test_doc_names_only_existing_code(doc):
+    missing = [name for name in named_code(doc.read_text())
+               if name not in WITHDRAWN and not resolves(name)]
+    assert not missing, f"{doc.relative_to(_ROOT)} names missing {missing}"
+
+
+@pytest.mark.parametrize("name", sorted(WITHDRAWN))
+def test_withdrawn_names_are_gone_and_still_named(name):
+    assert not resolves(name), f"{name} exists again: drop it from WITHDRAWN"
+    assert any(name in named_code(doc.read_text()) for doc in DOCS), (
+        f"no doc names {name} any more: drop it from WITHDRAWN")
 
 
 _BENCH = re.compile(r"\bBENCH_(\d+)")

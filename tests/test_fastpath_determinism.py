@@ -3,11 +3,12 @@
 Two independent proofs that the hot-path overhaul changed nothing
 observable:
 
-* **fusion determinism** -- every grid point run with superblocks off,
-  and with every span forced through either superblock executor,
-  produces the same result fingerprint as the default run (the same
-  points' results are pinned in ``tests/golden_engine_fingerprints.json``,
-  see ``tests/test_engine_goldens.py``);
+* **fusion determinism** -- every grid point run with superblock
+  fusion off (the ``fusion_off`` fixture of ``tests/conftest.py``)
+  produces the same result fingerprint as the default run, which
+  trace-compiles every loop span (the same points' results are pinned
+  in ``tests/golden_engine_fingerprints.json``, see
+  ``tests/test_engine_goldens.py``);
 * **golden fingerprints** -- the quick E1/E9 grids reproduce, bit for
   bit, the fingerprints measured on the pre-overhaul engine (committed
   in ``tests/golden_fingerprints.json``).
@@ -28,7 +29,6 @@ from repro.harness.experiments import e1_plan, e9_plan
 from repro.harness.parallel import result_fingerprint
 from repro.isa.interpreter import superblock_spans
 from repro.system import System
-from tests.conftest import run_each_executor
 
 _GOLDEN_PATH = os.path.join(os.path.dirname(__file__),
                             "golden_fingerprints.json")
@@ -77,7 +77,7 @@ def _run(spec):
 
 @pytest.mark.parametrize("spec", _DETERMINISM_SPECS,
                          ids=[s.label for s in _DETERMINISM_SPECS])
-def test_superblocks_on_off_fingerprints_match(spec):
+def test_superblocks_on_off_fingerprints_match(spec, fusion_off):
     """Trace-compiled execution is semantically invisible.
 
     Superblock fusion batches a span's register work into its head
@@ -86,9 +86,8 @@ def test_superblocks_on_off_fingerprints_match(spec):
     byte-identical with fusion disabled.
     """
     fused = _run(spec)
-    plain = System(spec.config.with_superblocks(False),
-                   spec.workload.programs,
-                   spec.workload.initial_memory).run()
+    with fusion_off():
+        plain = _run(spec)
     assert result_fingerprint(fused) == result_fingerprint(plain)
     assert fused.events == plain.events
     assert fused.cycles == plain.cycles
@@ -96,16 +95,14 @@ def test_superblocks_on_off_fingerprints_match(spec):
 
 @pytest.mark.parametrize("spec", _CHAOS_SPECS,
                          ids=[s.label for s in _CHAOS_SPECS])
-def test_chaos_points_superblocks_on_off_match(spec):
+def test_chaos_points_superblocks_on_off_match(spec, fusion_off):
     """Fusion stays byte-invisible under chaos: plan-targeted cores are
     built unfused either way (a mid-superblock fault would otherwise
     settle at a different instruction boundary), and the untargeted
     survivors' fused execution changes nothing observable."""
     fused = _run(spec)
-    plain = System(spec.config.with_superblocks(False),
-                   spec.workload.programs, spec.workload.initial_memory,
-                   fault_plan=spec.fault_plan,
-                   node_plan=spec.node_plan).run()
+    with fusion_off():
+        plain = _run(spec)
     assert result_fingerprint(fused) == result_fingerprint(plain)
     assert fused.cycles == plain.cycles
 
@@ -113,55 +110,18 @@ def test_chaos_points_superblocks_on_off_match(spec):
 def test_superblock_fusion_engages_on_spin_workloads():
     """The on/off proof above is vacuous if fusion never fires: at
     least the spin-heavy E1 points must retire a meaningful fraction
-    of their dynamic instructions inside fused superblocks.  The fusion
-    counters cannot tell the two executors apart, so every spin program
-    must also carry a loop span -- one the core trace-compiles."""
+    of their dynamic instructions inside fused superblocks, every spin
+    program must carry a loop span (only loop spans fuse), and a fused
+    dispatch must on the whole retire more than one instruction."""
     spin = [s for s in _DETERMINISM_SPECS if "locks-ticket" in s.label]
     assert spin, "expected locks-ticket points in the determinism grid"
     for spec in spin:
         result = _run(spec)
         assert result.fusion_coverage() > 0.25, spec.label
-        assert result.mean_superblock_length() >= 2.0, spec.label
+        assert result.fused_instructions() > result.fused_blocks(), \
+            spec.label
         for program in spec.workload.programs:
-            assert any(span.loops for span in superblock_spans(program)), \
-                (spec.label, program.name)
-
-
-def _executor_view(result):
-    """Everything the two superblock executors must agree on."""
-    return (result_fingerprint(result), result.events, result.cycles,
-            [(c.fused_instructions, c.fused_blocks) for c in result.cores])
-
-
-def _assert_executors_interchangeable(spec, monkeypatch):
-    results = run_each_executor(monkeypatch, lambda: _run(spec))
-    views = {name: _executor_view(r) for name, r in results.items()}
-    assert views["compiled"] == views["default"]
-    assert views["uncompiled"] == views["default"]
-    assert results["default"].fused_instructions() > 0, "fusion never fired"
-    return results["default"]
-
-
-@pytest.mark.parametrize("spec", _DETERMINISM_SPECS + _CHAOS_SPECS,
-                         ids=[s.label for s in _DETERMINISM_SPECS
-                              + _CHAOS_SPECS])
-def test_compiled_and_uncompiled_span_executors_match(spec, monkeypatch):
-    """The trace-compiled and the uncompiled superblock executors are
-    interchangeable: running every span through either one reproduces
-    the default run's fingerprint, event and cycle counts, and each
-    core's fusion counters."""
-    _assert_executors_interchangeable(spec, monkeypatch)
-
-
-def test_span_executors_match_across_speculation_rollback(monkeypatch):
-    """Same proof on the rollback point of test_superblocks.py: fused
-    spans re-executed after a rollback count the same either way."""
-    spec = next(s for s in e9_plan(core_counts=(4,), scale=0.2)
-                if s.label == "4|barrier-stencil|if-sc")
-    result = _assert_executors_interchangeable(spec, monkeypatch)
-    violations = sum(v for k, v in result.stats.snapshot().items()
-                     if k.endswith(".violations"))
-    assert violations > 0, "expected at least one rollback on this point"
+            assert superblock_spans(program), (spec.label, program.name)
 
 
 def _golden():
@@ -202,10 +162,8 @@ def test_golden_file_covers_current_grids():
 
 @pytest.mark.parametrize("spec,expected", _golden_params())
 def test_engine_reproduces_seed_fingerprints(spec, expected):
-    # The default configuration has superblocks enabled, so this run
-    # also proves the goldens are byte-unchanged under trace-compiled
-    # execution (ISSUE 7 acceptance).
-    assert spec.config.superblocks
+    # Every core trace-compiles its loop spans, so this run also proves
+    # the goldens are byte-unchanged under trace-compiled execution.
     result = _run(spec)
     assert result_fingerprint(result) == expected, (
         f"{spec.label}: stats diverge from the pre-overhaul engine; "

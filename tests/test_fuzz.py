@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from repro.isa.interpreter import superblock_spans
 from repro.sim.config import ConsistencyModel, SpeculationMode
 from repro.workloads.randmix import (
     MemOp,
@@ -23,6 +24,7 @@ from repro.verification.fuzz import (
     shrink_case,
     write_reproducer,
 )
+from tests.test_fuzz_goldens import fuzz_golden_cases
 
 SC = ConsistencyModel.SC
 TSO = ConsistencyModel.TSO
@@ -30,6 +32,14 @@ RMO = ConsistencyModel.RMO
 
 
 class TestLitmusIR:
+    def test_litmus_programs_have_no_spans(self):
+        """Litmus programs, skews included, are straight-line: no fuzz
+        case has a loop span, so none fuses."""
+        for _label, case in fuzz_golden_cases():
+            for program in compile_litmus_ops(case.threads,
+                                              skews=case.skews or None):
+                assert superblock_spans(program) == ()
+
     def test_written_values_globally_unique(self):
         threads = random_litmus_ops(3, 20, seed=7)
         values = [op.value for ops in threads for op in ops
@@ -316,14 +326,9 @@ class TestFaultPlanAxis:
 
 
 class TestReproducerFidelity:
-    """Satellite: reproducers must carry every FuzzCase axis.
-
-    Regression: generated scripts silently dropped the ``superblocks``
-    flag, so a violation only visible with fusion disabled replayed
-    fused -- and vanished.  The round-trip tests execute the written
-    script and demand the nonzero exit, across fusion on/off and with
-    a fault plan riding along.
-    """
+    """Reproducers must carry every FuzzCase axis: a violation found
+    under a fault plan is replayed under the same plan, and the written
+    script demands the nonzero exit."""
 
     def _golden(self, **overrides):
         from dataclasses import replace
@@ -336,24 +341,6 @@ class TestReproducerFidelity:
         env["PYTHONPATH"] = os.path.abspath(src)
         return subprocess.run([sys.executable, path], env=env,
                               capture_output=True, text=True, timeout=120)
-
-    def test_reproducer_script_emits_superblocks(self):
-        from repro.verification.fuzz import reproducer_script
-        assert "superblocks=False" in reproducer_script(
-            self._golden(superblocks=False))
-        assert "superblocks=True" in reproducer_script(self._golden())
-
-    def test_round_trip_with_superblocks_disabled(self, tmp_path):
-        case = self._golden(superblocks=False)
-        assert _violation_of(case) is not None, "planted bug not visible"
-        proc = self._exec(case, tmp_path, "repro_nosb.py")
-        assert proc.returncode == 1, proc.stdout + proc.stderr
-        assert "violation reproduced" in proc.stdout
-
-    def test_round_trip_with_superblocks_enabled(self, tmp_path):
-        proc = self._exec(self._golden(), tmp_path, "repro_fused.py")
-        assert proc.returncode == 1, proc.stdout + proc.stderr
-        assert "violation reproduced" in proc.stdout
 
     def test_round_trip_with_fault_plan_still_fails(self, tmp_path):
         from repro.faults import fault_scenarios

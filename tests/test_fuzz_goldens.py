@@ -12,7 +12,11 @@ benchmark's ``verify-campaign`` workload, recorded on the commit its
   under SC/TSO/RMO x the fuzzer's 3 speculation modes x 2 drawn skews x
   {fault-free, E12's ``drop-retry`` plan reseeded per run} -- 108 cases;
 * one more program over the same model x speculation x plan grid (its
-  first skew only) with superblock fusion off -- 18 cases.
+  first skew only) -- 18 cases.  They were recorded with superblock
+  fusion off, and their labels still say ``superblocks-off``.  Litmus
+  programs are straight-line, so they have no loop span and no fuzz
+  case fuses (``tests/test_fuzz.py`` checks this); the fusion switch
+  they once set is gone, and they run as every other case does.
 
 Every case runs through :func:`repro.verification.fuzz.execute_case`,
 so it is also checked against its own model's axioms.  Run in order,
@@ -64,8 +68,8 @@ def fuzz_golden_cases():
                         random_litmus_ops(2, OPS_PER_THREAD, seed=prog_seed))
         skew_sets = [tuple(rng.choice(SKEW_CHOICES) for _ in range(2))
                      for _ in range(2)]
-        fuse = index < N_PROGRAMS
-        if not fuse:
+        recorded_unfused = index == N_PROGRAMS
+        if recorded_unfused:
             skew_sets = skew_sets[:1]
         for model in ConsistencyModel:
             for si, spec in enumerate(SWEEP_SPECS):
@@ -77,11 +81,11 @@ def fuzz_golden_cases():
                     for plan_name, plan in plans.items():
                         label = (f"p{index}/{model.value}/{spec.value}/"
                                  f"k{ki}/{plan_name}"
-                                 + ("" if fuse else "/superblocks-off"))
+                                 + ("/superblocks-off" if recorded_unfused
+                                    else ""))
                         cases.append((label, FuzzCase(
                             threads=threads, model=model, spec=spec,
-                            skews=skews, seed=prog_seed, fault_plan=plan,
-                            superblocks=fuse)))
+                            skews=skews, seed=prog_seed, fault_plan=plan)))
     return cases
 
 

@@ -38,8 +38,6 @@ def _run_fresh(case):
     """Build and run ``case`` through ``System`` alone: no twin table."""
     programs = compile_litmus_ops(case.threads, skews=case.skews or None)
     config = fuzz.fuzz_config(case.n_threads, case.model, case.spec)
-    if not case.superblocks:
-        config = config.with_superblocks(False)
     system = System(config, programs, fault_plan=case.fault_plan)
     recorder = ExecutionRecorder.attach(system)
     watchdog = Watchdog(system) if system.fault_plan is not None else None
@@ -162,7 +160,6 @@ def test_the_key_is_the_case_without_its_model_and_seed(simulated):
               replace(rmo, spec=grid["p1/tso/continuous/k0/clean"].spec),
               replace(rmo, fault_plan=grid[
                   "p1/tso/none/k0/drop-retry"].fault_plan),
-              replace(rmo, superblocks=False),
               replace(rmo, inject="sc-load-no-drain")]
     fuzz.execute_case(case)
     for other in others:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import gc
 import weakref
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 import pytest
@@ -69,7 +69,8 @@ CONFIGS = {
     **{f"{model.value}/{mode.value}":
        small_config(4, mode=mode).with_consistency(model)
        for model in ConsistencyModel for mode in (NONE, ON_DEMAND, CONTINUOUS)},
-    "superblocks-off": small_config(4, mode=ON_DEMAND).with_superblocks(False),
+    # Run with the ``fusion_off`` fixture.
+    "superblocks-off": small_config(4, mode=ON_DEMAND),
     "commit-arbitration": small_config(
         4, mode=ON_DEMAND, commit_arbitration=True).with_consistency(SC),
     "victim-buffer": small_config(
@@ -125,13 +126,14 @@ def _run_locks(config: SystemConfig, *, tracing: bool = False,
 # ---------------------------------------------------------------- guard
 
 @pytest.mark.parametrize("name", list(CONFIGS))
-def test_finished_machine_is_freed_without_the_collector(name):
+def test_finished_machine_is_freed_without_the_collector(name, fusion_off):
     def run():
         system, result = _run_locks(CONFIGS[name])
         _LOCKS.check(result)
         return _components(system)
 
-    _assert_freed(run)
+    with fusion_off() if name == "superblocks-off" else nullcontext():
+        _assert_freed(run)
 
 
 def test_the_lock_workload_exercises_arbitration_and_rollback():

@@ -34,10 +34,8 @@ from repro.system import System
 from tests.conftest import counter_workload
 
 
-def _run(workload, node_plan=None, fault_plan=None, *, superblocks=True,
-         watchdog=True):
-    config = SystemConfig(n_cores=len(workload.programs),
-                          superblocks=superblocks)
+def _run(workload, node_plan=None, fault_plan=None, *, watchdog=True):
+    config = SystemConfig(n_cores=len(workload.programs))
     system = System(config, workload.programs, workload.initial_memory,
                     fault_plan=fault_plan, node_plan=node_plan)
     return system.run(watchdog=Watchdog(system) if watchdog else None)
@@ -203,10 +201,12 @@ class TestDeterminism:
         assert result_fingerprint(first) == result_fingerprint(second)
 
     @pytest.mark.parametrize("plan_factory", [_crash_plan, _pause_plan])
-    def test_superblocks_on_off_identical(self, plan_factory):
+    def test_superblocks_on_off_identical(self, plan_factory, fusion_off):
         wl = counter_workload(2, iters=50)
-        fused = _run(wl, plan_factory(), superblocks=True)
-        plain = _run(wl, plan_factory(), superblocks=False)
+        fused = _run(wl, plan_factory())
+        assert fused.fused_instructions() > 0  # the untargeted core
+        with fusion_off():
+            plain = _run(wl, plan_factory())
         assert result_fingerprint(fused) == result_fingerprint(plain)
 
     def test_inactive_plan_is_invisible(self):

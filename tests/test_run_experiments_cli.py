@@ -116,6 +116,31 @@ def test_store_that_is_not_a_directory_fails(cli, capsys, tmp_path):
     assert out.startswith(f"--store {path}: cannot open result store")
 
 
+def test_csv_that_is_not_a_directory_fails_before_simulating(cli, capsys,
+                                                              tmp_path,
+                                                              monkeypatch):
+    path = tmp_path / "a-file"
+    path.write_text("")
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("planned a sweep before checking --csv")
+
+    monkeypatch.setattr(cli, "SweepScheduler", no_sweep)
+    assert cli.main(["E1", "--quick", "--csv", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert out.startswith(f"--csv {path}: cannot write CSVs there")
+    assert path.read_text() == ""
+
+
+def test_a_repeated_experiment_runs_once(cli, capsys):
+    assert cli.main(["E8", "e8", "E10", "E10", "--quick", "--jobs", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[E8]") == 1
+    assert out.count("[E10]") == 1
+    assert out.index("[E8]") < out.index("[E10]")
+
+
 @pytest.mark.parametrize("flag", ["--csv", "--store"])
 def test_flag_without_value_fails(cli, flag):
     with pytest.raises(SystemExit) as info:

@@ -1,10 +1,13 @@
-"""Superblock fusion boundary cases (trace-compiled execution, ISSUE 7).
+"""Superblock fusion boundary cases (trace-compiled execution).
 
 The detector (:func:`repro.isa.interpreter.superblock_spans`) may fuse
-only core-private straight-line code: every memory/fence/RMW opcode, a
-branch *target*, and HALT must break a span, and fused dispatch must be
-invisible across speculation checkpoint/rollback.  These tests pin the
-structural rules directly and the timing-core behaviour end to end.
+only core-private straight-line code inside a loop: every
+memory/fence/RMW opcode, a branch *target*, and HALT must break a span,
+a span outside every backward branch's range is not returned, and
+fused dispatch must be invisible across speculation checkpoint/rollback.
+These tests pin the structural rules directly and the timing-core
+behaviour end to end, against runs with fusion off (the ``fusion_off``
+fixture of ``tests/conftest.py``).
 """
 
 import builtins
@@ -19,15 +22,10 @@ from repro.isa.instructions import Opcode
 from repro.isa.interpreter import _dispatch_pairs, superblock_spans
 from repro.sim.config import SpeculationMode, SystemConfig
 from repro.system import System
-from tests.conftest import force_span_executor, run_each_executor
 
 
 def _spans(program):
-    return [(s.start, s.stop, s.has_branch) for s in superblock_spans(program)]
-
-
-def _loops(program):
-    return [s.loops for s in superblock_spans(program)]
+    return [(s.start, s.stop) for s in superblock_spans(program)]
 
 
 def _run(config, programs, initial_memory=None):
@@ -38,24 +36,26 @@ def _run(config, programs, initial_memory=None):
 
 class TestSpanDetection:
     def test_pure_alu_run_fuses(self):
-        asm = Assembler("t").li(1, 1).li(2, 2).add(3, 1, 2).halt()
-        assert _spans(asm.build()) == [(0, 3, False)]
+        asm = Assembler("t").label("top").li(1, 1).li(2, 2).add(3, 1, 2)
+        asm.bne(3, 0, "top").halt()
+        assert _spans(asm.build()) == [(0, 4)]
 
     def test_branch_target_breaks_span_not_just_branch(self):
-        # Slots 0-3 are straight-line ALU, but slot 2 is a branch target:
-        # a jump may enter mid-run, so fusion must split there even
-        # though no boundary *opcode* intervenes.
+        # Slots 0-4 are straight-line ALU inside the outer loop, but
+        # slot 2 is a branch target: a jump may enter mid-run, so fusion
+        # must split there even though no boundary *opcode* intervenes.
         asm = Assembler("t")
+        asm.label("top")
         asm.li(1, 1).li(2, 0)
         asm.label("loop")
         asm.add(2, 2, 1)
         asm.sub(3, 2, 1)
         asm.bne(2, 1, "loop")
+        asm.bne(3, 0, "top")
         asm.halt()
         program = asm.build()
         assert program.labels["loop"] == 2
-        assert _spans(program) == [(0, 2, False), (2, 5, True)]
-        assert _loops(program) == [False, True]
+        assert _spans(program) == [(0, 2), (2, 6)]
 
     def test_span_head_may_be_a_branch_target(self):
         # The head is an entry point, not a mid-span entry: a span may
@@ -66,25 +66,21 @@ class TestSpanDetection:
         asm.sub(3, 1, 2)
         asm.jmp("spin")
         program = asm.build()
-        assert _spans(program) == [(0, 3, True)]
-        assert _loops(program) == [True]
+        assert _spans(program) == [(0, 3)]
 
     def test_straight_line_spans_are_not_loop_spans(self):
-        # Spans split by memory ops, and a forward branch: no back edge,
-        # so every span runs at most once.
+        # Runs split by memory ops, and a forward branch: no back edge,
+        # so every run executes at most once and none is a span.
         asm = Assembler("t").li(1, 1).li(2, 2).store(1, base=2)
         asm.add(3, 1, 2).beq(3, 0, "out").sub(4, 3, 1)
         asm.label("out")
         asm.li(5, 5).li(6, 6).halt()
-        program = asm.build()
-        assert _spans(program) == [(0, 2, False), (3, 6, True),
-                                   (6, 8, False)]
-        assert _loops(program) == [False, False, False]
+        assert _spans(asm.build()) == []
 
-    def test_loop_flag_covers_the_back_edge_range_only(self):
-        # The back edge at slot 4 jumps to 0: every span whose head lies
+    def test_only_spans_in_a_back_edge_range_are_returned(self):
+        # The back edge at slot 4 jumps to 0: every run whose head lies
         # in [0, 4] may run again, including one headed mid-body after a
-        # load; the span after the back edge runs once.
+        # load; the run after the back edge executes once.
         asm = Assembler("t")
         asm.label("top")
         asm.li(1, 1).li(2, 2)
@@ -92,10 +88,7 @@ class TestSpanDetection:
         asm.add(4, 3, 1).bne(4, 0, "top")
         asm.store(4, base=2)
         asm.li(5, 5).li(6, 6).halt()
-        program = asm.build()
-        assert _spans(program) == [(0, 2, False), (3, 5, True),
-                                   (6, 8, False)]
-        assert _loops(program) == [True, True, False]
+        assert _spans(asm.build()) == [(0, 2), (3, 5)]
 
     @pytest.mark.parametrize("emit,opcode", [
         (lambda a: a.load(3, base=9), Opcode.LOAD),
@@ -107,18 +100,20 @@ class TestSpanDetection:
         (lambda a: a.fence(), Opcode.FENCE),
     ], ids=lambda p: p.name if isinstance(p, Opcode) else "")
     def test_every_memory_and_fence_opcode_breaks_fusion(self, emit, opcode):
-        asm = Assembler("t").li(1, 1).li(2, 2)
+        asm = Assembler("t").label("top").li(1, 1).li(2, 2)
         emit(asm)
-        asm.add(4, 1, 2).add(5, 4, 1).halt()
+        asm.add(4, 1, 2).add(5, 4, 1).bne(5, 0, "top").halt()
         program = asm.build()
         assert program.instructions[2].op is opcode
-        assert _spans(program) == [(0, 2, False), (3, 5, False)]
+        assert _spans(program) == [(0, 2), (3, 6)]
 
     def test_halt_breaks_fusion_and_trailing_run_needs_successor(self):
         # ALU straight into HALT: the run before HALT fuses, HALT does
         # not join it (it drains the store buffer / ends the thread).
-        asm = Assembler("t").li(1, 1).li(2, 2).halt()
-        assert _spans(asm.build()) == [(0, 2, False)]
+        # The back edge after HALT puts the run inside a loop.
+        asm = Assembler("t").label("top").li(1, 1).li(2, 2).halt()
+        asm.jmp("top")
+        assert _spans(asm.build()) == [(0, 2)]
 
     def test_single_instruction_program_has_no_spans(self):
         assert _spans(Assembler("t").halt().build()) == []
@@ -126,21 +121,23 @@ class TestSpanDetection:
     def test_single_alu_instruction_is_not_fused(self):
         # Minimum span length is two: fusing one instruction buys
         # nothing and would only add dispatch indirection.
-        asm = Assembler("t").li(1, 7).halt()
+        asm = Assembler("t").label("top").li(1, 7).store(1, base=0)
+        asm.bne(1, 0, "top").halt()
         assert _spans(asm.build()) == []
 
     def test_trailing_run_without_halt_is_still_detected(self):
-        # End of text is a span boundary like any other; a well-formed
-        # program ends in HALT/JMP, so the detector does not special-case
-        # a missing successor.
-        asm = Assembler("t").li(1, 1).add(2, 1, 1)
-        assert _spans(asm.build()) == [(0, 2, False)]
+        # End of text is a span boundary like any other; the assembler
+        # closes the text with a HALT, so the detector does not
+        # special-case a missing successor.
+        asm = Assembler("t").label("top").li(1, 1).add(2, 1, 1)
+        asm.bne(2, 0, "top")
+        assert _spans(asm.build()) == [(0, 3)]
 
     def test_detection_cache_restamps_on_mutated_program(self):
-        asm = Assembler("t").li(1, 1).li(2, 2).add(3, 1, 2).halt()
-        program = asm.build()
+        asm = Assembler("t").label("top").li(1, 1).li(2, 2).add(3, 1, 2)
+        program = asm.bne(3, 0, "top").halt().build()
         first = superblock_spans(program)
-        assert _spans(program) == [(0, 3, False)]
+        assert _spans(program) == [(0, 4)]
         # Mutate the (frozen) program the only way possible: replace the
         # instructions tuple.  The cache must re-detect, not serve spans
         # for the old text.
@@ -200,7 +197,7 @@ def _alu_loop_program():
 
 
 def _unrolled_program():
-    """Straight-line spans separated by stores, as the randmix and
+    """Straight-line runs separated by stores, as the randmix and
     streaming generators emit them: no back edge anywhere."""
     asm = Assembler("t")
     for k in range(4):
@@ -225,19 +222,18 @@ def _count_compiles(monkeypatch):
 
 def test_straight_line_spans_never_reach_compile(monkeypatch):
     program = _unrolled_program()
-    assert len(superblock_spans(program)) == 4
-    assert not any(_loops(program))
+    assert superblock_spans(program) == ()
     with monkeypatch.context() as patch:
         calls = _count_compiles(patch)
         system = System(SystemConfig(n_cores=2), [program, program])
     assert calls == []
-    # Fused all the same: through the uncompiled executor.
-    assert system.run().fused_blocks() == 8
+    # Nothing fused: every instruction dispatches on its own.
+    assert system.run().fused_blocks() == 0
 
 
 def test_loop_span_is_compiled_once_for_both_cores(monkeypatch):
     program = _alu_loop_program()
-    assert _loops(program) == [False, True]
+    assert _spans(program) == [(3, 7)]
     with monkeypatch.context() as patch:
         calls = _count_compiles(patch)
         system = System(SystemConfig(n_cores=2), [program, program])
@@ -248,18 +244,6 @@ def test_loop_span_is_compiled_once_for_both_cores(monkeypatch):
     assert first.__code__ is second.__code__
     for fused, core in ((first, system.cores[0]), (second, system.cores[1])):
         assert [d for d in fused.__defaults__ if isinstance(d, Core)] == [core]
-
-
-def test_forcing_the_loop_flag_selects_the_executor(monkeypatch):
-    """The differential tests force every span to one executor; check
-    that the forcing reaches the core."""
-    program = _unrolled_program()
-    for loops, expected in ((True, 4), (False, 0)):
-        with monkeypatch.context() as patch:
-            force_span_executor(patch, loops)
-            calls = _count_compiles(patch)
-            System(SystemConfig(n_cores=1), [program])
-        assert len(calls) == expected
 
 
 def _mid_exit_loop_program():
@@ -295,10 +279,13 @@ def _head_exit_loop_program():
 
 
 def _r0_write_program():
-    """A straight-line span that writes r0 and reads it back: the writes
+    """A loop span that writes r0 and reads it back, twice: the writes
     are discarded, so r0 must still read 0."""
     asm = Assembler("t")
-    asm.li(1, 9).addi(0, 1, 5).add(2, 0, 1).li(0, 3).add(2, 2, 0)
+    asm.li(1, 9).li(3, 2)
+    asm.label("loop")
+    asm.addi(0, 1, 5).add(2, 0, 1).li(0, 3).add(2, 2, 0)
+    asm.addi(3, 3, -1).bne(3, 0, "loop")
     return asm.halt().build()
 
 
@@ -306,65 +293,73 @@ def _r0_write_program():
                                   SpeculationMode.ON_DEMAND],
                          ids=lambda m: m.value)
 @pytest.mark.parametrize("build,spans,fused,r2", [
-    # [0,3) once (3), then odd counts exit at slot 5 (3 x 3 retired)
-    # and even counts run the whole span (3 x 5).
-    (_mid_exit_loop_program, [(0, 3, False), (3, 8, True)], (27, 7), 30),
-    # [0,2) once (2), three full passes (3 x 4), one head exit (1).
-    (_head_exit_loop_program, [(0, 2, False), (2, 6, True)], (15, 5), 21),
-    (_r0_write_program, [(0, 5, False)], (5, 1), 9),
+    # Odd counts exit at slot 5 (3 x 3 retired) and even counts run the
+    # whole span (3 x 5).
+    (_mid_exit_loop_program, [(3, 8)], (24, 6), 30),
+    # Three full passes (3 x 4), one head exit (1).
+    (_head_exit_loop_program, [(2, 6)], (13, 4), 21),
+    # Two full passes (2 x 6).
+    (_r0_write_program, [(2, 8)], (12, 2), 9),
 ], ids=["mid-span-exit", "head-branch-exit", "r0-writes"])
-def test_hand_written_spans_match_unfused_on_both_executors(
-        build, spans, fused, r2, mode, monkeypatch):
+def test_hand_written_spans_match_unfused(build, spans, fused, r2, mode,
+                                          fusion_off):
     program = build()
     assert _spans(program) == spans
     config = SystemConfig(n_cores=1).with_speculation(mode)
-    plain = _run(config.with_superblocks(False), [program])
+    with fusion_off():
+        plain = _run(config, [program])
     assert plain.cores[0].registers[2] == r2
-    results = run_each_executor(monkeypatch, lambda: _run(config, [program]))
-    for name, result in results.items():
-        assert result.cores[0].registers == plain.cores[0].registers, name
-        assert (result.cycles, result.events) == \
-            (plain.cycles, plain.events), name
-        assert result_fingerprint(result) == result_fingerprint(plain), name
-        assert (result.fused_instructions(), result.fused_blocks()) == \
-            fused, name
+    result = _run(config, [program])
+    assert result.cores[0].registers == plain.cores[0].registers
+    assert (result.cycles, result.events) == (plain.cycles, plain.events)
+    assert result_fingerprint(result) == result_fingerprint(plain)
+    assert (result.fused_instructions(), result.fused_blocks()) == fused
 
 
 @pytest.mark.parametrize("window", [5, 1000])
 def test_fused_spans_tick_the_conservative_window_per_instruction(
-        window, monkeypatch):
+        window, fusion_off):
     """An idle speculation-capable core counts its conservative window
     down once per retired instruction; a fused dispatch must take off
-    its executed count, clamped at zero, on either executor."""
+    its executed count, clamped at zero."""
     program = _mid_exit_loop_program()
     config = SystemConfig(n_cores=1).with_speculation(
         SpeculationMode.ON_DEMAND)
 
-    def remaining(cfg):
-        system = System(cfg, [program])
+    def remaining():
+        system = System(config, [program])
         system.cores[0].spec._conservative_remaining = window
         result = system.run()
         return system.cores[0].spec._conservative_remaining, result
 
-    expected, plain = remaining(config.with_superblocks(False))
+    with fusion_off():
+        expected, plain = remaining()
     assert expected == max(0, window - plain.cores[0].instructions)
-    results = run_each_executor(monkeypatch, lambda: remaining(config))
-    for name, (left, result) in results.items():
-        assert result.fused_blocks() > 0, name
-        assert left == expected, name
+    left, result = remaining()
+    assert result.fused_blocks() > 0
+    assert left == expected
 
 
-def test_fused_execution_matches_unfused_registers_and_cycles():
+def test_fused_execution_matches_unfused_registers_and_cycles(fusion_off):
     program = _alu_loop_program()
     assert superblock_spans(program), "expected fusable spans"
     config = SystemConfig(n_cores=1)
     fused = _run(config, [program])
-    plain = _run(config.with_superblocks(False), [program])
+    with fusion_off():
+        plain = _run(config, [program])
     assert fused.cores[0].registers == plain.cores[0].registers
     assert fused.cycles == plain.cycles
     assert fused.events == plain.events
     assert fused.fused_instructions() > 0
-    assert plain.fused_instructions() == 0
+
+
+def test_fusion_off_fails_a_run_that_still_fuses(fusion_off):
+    # Built before fusion is turned off, so its loop span is compiled:
+    # the fixture must refuse the run instead of calling it unfused.
+    system = System(SystemConfig(n_cores=1), [_alu_loop_program()])
+    with fusion_off(), pytest.raises(AssertionError,
+                                     match="fusion was not off"):
+        system.run()
 
 
 def test_single_instruction_program_runs_with_superblocks_on():
@@ -385,7 +380,7 @@ def test_fusion_counters_reconcile_with_span_structure():
     assert 0 < result.fused_instructions() <= result.cores[0].instructions
 
 
-def test_superblocks_invisible_across_speculation_rollback():
+def test_superblocks_invisible_across_speculation_rollback(fusion_off):
     """Rollback safety: the 4-core barrier-stencil InvisiFence point
     takes at least one speculation violation (checkpoint + rollback),
     and fusion must leave its entire outcome byte-identical."""
@@ -393,8 +388,10 @@ def test_superblocks_invisible_across_speculation_rollback():
                 if s.label == "4|barrier-stencil|if-sc")
     fused = _run(spec.config, spec.workload.programs,
                  spec.workload.initial_memory)
-    plain = _run(spec.config.with_superblocks(False),
-                 spec.workload.programs, spec.workload.initial_memory)
+    with fusion_off():
+        plain = _run(spec.config, spec.workload.programs,
+                     spec.workload.initial_memory)
+    assert fused.fused_instructions() > 0
     violations = sum(v for k, v in fused.stats.snapshot().items()
                      if k.endswith(".violations"))
     assert violations > 0, "expected at least one rollback on this point"

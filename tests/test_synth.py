@@ -28,7 +28,7 @@ RMO = ConsistencyModel.RMO
 
 #: Trimmed dynamic grid for tier-1 speed; the deep benchmark runs the
 #: full default axes.
-FAST = dict(skew_retries=0, superblocks_axis=(True,),
+FAST = dict(skew_retries=0,
             specs=(SpeculationMode.NONE, SpeculationMode.CONTINUOUS))
 
 

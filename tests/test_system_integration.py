@@ -2,6 +2,7 @@
 configuration grid, deadlock detection, result plumbing, the arbiter
 baseline, and the harness."""
 
+from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
@@ -203,10 +204,8 @@ MACHINE_GRID = [
     ("election8-xbar-L3", small_config(8), leader_election(8), None, None),
     ("election8-xbar-L5-homes4", _link5(8, homes=4), leader_election(8),
      None, None),
-    ("gossip4-nosb-L5", _link5(4).with_superblocks(False), gossip(4),
-     None, None),
-    ("pingpong4-nosb-L5", _link5(4).with_superblocks(False),
-     pingpong(2, rounds=6), None, None),
+    ("gossip4-nosb-L5", _link5(4), gossip(4), None, None),
+    ("pingpong4-nosb-L5", _link5(4), pingpong(2, rounds=6), None, None),
     ("gossip4-xbar-linkfault", small_config(4), gossip(4), _LINK_FAULTS,
      None),
     ("pingpong4-xbar-linkfault", small_config(4), pingpong(2, rounds=6),
@@ -232,19 +231,24 @@ class TestMachineGrid:
     @pytest.mark.parametrize("label,config,workload,fault_plan,node_plan",
                              MACHINE_GRID, ids=[p[0] for p in MACHINE_GRID])
     def test_point_is_correct_and_reproducible(self, label, config, workload,
-                                               fault_plan, node_plan):
-        def run(config):
+                                               fault_plan, node_plan,
+                                               fusion_off):
+        def run():
             return System(config, workload.programs, workload.initial_memory,
                           fault_plan=fault_plan, node_plan=node_plan).run()
 
-        result = run(config)
-        workload.check(result)
+        # A ``nosb`` point runs with fusion off and flips it on.
+        unfused = "-nosb-" in label
+        with fusion_off() if unfused else nullcontext():
+            result = run()
+            workload.check(result)
+            # The watchdog's own checks are events too, so only the
+            # result is compared with the harness's run.
+            harness, _seconds = simulate_point(config, workload.programs,
+                                               workload.initial_memory,
+                                               fault_plan, node_plan)
         expected = (result_fingerprint(result), result.events)
-        flipped = run(config.with_superblocks(not config.superblocks))
-        assert (result_fingerprint(flipped), flipped.events) == expected
-        # The watchdog's own checks are events too, so only the result
-        # is compared here.
-        harness, _seconds = simulate_point(config, workload.programs,
-                                           workload.initial_memory,
-                                           fault_plan, node_plan)
         assert result_fingerprint(harness) == expected[0]
+        with nullcontext() if unfused else fusion_off():
+            flipped = run()
+        assert (result_fingerprint(flipped), flipped.events) == expected
