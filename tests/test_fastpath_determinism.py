@@ -28,6 +28,7 @@ from repro.harness.bench import default_grids
 from repro.harness.experiments import e1_plan, e9_plan
 from repro.harness.parallel import result_fingerprint
 from repro.isa.interpreter import superblock_spans
+from repro.sim.config import SpeculationMode
 from repro.system import System
 
 _GOLDEN_PATH = os.path.join(os.path.dirname(__file__),
@@ -122,6 +123,36 @@ def test_superblock_fusion_engages_on_spin_workloads():
             spec.label
         for program in spec.workload.programs:
             assert superblock_spans(program), (spec.label, program.name)
+
+
+@pytest.mark.parametrize("spec", _DETERMINISM_SPECS + _CHAOS_SPECS,
+                         ids=[s.label for s in _DETERMINISM_SPECS
+                              + _CHAOS_SPECS])
+def test_fusion_counters_follow_the_loop_spans(spec):
+    """Every point's fusion counters agree with its programs' loop spans.
+
+    A core fuses nothing when its program has no loop span, when a
+    node-fault plan targets it, or under CONTINUOUS speculation; these
+    are the points whose on/off proof above compares two unfused runs.
+    Every other core fuses, each fused dispatch retires at least one
+    and at most its program's longest span of instructions, and no
+    core fuses more instructions than it retires.
+    """
+    result = _run(spec)
+    targeted = (spec.node_plan.affected_cores()
+                if spec.node_plan is not None else frozenset())
+    continuous = spec.config.speculation.mode is SpeculationMode.CONTINUOUS
+    for core, program in zip(result.cores, spec.workload.programs):
+        spans = superblock_spans(program)
+        fused = (core.fused_instructions, core.fused_blocks)
+        if not spans or core.core_id in targeted or continuous:
+            assert fused == (0, 0), (spec.label, core.core_id)
+            continue
+        longest = max(span.stop - span.start for span in spans)
+        assert 0 < core.fused_blocks <= core.fused_instructions \
+            <= longest * core.fused_blocks, (spec.label, core.core_id, fused)
+        assert core.fused_instructions <= core.instructions, \
+            (spec.label, core.core_id)
 
 
 def _golden():
