@@ -30,6 +30,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.cli import at_least  # noqa: E402
 from repro.faults import (  # noqa: E402
     CRASH,
     PAUSE,
@@ -151,9 +152,10 @@ def selftest(seed=0) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="*", default=[0, 1, 2],
+    parser.add_argument("--seeds", type=at_least(0), nargs="+",
+                        default=[0, 1, 2],
                         help="chaos seeds to sweep (default: 0 1 2)")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=at_least(0), default=0,
                         help="seed for --selftest (default 0)")
     parser.add_argument("--table", action="store_true",
                         help="render the full E14 experiment table")

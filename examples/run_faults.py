@@ -31,6 +31,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.cli import at_least  # noqa: E402
 from repro.faults import (  # noqa: E402
     DeadlockError,
     FaultPlan,
@@ -70,9 +71,9 @@ def demo_deadlock() -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--programs", type=int, default=4,
+    parser.add_argument("--programs", type=at_least(1), default=4,
                         help="random programs per scenario (default 4)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=at_least(0), default=0)
     parser.add_argument("--scenarios", nargs="*",
                         choices=sorted(fault_scenarios()),
                         help="scenario subset (default: all)")

@@ -26,6 +26,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.cli import at_least  # noqa: E402
 from repro.sim.config import ConsistencyModel  # noqa: E402
 from repro.verification.fuzz import (  # noqa: E402
     INJECTIONS,
@@ -36,13 +37,13 @@ from repro.verification.fuzz import (  # noqa: E402
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--programs", type=int, default=20,
+    parser.add_argument("--programs", type=at_least(1), default=20,
                         help="random programs per sweep (default 20)")
-    parser.add_argument("--ops", type=int, default=8,
+    parser.add_argument("--ops", type=at_least(1), default=8,
                         help="ops per thread (default 8)")
-    parser.add_argument("--threads", type=int, default=2,
+    parser.add_argument("--threads", type=at_least(1), default=2,
                         help="threads per program (default 2)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=at_least(0), default=0)
     parser.add_argument("--models", nargs="*",
                         choices=[m.value for m in ConsistencyModel],
                         help="models to sweep (default: all)")

@@ -27,6 +27,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.cli import at_least  # noqa: E402
 from repro.isa.instructions import FenceKind  # noqa: E402
 from repro.sim.config import ConsistencyModel, SpeculationMode  # noqa: E402
 from repro.verification.synth import (  # noqa: E402
@@ -140,8 +141,8 @@ def main(argv=None) -> int:
                         help="litmus shapes to synthesize for (default: all)")
     parser.add_argument("--target", nargs="*", choices=sorted(TARGETS),
                         help="target models (default: sc and tso)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-queries", type=int, default=200,
+    parser.add_argument("--seed", type=at_least(0), default=0)
+    parser.add_argument("--max-queries", type=at_least(0), default=200,
                         help="oracle-query budget per synthesis (default 200)")
     parser.add_argument("--table", action="store_true",
                         help="render the full E13 experiment table")

@@ -157,7 +157,7 @@ class Core:
 
         # Hot-path caches (resolved once; attribute walks cost on every event).
         self._schedule_fast = sim.schedule_fast
-        self._regfile = self.regs._regs  # raw list; restore() copies in place
+        self._regfile = self.regs._regs  # raw list; rollback writes in place
         self._sb_entries = self.sb._entries  # raw deque; truthy iff non-empty
         self._alu_latency = config.alu_latency
         self._spec_continuous = (
@@ -870,17 +870,13 @@ class Core:
 
     def _finish_rollback(self, checkpoint: Checkpoint, started_at: int) -> None:
         self.stat_stall[StallCause.ROLLBACK].increment(self.sim.now - started_at)
-        if checkpoint.regs is None:
-            # Replay the undo log newest-first.  A register written twice
-            # is journaled twice; the reverse replay applies its oldest
-            # (pre-checkpoint) value last.
-            regs = self._regfile
-            for reg, old in reversed(self._reg_undo):
-                regs[reg] = old
-            del self._reg_undo[:]
-        else:
-            # Full-snapshot checkpoint (kept for direct constructions).
-            self.regs.restore(checkpoint.regs)
+        # Replay the undo log newest-first.  A register written twice is
+        # journaled twice; the reverse replay applies its oldest
+        # (pre-checkpoint) value last.
+        regs = self._regfile
+        for reg, old in reversed(self._reg_undo):
+            regs[reg] = old
+        del self._reg_undo[:]
         self.pc = checkpoint.pc
         self._rolling_back = False
         self._maybe_drain()  # non-speculative entries keep draining
@@ -903,8 +899,9 @@ def _make_alu(core: Core, instr: Instruction, index: int,
     The evaluators in ``semantics._ALU_EVAL`` produce already-masked
     words given masked inputs, and slot 0 of the register list is never
     written, so the closure can index the list directly -- no bounds
-    check, no re-mask, no method call.  ``RegisterFile.restore`` copies
-    in place, keeping the captured list valid across rollbacks.
+    check, no re-mask, no method call.  Rollback replays its undo log
+    into the same list, so the captured list stays valid across
+    rollbacks.
 
     The closure belongs to program slot ``index``, so the fall-through
     pc is a decode-time constant, and :meth:`Core._finish` is inlined

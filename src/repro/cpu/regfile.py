@@ -1,4 +1,4 @@
-"""Architectural register file with checkpoint support."""
+"""Architectural register file."""
 
 from __future__ import annotations
 
@@ -28,15 +28,8 @@ class RegisterFile:
             self._regs[index] = semantics.to_word(value)
 
     def snapshot(self) -> List[int]:
-        """A copy of all register values (for checkpointing)."""
+        """A copy of all register values."""
         return list(self._regs)
-
-    def restore(self, snapshot: List[int]) -> None:
-        # In place: the core's decoded closures hold a reference to the
-        # underlying list, which must stay valid across rollbacks.
-        if len(snapshot) != REG_COUNT:
-            raise ValueError("snapshot has wrong length")
-        self._regs[:] = snapshot
 
     def __repr__(self) -> str:
         nonzero = {i: v for i, v in enumerate(self._regs) if v}

@@ -245,22 +245,22 @@ def e3_build(results: Results, n_cores: int = 8,
     return result
 
 
-# ------------------------------------------------------- MEM bench grid
+# ------------------------------------------------------------- MEM grid
 
-#: Sharing-heavy subset of the suite used by the MEM bench grid: the
+#: Sharing-heavy subset of the suite used by the MEM grid: the
 #: fence-bound communication workload plus both barrier kernels, whose
 #: runtime is dominated by coherence traffic rather than local compute.
 _MEM_WORKLOADS = ("producer-consumer", "barrier-stencil", "barrier-reduction")
 
 
 def mem_plan(n_cores: int = 8, scale: float = 1.0) -> List[RunSpec]:
-    """Coherence-heavy bench grid: the sharing-bound workloads crossed
-    with the E2 six-point configs plus the E3 speculation modes.
+    """Coherence-heavy grid: the sharing-bound workloads crossed with
+    the E2 six-point configs plus the E3 speculation modes.
 
-    This is a *bench* grid -- an events/sec tracking target for the
-    memory-system fast path (message dispatch, block transfers, LRU,
-    store-buffer forwarding all run hot here) -- not a reproduced
-    figure, so there is no ``mem_build``.
+    Message dispatch, block transfers, LRU and store-buffer forwarding
+    run hot here.  The engine goldens and the copy-elision tests pin its
+    2-core points; ``examples/run_bench.py`` profiles its quick points.
+    Not a reproduced figure, so there is no ``mem_build``.
     """
     suite = standard_suite(n_cores, scale)
     grid = six_point_configs(_default_config(n_cores), SpeculationMode.ON_DEMAND)

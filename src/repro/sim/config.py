@@ -185,7 +185,6 @@ class SpeculationConfig:
 
     mode: SpeculationMode = SpeculationMode.NONE
     rollback_penalty: int = 8
-    commit_latency: int = 1
     conservative_window: int = 32
     max_rollbacks_before_stall: int = 2
     granularity: ViolationGranularity = ViolationGranularity.BLOCK
@@ -199,7 +198,6 @@ class SpeculationConfig:
 
     def __post_init__(self) -> None:
         _require(self.rollback_penalty >= 0, "rollback_penalty must be >= 0")
-        _require(self.commit_latency >= 0, "commit_latency must be >= 0")
         _require(self.conservative_window >= 0, "conservative_window must be >= 0")
         _require(self.max_rollbacks_before_stall >= 1,
                  "max_rollbacks_before_stall must be >= 1")
@@ -223,7 +221,6 @@ class SystemConfig:
     interconnect: InterconnectConfig = field(default_factory=InterconnectConfig)
     core: CoreConfig = field(default_factory=CoreConfig)
     speculation: SpeculationConfig = field(default_factory=SpeculationConfig)
-    seed: int = 1
     # Number of directory home nodes.  1 keeps the historical single
     # directory at node id n_cores; H > 1 spreads directory state over
     # nodes n_cores..n_cores+H-1 via the consistent-hash home map
@@ -245,10 +242,6 @@ class SystemConfig:
 
     def with_cores(self, n_cores: int) -> "SystemConfig":
         return replace(self, n_cores=n_cores)
-
-    def with_homes(self, n_homes: int) -> "SystemConfig":
-        """A copy of this config with ``n_homes`` directory home nodes."""
-        return replace(self, n_homes=n_homes)
 
     def describe(self) -> str:
         """A one-line summary used in reports and benchmark labels."""

@@ -41,3 +41,15 @@ def test_demo_failstop_names_dead_node(cli, capsys):
     out = capsys.readouterr().out
     assert "CRASHED" in out
     assert "core 2" in out
+
+
+@pytest.mark.parametrize("argv", [["--seeds"], ["--seeds", "-1"],
+                                  ["--seeds", "0", "-2"], ["--seed", "-1"]],
+                         ids=["no-seeds", "negative-seed", "one-negative",
+                              "negative-selftest-seed"])
+def test_bad_seeds_are_usage_errors(cli, capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "--seed" in err.splitlines()[-1]

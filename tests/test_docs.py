@@ -60,6 +60,7 @@ WITHDRAWN = {
     "repro.sim.sharded": "the sharded engine's deletion",
     "repro.cpu.core._make_fused_span":
         "the uncompiled superblock executor's deletion",
+    "repro.harness.bench": "the grid-timing bench harness's deletion",
 }
 
 
@@ -106,6 +107,42 @@ def test_withdrawn_names_are_gone_and_still_named(name):
     assert not resolves(name), f"{name} exists again: drop it from WITHDRAWN"
     assert any(name in named_code(doc.read_text()) for doc in DOCS), (
         f"no doc names {name} any more: drop it from WITHDRAWN")
+
+
+#: An example script, and a long flag on the line after it.
+_SCRIPT = re.compile(r"examples/(\w+)\.py")
+_FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+
+
+def named_flags(text: str):
+    """(script, flag) for every ``--flag`` that follows
+    ``examples/<script>.py`` on the same line, before any other script."""
+    found = set()
+    for line in text.splitlines():
+        parts = _SCRIPT.split(line)
+        for script, rest in zip(parts[1::2], parts[2::2]):
+            found.update((script, flag) for flag in _FLAG.findall(rest))
+    return sorted(found)
+
+
+def test_flag_pattern():
+    text = ("`python examples/run_fuzz.py --programs 5 --seed=3` and "
+            "examples/run_bench.py --profile 25\n--quick on a new line")
+    assert named_flags(text) == [("run_bench", "--profile"),
+                                 ("run_fuzz", "--programs"),
+                                 ("run_fuzz", "--seed")]
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda p: str(p.relative_to(_ROOT)))
+def test_doc_names_only_existing_flags(doc):
+    """A flag a doc gives a script appears quoted in that script."""
+    missing = []
+    for script, flag in named_flags(doc.read_text()):
+        path = _ROOT / "examples" / f"{script}.py"
+        if path.exists() and not re.search(
+                rf"[\"']{re.escape(flag)}[\"']", path.read_text()):
+            missing.append(f"examples/{script}.py {flag}")
+    assert not missing, f"{doc.relative_to(_ROOT)} names missing {missing}"
 
 
 _BENCH = re.compile(r"\bBENCH_(\d+)")

@@ -21,10 +21,10 @@ experiment tables.
 
 import json
 import os
+import sys
 
 import pytest
 
-from repro.harness.bench import default_grids
 from repro.harness.experiments import e1_plan, e9_plan
 from repro.harness.parallel import result_fingerprint
 from repro.isa.interpreter import superblock_spans
@@ -160,33 +160,25 @@ def _golden():
         return json.load(handle)
 
 
+def _quick_grids():
+    """The pinned grids: E1 at 4 cores and E9 at 2 and 4, scale 0.3."""
+    return {"E1": e1_plan(n_cores=4, scale=0.3),
+            "E9": e9_plan(core_counts=(2, 4), scale=0.3)}
+
+
 def _golden_params():
     golden = _golden()
-    grids = default_grids(quick=True)
-    params = []
-    for grid_id, specs in grids.items():
-        expected = golden["grids"].get(grid_id)
-        if expected is None:
-            # Bench-only grid (MEM): events/sec tracking, not pinned to
-            # seed fingerprints -- tests/golden_engine_fingerprints.json
-            # pins the 2-core MEM points instead.
-            continue
-        for spec in specs:
-            params.append(pytest.param(spec, expected[spec.label],
-                                       id=f"{grid_id}|{spec.label}"))
-    return params
+    return [pytest.param(spec, golden["grids"][grid_id][spec.label],
+                         id=f"{grid_id}|{spec.label}")
+            for grid_id, specs in _quick_grids().items() for spec in specs]
 
 
 def test_golden_file_covers_current_grids():
-    """Renaming points in a pinned grid must regenerate the golden file.
-
-    Grids absent from the golden file (the MEM bench grid) are
-    deliberately unpinned; every pinned grid must still exist and cover
-    exactly the committed labels.
-    """
+    """Renaming points in a pinned grid must regenerate the golden file:
+    it covers exactly the quick grids' labels."""
     golden = _golden()
-    grids = default_grids(quick=True)
-    assert set(golden["grids"]) <= set(grids)
+    grids = _quick_grids()
+    assert set(golden["grids"]) == set(grids)
     for grid_id, expected in golden["grids"].items():
         assert set(expected) == {s.label for s in grids[grid_id]}
 
@@ -201,3 +193,16 @@ def test_engine_reproduces_seed_fingerprints(spec, expected):
         "if the simulated architecture intentionally changed, regenerate "
         "tests/golden_fingerprints.json (see docs/PERF.md)"
     )
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3 or sys.argv[1] != "--record":
+        sys.exit("usage: python -m tests.test_fastpath_determinism "
+                 "--record SOURCE")
+    doc = {"source": sys.argv[2], "grids": {
+        grid_id: {spec.label: result_fingerprint(_run(spec))
+                  for spec in specs}
+        for grid_id, specs in _quick_grids().items()}}
+    with open(_GOLDEN_PATH, "w") as handle:
+        json.dump(doc, handle, indent=2, sort_keys=True)
+        handle.write("\n")

@@ -38,3 +38,15 @@ def test_single_workload_run(cli, capsys):
     assert cli.main(["--workload", "sb", "--target", "tso"]) == 0
     out = capsys.readouterr().out
     assert "0 fence(s)" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-queries", "-5", "--workload", "sb", "--target", "sc"],
+    ["--seed", "-1", "--workload", "sb", "--target", "sc"]],
+    ids=["negative-budget", "negative-seed"])
+def test_negative_budget_or_seed_is_a_usage_error(cli, capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "must be at least 0" in err
