@@ -10,6 +10,7 @@ the refusal of a revision without perfbench.  The ``--profile`` and
 import importlib.util
 import json
 import os
+import statistics
 import subprocess
 import sys
 
@@ -123,7 +124,7 @@ def test_nine_wins_is_a_gain_and_eight_is_not():
 
 
 def test_a_gap_inside_the_parents_quartiles_is_no_gain():
-    q1, _, q3 = __import__("statistics").quantiles(PARENT, n=4)
+    q1, _, q3 = statistics.quantiles(PARENT, n=4)
     change = [p - (q3 - q1) / 2 for p in PARENT]
     result = _verdict(PARENT, change)
     assert result["wins"] == 10

@@ -181,6 +181,14 @@ QUOTED = [
     ("EXPERIMENTS.md", "BENCH_5.json",
      "sharded.points.[mesh256-stencil].critical_path_speedup",
      "{:.2f}x critical path"),
+] + [
+    ("docs/PERF.md", "BENCH_6.json",
+     f"workloads.{workload}.end_to_end.{metric}.{side}_median", fmt)
+    for workload in ("paper-tables", "mesh-contention", "verify-campaign")
+    for metric, fmt in (("wall_s", "{:.3f}"), ("cpu_s", "{:.3f}"),
+                        ("setup_s", "{:.3f}"), ("sim_instr_per_s", "{:,.0f}"),
+                        ("peak_rss_mb", "{:.2f}"))
+    for side in ("parent", "change")
 ]
 
 
