@@ -92,6 +92,22 @@ class _Kind(enum.Enum):
     PREFETCH_W = enum.auto()  #: acquire write permission, apply nothing
 
 
+#: ``_Kind`` -> the recorder's ``AccessKind``, filled by the first
+#: recorded access: importing ``repro.verification`` while this module
+#: loads would be a cycle (that package imports ``repro.system``, which
+#: imports this module).
+_ACCESS_KINDS: Dict[_Kind, enum.Enum] = {}
+
+
+def _access_kinds() -> Dict[_Kind, enum.Enum]:
+    if not _ACCESS_KINDS:
+        from repro.verification.recorder import AccessKind
+        _ACCESS_KINDS.update({_Kind.READ: AccessKind.READ,
+                              _Kind.WRITE: AccessKind.WRITE,
+                              _Kind.RMW: AccessKind.RMW})
+    return _ACCESS_KINDS
+
+
 class _Request:
     """A core-side access waiting inside the L1 (possibly in an MSHR)."""
 
@@ -361,8 +377,8 @@ class L1Cache:
         self._miss(block_addr, req, has_s_copy=False)
 
     def _record_read_fast(self, addr: int, value: int, po: int) -> None:
-        from repro.verification.recorder import AccessKind
-        self.access_listener(AccessKind.READ, addr, value, None, False, po)
+        self.access_listener((_ACCESS_KINDS or _access_kinds())[_Kind.READ],
+                             addr, value, None, False, po)
 
     def _start(self, req: _Request) -> None:
         if req.guard is not None and not req.guard():
@@ -446,12 +462,8 @@ class L1Cache:
         req.callback(loaded)
 
     def _record(self, req: _Request, value: int, written, speculative: bool) -> None:
-        if self.access_listener is None:
-            return
-        from repro.verification.recorder import AccessKind
-        kind = {_Kind.READ: AccessKind.READ, _Kind.WRITE: AccessKind.WRITE,
-                _Kind.RMW: AccessKind.RMW}[req.kind]
-        self.access_listener(kind, req.addr, value, written, speculative, req.po)
+        self.access_listener((_ACCESS_KINDS or _access_kinds())[req.kind],
+                             req.addr, value, written, speculative, req.po)
 
     def _write_word(self, block: CacheBlock, word: int, value: int, speculative: bool) -> bool:
         """Apply one word write; returns False if the write was aborted

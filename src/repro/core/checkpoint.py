@@ -9,34 +9,24 @@ tracked in the L1 itself via SR/SW bits and clean-before-write.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-from repro.isa.instructions import REG_COUNT
-
 
 class Checkpoint:
     """A snapshot of one core's architectural state.
 
-    ``regs=None`` marks an *incremental* checkpoint: the core journals
-    (reg, old_value) pairs as it speculates and restores by replaying
-    the undo log, so taking the checkpoint copies nothing.  The modelled
+    The checkpoint is *incremental*: the core journals (reg, old_value)
+    pairs as it speculates and restores by replaying the undo log, so
+    taking the checkpoint copies nothing but the PC.  The modelled
     hardware cost is unchanged -- a real implementation still shadows
-    the full register file.
+    the full register file (``repro.core.storage.CHECKPOINT_BITS``).
     """
 
-    __slots__ = ("regs", "pc", "taken_at_cycle", "taken_at_instruction")
+    __slots__ = ("pc", "taken_at_cycle", "taken_at_instruction")
 
-    def __init__(self, regs: Optional[List[int]], pc: int, taken_at_cycle: int,
+    def __init__(self, pc: int, taken_at_cycle: int,
                  taken_at_instruction: int):
-        self.regs = list(regs) if regs is not None else None
         self.pc = pc
         self.taken_at_cycle = taken_at_cycle
         self.taken_at_instruction = taken_at_instruction
-
-    def storage_bits(self) -> int:
-        """Hardware cost of holding this checkpoint (64-bit regs + PC)."""
-        n_regs = REG_COUNT if self.regs is None else len(self.regs)
-        return (n_regs + 1) * 64
 
     def __repr__(self) -> str:
         return (f"<Checkpoint pc={self.pc} cycle={self.taken_at_cycle} "

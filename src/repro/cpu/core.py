@@ -812,7 +812,7 @@ class Core:
         # Incremental checkpoint: no register copy -- the journal starts
         # empty and rollback replays it (see _finish_rollback).
         del self._reg_undo[:]
-        checkpoint = Checkpoint(None, self.pc, self.sim.now, self.instructions)
+        checkpoint = Checkpoint(self.pc, self.sim.now, self.instructions)
         self.spec.enter(checkpoint, trigger)
 
     def _do_commit(self) -> None:

@@ -49,23 +49,49 @@ The checker is sound with respect to the repo's machine: the simulated
 core is stronger than each model's axioms (in-order, blocking loads,
 FIFO store buffer), so any cycle is a real bug -- exactly the
 InvisiFence invisibility property the fuzzer hunts for.
+
+Graphs and cycle reports
+========================
+
+The checker runs over a :class:`~repro.verification.checker.ExecutionView`
+built once per check.  Each graph is a plain ``node -> [(successor,
+label), ...]`` table filled in a fixed order: co, then rf/fr in apply
+order, then po-loc per core, then the model's ppo.  The search for a
+cycle starts from nodes in the order they gained their first edge and
+takes each node's edges in insertion order, so the cycle a violation
+names is a function of the log alone.  No edge is added twice (RMO's
+atomic edge between two RMWs of one core is added by the earlier one's
+pass only) and none joins a node to itself, so a graph's edge count is
+the length of its table.  The per-location graphs are vertex-disjoint,
+so uniproc searches their union once and goes location by location only
+to name the first location with a cycle.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.instructions import FenceKind
 from repro.sim.config import ConsistencyModel
-from repro.verification.checker import ConsistencyViolation
+from repro.verification.checker import (
+    ConsistencyViolation,
+    ExecutionView,
+)
 from repro.verification.recorder import (
     AccessKind,
     AccessRecord,
     ExecutionRecorder,
     FenceRecord,
 )
+
+_READ = AccessKind.READ
+_WRITE = AccessKind.WRITE
+_RMW = AccessKind.RMW
+
+#: node -> [(successor, label), ...] in insertion order
+Graph = Dict[int, List[Tuple[int, str]]]
 
 
 @dataclass(frozen=True)
@@ -78,83 +104,74 @@ class OrderingReport:
     locations_skipped: int  #: locations excluded from rf/fr (duplicate values)
 
 
-class _Graph:
-    """Labelled digraph over small integer nodes with cycle reporting."""
+def _find_cycle(graph: Graph, roots, size: int
+                ) -> Optional[List[Tuple[int, str, int]]]:
+    """One cycle as ``[(u, label, v), ...]``, or None if acyclic.
 
-    def __init__(self) -> None:
-        self._adj: Dict[int, List[Tuple[int, str]]] = defaultdict(list)
-        self._seen = set()
-        self.edges = 0
-
-    def add_edge(self, u: int, v: int, label: str) -> None:
-        if u == v or (u, v, label) in self._seen:
-            return
-        self._seen.add((u, v, label))
-        self._adj[u].append((v, label))
-        self.edges += 1
-
-    def find_cycle(self) -> Optional[List[Tuple[int, str, int]]]:
-        """One cycle as ``[(u, label, v), ...]``, or None if acyclic."""
-        WHITE, GREY, BLACK = 0, 1, 2
-        color: Dict[int, int] = defaultdict(int)
-        parent: Dict[int, Tuple[int, str]] = {}
-        for root in list(self._adj):
-            if color[root] != WHITE:
-                continue
-            stack: List[Tuple[int, Iterable]] = [(root, iter(self._adj.get(root, ())))]
-            color[root] = GREY
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for (nxt, label) in it:
-                    if color[nxt] == GREY:
-                        # Back edge: unwind the grey path nxt -> ... -> node.
-                        cycle = [(node, label, nxt)]
-                        walk = node
-                        while walk != nxt:
-                            prev, lbl = parent[walk]
-                            cycle.append((prev, lbl, walk))
-                            walk = prev
-                        cycle.reverse()
-                        return cycle
-                    if color[nxt] == WHITE:
-                        color[nxt] = GREY
-                        parent[nxt] = (node, label)
-                        stack.append((nxt, iter(self._adj.get(nxt, ()))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
-        return None
-
-
-def _is_read(r: AccessRecord) -> bool:
-    return r.kind is not AccessKind.WRITE
-
-
-def _is_write_ish(r: AccessRecord) -> bool:
-    """Write side of the ppo chains: stores and *all* RMWs.
-
-    A failed CAS writes nothing, but atomics drain the store buffer and
-    block the core under every model, so they still transmit
-    write-to-write ordering.
+    Depth-first from each of ``roots`` in turn (nodes ``0 .. size-1``),
+    taking every node's edges in insertion order.  A node without edges
+    is finished as soon as it is reached: no cycle passes through it.
     """
-    return r.kind is not AccessKind.READ
+    color = [0] * size          # 0 unvisited, 1 on the path, 2 done
+    parent: Dict[int, Tuple[int, str]] = {}
+    get = graph.get
+    for root in roots:
+        if color[root]:
+            continue
+        color[root] = 1
+        stack = [(root, iter(graph[root]))]
+        while stack:
+            node, successors = stack[-1]
+            for nxt, label in successors:
+                seen = color[nxt]
+                if seen == 1:
+                    # Back edge: unwind the path nxt -> ... -> node.
+                    cycle = [(node, label, nxt)]
+                    walk = node
+                    while walk != nxt:
+                        prev, lbl = parent[walk]
+                        cycle.append((prev, lbl, walk))
+                        walk = prev
+                    cycle.reverse()
+                    return cycle
+                if not seen:
+                    edges = get(nxt)
+                    if edges is None:
+                        color[nxt] = 2
+                        continue
+                    color[nxt] = 1
+                    parent[nxt] = (node, label)
+                    stack.append((nxt, iter(edges)))
+                    break
+            else:
+                color[node] = 2
+                stack.pop()
+    return None
 
 
-def _fence_pairs(kind: FenceKind) -> List[Tuple[bool, bool]]:
-    """The (before_is_write, after_is_write) classes this fence orders."""
-    pairs = []
-    if kind.orders_load_load:
-        pairs.append((False, False))
-    if kind.orders_load_store:
-        pairs.append((False, True))
-    if kind.orders_store_store:
-        pairs.append((True, True))
-    if kind.orders_store_load:
-        pairs.append((True, False))
-    return pairs
+#: The read class of the ppo chains and fences: every access but a store.
+_READS = frozenset({_READ, _RMW})
+#: The write class: every access but a load.  A failed CAS writes
+#: nothing, but atomics drain the store buffer and block the core under
+#: every model, so they still transmit write-to-write ordering.
+_WRITES = frozenset({_WRITE, _RMW})
+
+
+def _fence_sides(kind: FenceKind) -> Tuple[frozenset, frozenset]:
+    """The access kinds a ``kind`` fence orders before it and after it."""
+    before = after = frozenset()
+    if kind.orders_load_load or kind.orders_load_store:
+        before |= _READS
+    if kind.orders_store_store or kind.orders_store_load:
+        before |= _WRITES
+    if kind.orders_load_load or kind.orders_store_load:
+        after |= _READS
+    if kind.orders_load_store or kind.orders_store_store:
+        after |= _WRITES
+    return before, after
+
+
+_FENCE_SIDES = {kind: _fence_sides(kind) for kind in FenceKind}
 
 
 def _render_event(events: Sequence[AccessRecord],
@@ -195,189 +212,185 @@ def check_model_ordering(recorder: ExecutionRecorder,
     rendered event-by-event; returns an :class:`OrderingReport` on
     success.
     """
-    initial = initial or {}
-    events = recorder.sorted_log()
-    for r in events:
-        if r.po < 0:
-            raise ValueError(
-                "ordering check requires program-order indices on every "
-                "record (run under ExecutionRecorder.attach, or set po "
-                "explicitly on hand-built logs)"
-            )
-    seen_po = set()
-    for r in events:
-        key = (r.core, r.po)
-        if key in seen_po:
-            raise ValueError(f"duplicate program-order index {key} in log")
-        seen_po.add(key)
+    return order_view(ExecutionView(recorder, initial), model)
 
-    graph = _Graph()
+
+def order_view(view: ExecutionView, model: ConsistencyModel
+               ) -> OrderingReport:
+    """:func:`check_model_ordering` over an already built view."""
+    events = view.log
     n = len(events)
+    core, kind, addr, value, po = (view.core, view.kind, view.addr,
+                                   view.value, view.po)
+    if n and min(po) < 0:
+        raise ValueError(
+            "ordering check requires program-order indices on every "
+            "record (run under ExecutionRecorder.attach, or set po "
+            "explicitly on hand-built logs)"
+        )
+    if len(set(zip(core, po))) != n:
+        seen_po = set()
+        for key in zip(core, po):
+            if key in seen_po:
+                raise ValueError(
+                    f"duplicate program-order index {key} in log")
+            seen_po.add(key)
 
-    # Per-location graphs for the uniproc (SC-per-location) axiom.  This
-    # is deliberately NOT folded into the global graph: same-address
-    # program order composes with rf/co/fr only *per location* -- mixed
-    # into the global order it would reject legal TSO outcomes such as
-    # store buffering with same-address forwarding (SB+rfi).
-    loc_graphs: Dict[int, _Graph] = defaultdict(_Graph)
+    writes, producer, ambiguous = view.writes, view.producer, view.ambiguous
+    initial = view.initial
+    graph: Graph = defaultdict(list)
+    # The per-location graphs of the uniproc (SC-per-location) axiom, as
+    # one table: they share no node.  This is deliberately NOT folded
+    # into the global graph: same-address program order composes with
+    # rf/co/fr only *per location* -- mixed into the global order it
+    # would reject legal TSO outcomes such as store buffering with
+    # same-address forwarding (SB+rfi).
+    loc_graph: Graph = defaultdict(list)
+    #: locations in the order their per-location graph was first touched
+    loc_order: Dict[int, None] = {}
 
-    # ----- coherence order (co) and value -> write maps per location
-    co: Dict[int, List[int]] = defaultdict(list)       # addr -> event ids
-    producer: Dict[int, Dict[int, int]] = defaultdict(dict)  # addr -> value -> id
-    ambiguous = set()
-    for i, r in enumerate(events):
-        if not r.is_write:
-            continue
-        addr = r.addr
-        value = r.written_value
-        if value in producer[addr] or value == initial.get(addr, 0):
-            ambiguous.add(addr)
-        producer[addr][value] = i
-        co[addr].append(i)
-    for addr, writes in co.items():
-        for a, b in zip(writes, writes[1:]):
-            graph.add_edge(a, b, "co")
-            loc_graphs[addr].add_edge(a, b, "co")
-    co_pos = {}
-    for addr, writes in co.items():
-        for pos, w in enumerate(writes):
-            co_pos[w] = (addr, pos)
+    # ----- coherence order (co), and each write's co successor
+    co_next: Dict[int, int] = {}
+    for a, addr_writes in writes.items():
+        if len(addr_writes) > 1:
+            loc_order[a] = None
+            for w, nxt in zip(addr_writes, addr_writes[1:]):
+                graph[w].append((nxt, "co"))
+                loc_graph[w].append((nxt, "co"))
+                co_next[w] = nxt
 
     # ----- reads-from (rf) and from-reads (fr)
-    for i, r in enumerate(events):
-        if not _is_read(r):
+    sc = model is ConsistencyModel.SC
+    for i, k in enumerate(kind):
+        if k is _WRITE:
             continue
-        addr = r.addr
-        if addr in ambiguous:
+        a = addr[i]
+        if a in ambiguous:
             continue
-        writes = co.get(addr, [])
-        w = producer[addr].get(r.value)
+        values = producer.get(a)
+        v = value[i]
+        w = None if values is None else values.get(v)
         if w is None:
-            if r.value != initial.get(addr, 0):
+            if v != initial.get(a, 0):
                 raise ConsistencyViolation(
-                    f"core {r.core} read out-of-thin-air value {r.value} "
-                    f"from {addr:#x}"
+                    f"core {core[i]} read out-of-thin-air value {v} "
+                    f"from {a:#x}"
                 )
             # Read of the initial value: it precedes every write (fr).
-            if writes:
-                graph.add_edge(i, writes[0], "fr")
-                loc_graphs[addr].add_edge(i, writes[0], "fr")
+            if values is not None:
+                loc_order[a] = None
+                first = writes[a][0]
+                if first != i:
+                    graph[i].append((first, "fr"))
+                    loc_graph[i].append((first, "fr"))
             continue
         if i != w:  # an RMW "reads from" the previous write, handled via co
-            internal = events[w].core == r.core
-            loc_graphs[addr].add_edge(w, i, "rf")
-            if model is ConsistencyModel.SC or not internal:
-                graph.add_edge(w, i, "rf")
-        _, pos = co_pos[w]
-        if pos + 1 < len(writes):
-            graph.add_edge(i, writes[pos + 1], "fr")
-            loc_graphs[addr].add_edge(i, writes[pos + 1], "fr")
-
-    # ----- per-core program-order streams
-    per_core: Dict[int, List[int]] = defaultdict(list)
-    for i, r in enumerate(events):
-        per_core[r.core].append(i)
-    for stream in per_core.values():
-        stream.sort(key=lambda i: events[i].po)
+            loc_order[a] = None
+            loc_graph[w].append((i, "rf"))
+            if sc or core[w] != core[i]:
+                graph[w].append((i, "rf"))
+        nxt = co_next.get(w)
+        if nxt is not None:
+            loc_order[a] = None
+            if nxt != i:
+                graph[i].append((nxt, "fr"))
+                loc_graph[i].append((nxt, "fr"))
 
     # ----- uniproc: same-address program order vs rf/co/fr, per location
     # (model-independent; ambiguous locations keep their po-loc/co edges,
     # which need no value mapping and still catch FIFO drain inversions).
-    for stream in per_core.values():
+    streams = view.streams
+    for stream in streams.values():
         last_at: Dict[int, int] = {}
         for i in stream:
-            addr = events[i].addr
-            if addr in last_at:
-                loc_graphs[addr].add_edge(last_at[addr], i, "po-loc")
-            last_at[addr] = i
-    for addr, loc_graph in loc_graphs.items():
-        cycle = loc_graph.find_cycle()
-        if cycle is not None:
-            raise ConsistencyViolation(
-                f"per-location coherence (uniproc) violated at {addr:#x}:\n"
-                + _render_cycle(events, {}, cycle)
-            )
+            a = addr[i]
+            prev = last_at.get(a)
+            if prev is not None:
+                loc_order[a] = None
+                loc_graph[prev].append((i, "po-loc"))
+            last_at[a] = i
+    if _find_cycle(loc_graph, loc_graph, n) is not None:
+        for a in loc_order:
+            cycle = _find_cycle(
+                loc_graph, [u for u in loc_graph if addr[u] == a], n)
+            if cycle is not None:
+                raise ConsistencyViolation(
+                    f"per-location coherence (uniproc) violated at "
+                    f"{a:#x}:\n" + _render_cycle(events, {}, cycle)
+                )
 
-    # ----- fences (committed only), as hub nodes
-    fence_nodes: Dict[int, FenceRecord] = {}
-    fences_by_core: Dict[int, List[Tuple[int, FenceRecord]]] = defaultdict(list)
-    next_node = n
-    for f in recorder.fences:
-        fence_nodes[next_node] = f
-        fences_by_core[f.core].append((next_node, f))
-        next_node += 1
+    # ----- fences (committed only), as hub nodes n, n + 1, ...
+    fences = view.fences
+    fences_by_core: Dict[int, List[Tuple[int, FenceRecord]]] = {}
+    for node, f in enumerate(fences, n):
+        fences_by_core.setdefault(f.core, []).append((node, f))
 
     # ----- model-specific preserved program order
-    if model is ConsistencyModel.SC:
-        for stream in per_core.values():
+    if sc:
+        for stream in streams.values():
             for a, b in zip(stream, stream[1:]):
-                graph.add_edge(a, b, "po")
+                graph[a].append((b, "po"))
     elif model is ConsistencyModel.TSO:
-        for core, stream in per_core.items():
+        for c, stream in streams.items():
             # Chains generating ppo = po minus store->load:
-            #   every read-ish event orders with its successor and with
-            #   the next read-ish event; writes chain among write-ish
-            #   events.  Transitive paths then yield exactly the po
-            #   pairs that are not (store -> later load).
-            reads = [i for i in stream if _is_read(events[i])]
-            writes = [i for i in stream if _is_write_ish(events[i])]
-            pos_of = {e: k for k, e in enumerate(stream)}
-            for k, i in enumerate(stream[:-1]):
-                if _is_read(events[i]):
-                    graph.add_edge(i, stream[k + 1], "po")
+            #   every read-class event orders with its successor and with
+            #   the next read-class event; writes chain among write-class
+            #   events (_READS, _WRITES).  Transitive paths then yield
+            #   exactly the po pairs that are not (store -> later load).
+            reads = [i for i in stream if kind[i] is not _WRITE]
+            writes_ish = [i for i in stream if kind[i] is not _READ]
+            for a, b in zip(stream, stream[1:]):
+                if kind[a] is not _WRITE:
+                    graph[a].append((b, "po"))
             for a, b in zip(reads, reads[1:]):
-                graph.add_edge(a, b, "po-rr")
-            for a, b in zip(writes, writes[1:]):
-                graph.add_edge(a, b, "po-ww")
+                graph[a].append((b, "po-rr"))
+            for a, b in zip(writes_ish, writes_ish[1:]):
+                graph[a].append((b, "po-ww"))
             # StoreLoad-ordering fences restore the dropped edges.
-            for node, f in fences_by_core[core]:
+            for node, f in fences_by_core.get(c, ()):
                 if not f.kind.orders_store_load:
                     continue
-                before = [i for i in writes if events[i].po < f.po]
-                after = [i for i in reads if events[i].po > f.po]
+                before = [i for i in writes_ish if po[i] < f.po]
+                after = [i for i in reads if po[i] > f.po]
                 if before:
-                    graph.add_edge(before[-1], node, "fence")
+                    graph[before[-1]].append((node, "fence"))
                 if after:
-                    graph.add_edge(node, after[0], "fence")
+                    graph[node].append((after[0], "fence"))
     elif model is ConsistencyModel.RMO:
-        for core, stream in per_core.items():
+        for c, stream in streams.items():
             # Only fences and atomics order; each fence is a hub between
             # its before/after access classes, each atomic a full
             # barrier hub.
-            for node, f in fences_by_core[core]:
-                pairs = _fence_pairs(f.kind)
-                before_w = any(bw for bw, _ in pairs)
-                before_r = any(not bw for bw, _ in pairs)
-                after_w = any(aw for _, aw in pairs)
-                after_r = any(not aw for _, aw in pairs)
+            for node, f in fences_by_core.get(c, ()):
+                before, after = _FENCE_SIDES[f.kind]
                 for i in stream:
-                    r = events[i]
-                    if r.po < f.po:
-                        if ((before_w and _is_write_ish(r))
-                                or (before_r and _is_read(r))):
-                            graph.add_edge(i, node, "fence")
-                    elif ((after_w and _is_write_ish(r))
-                            or (after_r and _is_read(r))):
-                        graph.add_edge(node, i, "fence")
+                    if po[i] < f.po:
+                        if kind[i] in before:
+                            graph[i].append((node, "fence"))
+                    elif kind[i] in after:
+                        graph[node].append((i, "fence"))
             for m in stream:
-                if events[m].kind is not AccessKind.RMW:
+                if kind[m] is not _RMW:
                     continue
                 for i in stream:
-                    if events[i].po < events[m].po:
-                        graph.add_edge(i, m, "atomic")
-                    elif events[i].po > events[m].po:
-                        graph.add_edge(m, i, "atomic")
+                    if po[i] < po[m]:
+                        # i -> m; an earlier RMW's own pass added it.
+                        if kind[i] is not _RMW:
+                            graph[i].append((m, "atomic"))
+                    elif po[i] > po[m]:
+                        graph[m].append((i, "atomic"))
     else:  # pragma: no cover - new models must define their axioms here
         raise ValueError(f"no ordering axioms defined for model {model}")
 
-    cycle = graph.find_cycle()
+    cycle = _find_cycle(graph, graph, n + len(fences))
     if cycle is not None:
         raise ConsistencyViolation(
             f"{model.value.upper()} ordering violated: cycle of "
             f"{len(cycle)} edge(s) in po|rf|co|fr:\n"
-            + _render_cycle(events, fence_nodes, cycle)
+            + _render_cycle(events, dict(enumerate(fences, n)), cycle)
         )
-    edges = graph.edges + sum(g.edges for g in loc_graphs.values())
+    edges = (sum(map(len, graph.values()))
+             + sum(map(len, loc_graph.values())))
     return OrderingReport(
         model=model,
         events=n,

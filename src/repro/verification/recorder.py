@@ -181,9 +181,6 @@ class ExecutionRecorder:
             self.sorts_performed += 1
         return self._sorted_cache
 
-    def writes_to(self, addr: int) -> List[AccessRecord]:
-        return [r for r in self.sorted_log() if r.addr == addr and r.is_write]
-
     @property
     def pending_count(self) -> int:
         """Speculative records neither committed nor discarded.

@@ -24,7 +24,7 @@ def make_controller(**kwargs):
 
 
 def ckpt(pc=5, cycle=0, instr=0):
-    return Checkpoint([0] * 32, pc, cycle, instr)
+    return Checkpoint(pc, cycle, instr)
 
 
 class TestLifecycle:
@@ -163,18 +163,6 @@ class TestCommitPolicy:
 
     def test_on_demand_does_not_want_reentry(self):
         assert not make_controller().wants_continuous_entry()
-
-
-class TestCheckpoint:
-    def test_checkpoint_copies_registers(self):
-        regs = [0] * 32
-        cp = Checkpoint(regs, pc=3, taken_at_cycle=9, taken_at_instruction=2)
-        regs[5] = 99
-        assert cp.regs[5] == 0
-
-    def test_storage_bits(self):
-        cp = Checkpoint([0] * 32, 0, 0, 0)
-        assert cp.storage_bits() == 33 * 64
 
 
 class TestStorageModel:

@@ -253,16 +253,15 @@ def RMW_(seq, cycle, core, addr, read, written, po):
 class TestRMWFenceNeighbors:
     """Satellite audit: fence-class edges with RMW neighbors.
 
-    An RMW is both read-class (``_is_read``) and write-class
-    (``_is_write_ish``), so every directional fence must order it on
-    whichever side matches -- e.g. a load-load fence must order
-    RMW -> R.  The audit found no hole: the class predicates include
-    RMW on both sides, and under RMO a single-event RMW is *also* a
-    full atomic hub (and under TSO it sits in the read chain), so the
-    ordering is doubly enforced.  These hand-built logs lock the
-    combined guarantee; the paired controls swap the RMW for a plain
-    access and must check clean, proving the violation really hinges
-    on the RMW's dual class membership.
+    An RMW is both read-class and write-class (``_READS``,
+    ``_WRITES``), so every directional fence must order it on whichever
+    side matches -- e.g. a load-load fence must order RMW -> R.  The
+    audit found no hole: both classes include RMW, and under RMO a
+    single-event RMW is *also* a full atomic hub (and under TSO it sits
+    in the read chain), so the ordering is doubly enforced.  These
+    hand-built logs lock the combined guarantee; the paired controls
+    swap the RMW for a plain access and must check clean, proving the
+    violation really hinges on the RMW's dual class membership.
     """
 
     def test_load_load_fence_orders_rmw_to_read(self):
@@ -332,11 +331,11 @@ class TestRMWFenceNeighbors:
         with pytest.raises(ConsistencyViolation):
             check_model_ordering(rec, ConsistencyModel.TSO)
 
-    def test_fence_pairs_cover_every_kind_exactly(self):
-        from repro.verification.ordering import _fence_pairs
-        assert _fence_pairs(FenceKind.LOAD_LOAD) == [(False, False)]
-        assert _fence_pairs(FenceKind.LOAD_STORE) == [(False, True)]
-        assert _fence_pairs(FenceKind.STORE_STORE) == [(True, True)]
-        assert _fence_pairs(FenceKind.STORE_LOAD) == [(True, False)]
-        assert sorted(_fence_pairs(FenceKind.FULL)) == [
-            (False, False), (False, True), (True, False), (True, True)]
+    def test_fence_sides_cover_every_kind_exactly(self):
+        from repro.verification.ordering import _FENCE_SIDES
+        R, W, M = AccessKind.READ, AccessKind.WRITE, AccessKind.RMW
+        assert _FENCE_SIDES[FenceKind.LOAD_LOAD] == ({R, M}, {R, M})
+        assert _FENCE_SIDES[FenceKind.LOAD_STORE] == ({R, M}, {W, M})
+        assert _FENCE_SIDES[FenceKind.STORE_STORE] == ({W, M}, {W, M})
+        assert _FENCE_SIDES[FenceKind.STORE_LOAD] == ({W, M}, {R, M})
+        assert _FENCE_SIDES[FenceKind.FULL] == ({R, W, M}, {R, W, M})

@@ -301,9 +301,8 @@ class TestRecorderBookkeeping:
         assert recorder.fences == []
 
     def test_single_sort_per_full_check(self):
-        # Regression: sorted_log() used to re-sort on every call and
-        # writes_to() called it per address; the cache makes a whole
-        # check_execution pass cost exactly one sort.
+        # Regression: sorted_log() used to re-sort on every call; the
+        # cache makes a whole check_execution pass cost exactly one sort.
         asm = Assembler("t")
         asm.li(1, X).li(2, 7)
         asm.store(2, base=1)
