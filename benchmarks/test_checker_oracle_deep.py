@@ -8,8 +8,8 @@ campaign shaped like perfbench's ``verify-campaign`` -- 80 programs,
 both checkers to reach the same outcome on every check, on every
 recording under every model's ordering check, and on two seeded mutants
 of every recording, at least 500 of them violating per seed.  It also
-compares every witness of the canonical litmus shapes with one fence
-of each kind in each gap.
+compares every witness of the canonical litmus shapes: bare, with each
+fence kind in every gap, and with one fence of each kind in each gap.
 """
 
 import pytest
@@ -28,6 +28,7 @@ from tests.test_checker_oracle import (
     recorded_checks,
     recording,
     violated,
+    witness_programs,
 )
 
 pytestmark = [pytest.mark.slow, pytest.mark.fuzz]
@@ -54,10 +55,11 @@ def test_campaign_and_mutants_match(seed):
 
 
 @pytest.mark.parametrize("name", sorted(canonical_litmus_ir()))
-def test_single_fence_witnesses_match(name):
+def test_witnesses_match(name):
     threads = canonical_litmus_ir()[name]
-    programs = [insert_fences(threads, [FencePlacement(t, g, kind)])
-                for t, g in fence_gaps(threads) for kind in FenceKind]
+    programs = list(witness_programs(threads)) + [
+        insert_fences(threads, [FencePlacement(t, g, kind)])
+        for t, g in fence_gaps(threads) for kind in FenceKind]
     witnesses = violating = 0
     for program in programs:
         for recorder in enumerate_witness_logs(program):
