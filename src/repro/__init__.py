@@ -31,7 +31,6 @@ from repro.sim.config import (
     SpeculationMode,
     SystemConfig,
     ViolationGranularity,
-    paper_table2_config,
 )
 from repro.isa import Assembler, FenceKind, Program
 from repro.faults import DeadlockError, FaultPlan, LivelockError, Watchdog
@@ -58,7 +57,6 @@ __all__ = [
     "SpeculationMode",
     "SystemConfig",
     "ViolationGranularity",
-    "paper_table2_config",
     "Assembler",
     "FenceKind",
     "Program",

@@ -39,6 +39,12 @@ from repro.sim.stats import StatsRegistry
 
 _WORD_MASK = semantics.WORD_MASK
 
+#: Retire latency, in cycles, of an ALU instruction other than EXEC
+#: (whose immediate is its latency) and of an atomic RMW once its
+#: memory access completes.
+ALU_LATENCY = 1
+ATOMIC_LATENCY = 1
+
 
 class StallCause(enum.Enum):
     """Where a core's non-busy cycles go (E1 breakdown categories)."""
@@ -159,7 +165,6 @@ class Core:
         self._schedule_fast = sim.schedule_fast
         self._regfile = self.regs._regs  # raw list; rollback writes in place
         self._sb_entries = self.sb._entries  # raw deque; truthy iff non-empty
-        self._alu_latency = config.alu_latency
         self._spec_continuous = (
             self.spec is not None
             and spec_config.mode is SpeculationMode.CONTINUOUS
@@ -270,10 +275,11 @@ class Core:
         """
         decoded: List[Tuple[Callable, Instruction]] = []
         append = decoded.append
-        for index, ((kind, fn, _latency), instr) in enumerate(
+        for index, ((kind, fn, latency), instr) in enumerate(
                 zip(_decode_plan(program), program.instructions)):
             if kind == _ALU_SLOT:
-                append((_make_alu(self, instr, index, decoded, fn), instr))
+                append((_make_alu(self, instr, index, decoded, fn, latency),
+                        instr))
             elif kind == _BRANCH_SLOT:
                 if instr.target is None:
                     raise SimulationError(
@@ -744,7 +750,7 @@ class Core:
                 self._reg_undo.append((instr.rd, self._regfile[instr.rd]))
             self._regfile[instr.rd] = loaded & _WORD_MASK
         self._stat_mem_stall.value += self.sim._now - self._mem_issued_at
-        self._finish(self.config.atomic_latency, self.pc + 1)
+        self._finish(ATOMIC_LATENCY, self.pc + 1)
 
     # -------------------------------------------------------------- fences
 
@@ -893,7 +899,7 @@ class Core:
 
 
 def _make_alu(core: Core, instr: Instruction, index: int,
-              decoded: list, evaluate: Callable) -> Callable:
+              decoded: list, evaluate: Callable, latency: int) -> Callable:
     """Compile one ALU slot to a closure over the raw register list.
 
     The evaluators in ``semantics._ALU_EVAL`` produce already-masked
@@ -914,10 +920,9 @@ def _make_alu(core: Core, instr: Instruction, index: int,
     with no speculation there is no epoch to guard and no commit
     housekeeping at the boundary, so the trampoline's checks are dead.
 
-    ``evaluate`` is the slot's ``semantics._ALU_EVAL`` entry, from the
-    program's decode plan.
+    ``evaluate`` and ``latency`` are the slot's ``semantics._ALU_EVAL``
+    entry and retire latency, from the program's decode plan.
     """
-    latency = instr.imm if instr.op is Opcode.EXEC else core._alu_latency
     regs = core.regs._regs
     if core.spec is None:
         if instr.rd:
@@ -1314,9 +1319,7 @@ def _make_superblock(core: Core, span: SuperblockSpan) -> Callable:
     start, stop = span.start, span.stop
     spec = core.spec
     slots = _decode_plan(core.program)[start:stop]
-    alu_latency = core._alu_latency
-    deltas = [alu_latency if latency is None else latency
-              for _kind, _fn, latency in slots]
+    deltas = [latency for _kind, _fn, latency in slots]
     relay = Simulator.make_relay(deltas)
     payload = relay[1]
 
@@ -1524,10 +1527,11 @@ def _decode_plan(program: Program) -> Tuple[tuple, ...]:
     ``kind`` is one of the ``_*_SLOT`` constants.  ``fn`` is the slot's
     ``repro.isa.semantics`` evaluator (ALU, branch), None (LOAD, which
     compiles through :func:`_make_load`) or its unbound ``Core._exec_*``
-    handler (everything else).  ``latency`` is the
-    slot's fixed retire latency -- an EXEC's immediate, 1 for branches
-    and NOPs -- or None where it is the core's ALU latency (other ALU
-    slots) or not fixed (memory, fence and HALT slots).
+    handler (everything else).  ``latency`` is the slot's fixed retire
+    latency -- an EXEC's immediate, :data:`ALU_LATENCY` for other ALU
+    slots, 1 for branches and NOPs -- or None where it is not fixed
+    (memory, fence and HALT slots).  Every slot a superblock span may
+    hold has a fixed latency.
 
     This is the only place the core classifies opcodes.  The plan is
     computed once per program object (see :meth:`Program.derived`) and
@@ -1544,7 +1548,7 @@ def _classify_slots(program: Program) -> Tuple[tuple, ...]:
         op = instr.op
         if op in _ALU:
             plan.append((_ALU_SLOT, semantics._ALU_EVAL[op],
-                         instr.imm if op is Opcode.EXEC else None))
+                         instr.imm if op is Opcode.EXEC else ALU_LATENCY))
         elif op in _BRANCHES:
             plan.append((_BRANCH_SLOT, semantics._BRANCH_EVAL[op], 1))
         elif op is Opcode.LOAD:

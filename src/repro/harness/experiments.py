@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.breakdown import system_breakdown
 from repro.analysis.tables import ascii_table
@@ -100,14 +100,30 @@ class Experiment:
         self.__name__ = build.__name__.replace("_build", "")
         self.__doc__ = build.__doc__
 
-    def __call__(self, jobs: int = None, **kwargs) -> ExperimentResult:
+    def __call__(self, jobs: Optional[int] = None,
+                 **kwargs) -> ExperimentResult:
         if jobs is None:
-            jobs = int(os.environ.get("REPRO_JOBS", "1") or "1")
+            jobs = _env_jobs()
         results = execute_specs(self.plan(**kwargs), jobs=jobs)
         return self.build(results, **kwargs)
 
     def __repr__(self) -> str:
         return f"<Experiment {self.exp_id}>"
+
+
+def _env_jobs() -> int:
+    """``REPRO_JOBS`` as a worker count: 1 when unset or empty."""
+    value = os.environ.get("REPRO_JOBS", "")
+    if not value:
+        return 1
+    try:
+        jobs = int(value)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(
+            f"REPRO_JOBS must be an integer >= 1, got {value!r}")
+    return jobs
 
 
 def _default_config(n_cores: int) -> SystemConfig:

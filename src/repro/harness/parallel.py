@@ -16,11 +16,11 @@ through one shared :class:`SweepScheduler` that
   so a repeated grid or a sweep restarted after a kill is served from
   the store instead of simulated again, and
 * **fans out** unique points over at most ``jobs`` worker processes
-  (:class:`ResilientPointRunner`) when ``jobs > 1``: each worker lives
-  for the whole :meth:`SweepScheduler.run` call and runs point after
-  point, longest first by a static cost estimate, shipping back
-  picklable :class:`~repro.system.SystemResult` summaries instead of
-  live ``System`` objects.
+  when ``jobs > 1``: each worker lives for the whole
+  :meth:`SweepScheduler.run` call and runs point after point, longest
+  first by a static cost estimate, shipping back picklable
+  :class:`~repro.system.SystemResult` summaries instead of live
+  ``System`` objects.
 
 Determinism: each point is one single-process discrete-event simulation
 on its own ``System``, so its result is bit-identical whether it ran in
@@ -34,11 +34,11 @@ process boundary: workers receive only ``(config, programs,
 initial_memory, fault_plan, node_plan)`` tuples and validation runs in
 the parent on the returned memory/register snapshot.
 
-**Resilience** (see docs/ROBUSTNESS.md): constructing the scheduler with
-``point_timeout`` and/or ``retries`` makes a point that hangs past its
-wall-clock budget, or whose worker process dies, retried with
-exponential backoff and, once its attempts are exhausted, land on an
-``excluded`` skip list instead of sinking the whole grid.
+Failures (see docs/ROBUSTNESS.md): a point that raises or kills its
+worker process fails the sweep at once with a :class:`SweepError`
+naming every ``exp_id/label`` declared on it, and a label whose answer
+fails its workload's check fails it once every point has run.  Nothing
+is retried or skipped, and no worker outlives the sweep.
 """
 
 from __future__ import annotations
@@ -66,6 +66,11 @@ from repro.workloads.base import Workload
 #: this suite comes near it, so tripping it means a liveness bug (the
 #: library-level ``System.run`` default stays uncapped).
 DEFAULT_MAX_CYCLES = 20_000_000
+
+#: Seconds a worker gets to exit, once told to stop or sent SIGTERM,
+#: before it is sent SIGKILL: a worker that ignores SIGTERM cannot hang
+#: a sweep that aborts.
+TERM_GRACE = 5.0
 
 
 class SweepError(RuntimeError):
@@ -210,7 +215,7 @@ def _cost_estimate(spec: RunSpec) -> Tuple[int, int]:
 
 
 def _point_worker(parent_end, conn, worker, args: List[tuple]) -> None:
-    """Child-process entry of :class:`ResilientPointRunner`: run the
+    """Child-process entry of a :class:`SweepScheduler` worker: run the
     points whose indices into ``args`` arrive over ``conn``, one at a
     time, until the stop sentinel ``None`` or EOF.  Each outcome goes
     back as ("ok", (payload, cpu seconds of the point)); an exception
@@ -243,197 +248,22 @@ def _point_worker(parent_end, conn, worker, args: List[tuple]) -> None:
         conn.close()
 
 
-class ResilientPointRunner:
-    """Managed worker processes: the only out-of-process executor.
+def _reap(proc) -> None:
+    """SIGTERM, wait :data:`TERM_GRACE` seconds, then escalate to SIGKILL."""
+    proc.terminate()
+    proc.join(TERM_GRACE)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
 
-    :class:`SweepScheduler` runs every sweep through it except the
-    in-process ``jobs=1`` path.  One :meth:`run` call keeps at most
-    ``jobs`` daemonic :mod:`multiprocessing` workers alive, forking one
-    only when a point is ready and no live worker is free, so never
-    more than there are points.  Each worker gets the batch's worker
-    arguments when it starts and then only point indices over its pipe,
-    in the order of the batch; it answers with each outcome and waits
-    for the next.  Every worker is joined, or reaped, before :meth:`run`
-    returns or raises.
 
-    Timeouts kill the worker; crashes surface as EOF; both requeue only
-    that worker's in-flight point with exponential backoff and, once
-    its attempts are exhausted, report it to ``on_exclude`` instead of
-    sinking the rest of the batch.  Deterministic worker exceptions go
-    straight to ``on_error`` -- retrying a deterministic simulation
-    cannot change its outcome -- and retire the worker that raised.
-
-    Kill semantics: a timed-out worker gets SIGTERM, then up to
-    ``term_grace`` seconds to die, then SIGKILL -- a worker wedged in a
-    state where it ignores SIGTERM can therefore never hang the batch.
-    Each point's wall-clock budget starts when *it* is sent to a worker,
-    so neither a fork nor a sibling's dispatch is ever charged against
-    a point's ``point_timeout``.
-    """
-
-    def __init__(self, worker: Callable = simulate_point, jobs: int = 1,
-                 point_timeout: Optional[float] = None,
-                 retries: int = 0,
-                 retry_backoff: float = 0.25,
-                 term_grace: float = 5.0):
-        if point_timeout is not None and point_timeout <= 0:
-            raise ValueError("point_timeout must be positive")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if term_grace <= 0:
-            raise ValueError("term_grace must be positive")
-        self.worker = worker
-        self.jobs = max(1, jobs)
-        self.point_timeout = point_timeout
-        self.retries = retries
-        self.retry_backoff = retry_backoff
-        self.term_grace = term_grace
-        try:
-            self._ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            self._ctx = multiprocessing.get_context("spawn")
-
-    def _launch(self, args: List[tuple]):
-        """Start one worker holding the batch's worker arguments;
-        returns (parent_conn, process).  Under fork the list is
-        inherited, not copied; under spawn it is pickled, which is why
-        it holds plain argument tuples and never a :class:`RunSpec`."""
-        parent_conn, child_conn = self._ctx.Pipe()
-        # Daemonic: a worker dies with the sweep that started it.
-        proc = self._ctx.Process(
-            target=_point_worker,
-            args=(parent_conn, child_conn, self.worker, args),
-            daemon=True)
-        proc.start()
-        child_conn.close()
-        return parent_conn, proc
-
-    def _reap(self, proc) -> None:
-        """SIGTERM, wait ``term_grace`` seconds, then escalate to SIGKILL."""
-        proc.terminate()
-        proc.join(self.term_grace)
-        if proc.is_alive():
-            proc.kill()
-            proc.join()
-
-    def _retire(self, conn, proc) -> None:
-        """Close the pipe of a worker that has exited or been told to,
-        and join it, reaping it if it outstays ``term_grace``."""
-        conn.close()
-        proc.join(self.term_grace)
-        if proc.is_alive():  # pragma: no cover - told to exit, then wedged
-            self._reap(proc)
-
-    def _stop(self, idle) -> None:
-        """Send every idle worker the stop sentinel, then join them all."""
-        for conn, _ in idle:
-            try:
-                conn.send(None)
-            except OSError:  # died while idle: nothing left to stop
-                pass
-        for conn, proc in idle:
-            self._retire(conn, proc)
-
-    def run(self, pending: List[Tuple[str, RunSpec]],
-            on_result: Callable, on_error: Callable, on_exclude: Callable,
-            on_retry: Optional[Callable] = None) -> None:
-        """Run every ``(key, spec)`` point, in order, reporting through
-        callbacks:
-
-        ``on_result(key, spec, result, (seconds, cpu_seconds))`` for a
-        completed point, with its wall and CPU seconds in the worker,
-        ``on_error(key, spec, message)`` for a deterministic worker
-        exception (raising from it aborts the batch; returning skips the
-        point), ``on_exclude(key, spec, reason)`` for a point dropped
-        after exhausting its retries, and optional
-        ``on_retry(key, spec, reason)`` before each re-attempt.
-        """
-        args = [_worker_args(spec) for _, spec in pending]
-        work = [{"index": index, "key": key, "spec": spec, "attempt": 0,
-                 "ready_at": 0.0}
-                for index, (key, spec) in enumerate(pending)]
-        #: (conn, process) of each worker waiting for a point
-        idle: List = []
-        #: conn -> (item, process, deadline or None)
-        busy: Dict = {}
-
-        def requeue_or_exclude(item, reason):
-            attempt = item["attempt"] + 1
-            if attempt > self.retries:
-                on_exclude(item["key"], item["spec"],
-                           f"{reason}; gave up after {attempt} attempt(s)")
-                return
-            if on_retry is not None:
-                on_retry(item["key"], item["spec"], reason)
-            item["attempt"] = attempt
-            item["ready_at"] = time.monotonic() \
-                + self.retry_backoff * (2 ** (attempt - 1))
-            work.append(item)
-
-        try:
-            while work or busy:
-                now = time.monotonic()
-                while len(busy) < self.jobs:
-                    index = next((i for i, item in enumerate(work)
-                                  if item["ready_at"] <= now), None)
-                    if index is None:
-                        break
-                    item = work.pop(index)
-                    conn, proc = idle.pop() if idle else self._launch(args)
-                    try:
-                        conn.send(item["index"])
-                    except OSError:  # died while idle: EOF below says so
-                        pass
-                    # Budget the timeout from *this* dispatch: a clock read
-                    # taken before a fork or a sibling's dispatch would
-                    # charge its cost against this point.
-                    now = time.monotonic()
-                    deadline = (now + self.point_timeout
-                                if self.point_timeout is not None else None)
-                    busy[conn] = (item, proc, deadline)
-                if not busy:
-                    # Everything left is backing off; sleep to the nearest
-                    # retry release.
-                    time.sleep(max(0.0, min(item["ready_at"] for item in work)
-                                   - time.monotonic()))
-                    continue
-                now = time.monotonic()
-                wait_for = 0.05
-                deadlines = [d for _, _, d in busy.values() if d is not None]
-                if deadlines:
-                    wait_for = min(wait_for, max(0.0, min(deadlines) - now))
-                for conn in mp_connection.wait(list(busy), timeout=wait_for):
-                    item, proc, _ = busy.pop(conn)
-                    try:
-                        status, payload = conn.recv()
-                    except (EOFError, OSError):
-                        self._retire(conn, proc)
-                        requeue_or_exclude(
-                            item,
-                            f"worker process died (exit code {proc.exitcode})")
-                        continue
-                    if status == "ok":
-                        idle.append((conn, proc))
-                        (result, seconds), cpu = payload
-                        on_result(item["key"], item["spec"], result,
-                                  (seconds, cpu))
-                    else:
-                        self._retire(conn, proc)
-                        on_error(item["key"], item["spec"], payload)
-                now = time.monotonic()
-                for conn, (item, proc, deadline) in list(busy.items()):
-                    if deadline is not None and now > deadline and not conn.poll():
-                        del busy[conn]
-                        self._reap(proc)
-                        conn.close()
-                        requeue_or_exclude(
-                            item,
-                            f"timed out after {self.point_timeout:g}s")
-        finally:
-            self._stop(idle)
-            for conn, (item, proc, _) in busy.items():
-                self._reap(proc)
-                conn.close()
+def _retire(conn, proc) -> None:
+    """Close the pipe of a worker that has exited or been told to, and
+    join it, reaping it if it outstays :data:`TERM_GRACE`."""
+    conn.close()
+    proc.join(TERM_GRACE)
+    if proc.is_alive():  # pragma: no cover - told to exit, then wedged
+        _reap(proc)
 
 
 @dataclass
@@ -450,10 +280,6 @@ class SweepReport:
     point_cpu_seconds: Dict[str, float] = field(default_factory=dict)
     #: points restored from the on-disk result store
     store_hits: int = 0
-    #: timeout/crash retries performed during this run
-    retries: int = 0
-    #: label -> reason for points dropped after exhausting their retries
-    excluded: Dict[str, str] = field(default_factory=dict)
 
     @property
     def serial_seconds(self) -> float:
@@ -479,15 +305,9 @@ class SweepReport:
                 f"wall {self.wall_seconds:.1f}s")
         if self.store_hits:
             line += f", {self.store_hits} from store"
-        if self.retries:
-            line += f", {self.retries} retried"
         if self.unique_points and self.wall_seconds:
             line += (f", serial-equivalent {self.serial_cpu_seconds:.1f}s, "
                      f"speedup {self.speedup:.2f}x")
-        if self.excluded:
-            details = "; ".join(f"{label!r}: {reason}"
-                                for label, reason in self.excluded.items())
-            line += f"\nsweep: EXCLUDED {len(self.excluded)} point(s): {details}"
         return line
 
 
@@ -502,67 +322,57 @@ class SweepScheduler:
         scheduler.run()                  # each unique point simulated once
         e1 = e1_build(scheduler.results_for("E1"))
 
-    With ``jobs=1``, or a single point to simulate, and no resilience
-    option, points run in this process, strictly serially (the
-    debugging path).  Every other sweep runs its points in up to
-    ``jobs`` worker processes through a :class:`ResilientPointRunner`,
-    each worker running point after point until the sweep ends; a
-    worker that dies then fails :meth:`run` with a :class:`SweepError`
-    naming its point, unless a resilience option says to retry or
-    exclude it.  On both paths points start longest first, by a static
-    cost estimate (core count, then static instructions), with ties in
-    declaration order, so that no worker is left finishing a long point
-    alone at the end.  Results are cached by point fingerprint, which
-    keys a point by the machine it builds, so calling :meth:`run` again
-    after adding more experiments only simulates points not seen
-    before, and a TSO point and its RMO twin are simulated once: each
-    label still gets a result carrying its own config (see
-    :meth:`results_for`).
+    ``jobs`` is ``None`` (one worker per CPU) or an integer of at least
+    1.  With ``jobs=1``, or a single point to simulate, points run in
+    this process, strictly serially (the debugging path).  Every other
+    sweep runs its points in up to ``jobs`` worker processes, each
+    running point after point until the sweep ends.  On both paths
+    points start longest first, by a static cost estimate (core count,
+    then static instructions), with ties in declaration order, so that
+    no worker is left finishing a long point alone at the end.  Results
+    are cached by point fingerprint, which keys a point by the machine
+    it builds, so calling :meth:`run` again after adding more
+    experiments only simulates points not seen before, and a TSO point
+    and its RMO twin are simulated once: each label still gets a result
+    carrying its own config (see :meth:`results_for`).
 
-    Resilience options:
-
-    ``point_timeout``
-        wall-clock seconds one point may take before its worker is
-        killed and the point retried;
-    ``retries``
-        how many times a timed-out or crashed point is re-attempted
-        (with ``retry_backoff * 2**attempt`` seconds between attempts)
-        before landing on the :attr:`excluded` skip list -- deterministic
-        Python exceptions are *not* retried, they raise immediately.
+    A sweep has one failure policy: a point that raises or kills its
+    worker fails :meth:`run` at once with a :class:`SweepError` naming
+    it, and so does a label whose answer fails its check, once every
+    point has run.  Nothing is retried or skipped -- a point is a
+    deterministic simulation, so rerunning it cannot change its
+    outcome -- and a runaway simulation raises at
+    :data:`DEFAULT_MAX_CYCLES` or ``System.run``'s event cap instead
+    of spinning forever.
 
     ``store_dir`` names a :class:`~repro.harness.store.ResultStore`
     directory: every point found there is restored instead of
     simulated, and every simulated point is written there, so a killed
-    sweep resumes where it left off and a repeated grid simulates
-    nothing.  Records that fail validation, or were written by other
-    simulator code, are re-simulated rather than trusted.
+    or failed sweep resumes where it left off and a repeated grid
+    simulates nothing.  Records that fail validation, or were written
+    by other simulator code, are re-simulated rather than trusted.
     """
 
     def __init__(self, jobs: Optional[int] = None,
                  worker: Callable = simulate_point,
-                 point_timeout: Optional[float] = None,
-                 retries: int = 0,
-                 retry_backoff: float = 0.25,
-                 term_grace: float = 5.0,
                  store_dir: Optional[str] = None):
-        self.jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
+        if jobs is None:
+            jobs = os.cpu_count() or 1
+        elif not isinstance(jobs, int) or jobs < 1:
+            raise ValueError(f"jobs must be None (one per CPU) or an "
+                             f"integer >= 1, got {jobs!r}")
+        self.jobs = jobs
         self._worker = worker
-        self._runner = ResilientPointRunner(
-            worker=worker, jobs=self.jobs, point_timeout=point_timeout,
-            retries=retries, retry_backoff=retry_backoff,
-            term_grace=term_grace)
-        self._resilient = point_timeout is not None or retries > 0
+        try:
+            self._ctx = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX fallback
+            self._ctx = multiprocessing.get_context("spawn")
         self._store = None
         if store_dir is not None:
             # Late import: repro.harness.store imports result_fingerprint
             # from this module.
             from repro.harness.store import ResultStore
             self._store = ResultStore(store_dir)
-        #: fingerprint -> reason: points dropped after exhausting retries.
-        self.excluded: Dict[str, str] = {}
-        #: subset of :attr:`excluded` added during the current run() call.
-        self._excluded_this_run: Dict[str, str] = {}
-        self._retries_this_run = 0
         #: exp_id -> list of (fingerprint, spec), in plan order.
         self._grids: Dict[str, List[Tuple[str, RunSpec]]] = {}
         #: fingerprint -> representative spec, insertion-ordered.
@@ -614,27 +424,23 @@ class SweepScheduler:
     def run(self) -> SweepReport:
         """Simulate every not-yet-cached unique point, then validate.
 
-        Returns a :class:`SweepReport`; raises :class:`SweepError` with
-        the failing point's label if any simulation or validation fails.
-        Previously excluded points are skipped, not re-attempted.
+        Returns a :class:`SweepReport`; raises :class:`SweepError`
+        naming the failing point if any simulation or validation fails.
         """
-        todo = [(fp, spec) for fp, spec in self._points.items()
-                if fp not in self._results]
-        cached = len(self._points) - len(todo)
-        pending = [(fp, spec) for fp, spec in todo if fp not in self.excluded]
+        pending = [(fp, spec) for fp, spec in self._points.items()
+                   if fp not in self._results]
+        cached = len(self._points) - len(pending)
         store_hits = self._restore(pending)
         if store_hits:
             pending = [(fp, spec) for fp, spec in pending
                        if fp not in self._results]
         # Stable, so points of equal estimate keep their declared order.
         pending.sort(key=lambda point: _cost_estimate(point[1]), reverse=True)
-        self._retries_this_run = 0
-        self._excluded_this_run = {}
         started = time.perf_counter()
-        if not self._resilient and (self.jobs == 1 or len(pending) <= 1):
+        if self.jobs == 1 or len(pending) <= 1:
             self._run_serial(pending)
         else:
-            self._run_resilient(pending)
+            self._run_workers(pending)
         wall = time.perf_counter() - started
         self._validate()
         self.last_report = SweepReport(
@@ -644,16 +450,11 @@ class SweepScheduler:
             cached_hits=cached,
             wall_seconds=wall,
             point_seconds={self._points[fp].label: self._point_seconds[fp]
-                           for fp, _ in pending if fp in self._point_seconds},
+                           for fp, _ in pending},
             point_cpu_seconds={
                 self._points[fp].label: self._point_cpu_seconds[fp]
-                for fp, _ in pending if fp in self._point_cpu_seconds},
+                for fp, _ in pending},
             store_hits=store_hits,
-            retries=self._retries_this_run,
-            # Only exclusions added by *this* run: a cumulative list would
-            # re-report prior runs' drops as this run's.
-            excluded={self._points[fp].label: reason
-                      for fp, reason in self._excluded_this_run.items()},
         )
         return self.last_report
 
@@ -686,29 +487,77 @@ class SweepScheduler:
             if freeze:
                 gc.unfreeze()
 
-    def _run_resilient(self, pending: List[Tuple[str, RunSpec]]) -> None:
-        """Run ``pending`` through the :class:`ResilientPointRunner`,
-        wired into this scheduler's results, exclusion list, and retry
-        counter."""
+    def _launch(self, args: List[tuple]):
+        """Start one worker holding the batch's worker arguments;
+        returns (parent_conn, process).  Under fork the list is
+        inherited, not copied; under spawn it is pickled, which is why
+        it holds plain argument tuples and never a :class:`RunSpec`."""
+        parent_conn, child_conn = self._ctx.Pipe()
+        # Daemonic: a worker dies with the sweep that started it.
+        proc = self._ctx.Process(
+            target=_point_worker,
+            args=(parent_conn, child_conn, self._worker, args),
+            daemon=True)
+        proc.start()
+        child_conn.close()
+        return parent_conn, proc
 
-        def on_result(fp, spec, result, times):
-            self._record(fp, result, times)
+    def _run_workers(self, pending: List[Tuple[str, RunSpec]]) -> None:
+        """Run ``pending``, in order, in up to ``jobs`` worker processes.
 
-        def on_error(fp, spec, message):
-            raise self._point_error(fp, RuntimeError(message))
-
-        def on_exclude(fp, spec, reason):
-            if not self._resilient:
-                raise self._point_error(fp, RuntimeError(
-                    f"{reason}; rerun with --jobs 1 to debug in-process"))
-            self.excluded[fp] = reason
-            self._excluded_this_run[fp] = reason
-
-        def on_retry(fp, spec, reason):
-            self._retries_this_run += 1
-
-        self._runner.run(pending, on_result=on_result, on_error=on_error,
-                         on_exclude=on_exclude, on_retry=on_retry)
+        A worker is forked only when a point is ready and no live worker
+        is free, so never more than there are points.  Each gets the
+        batch's worker arguments when it starts and then only point
+        indices over its pipe; it answers with each outcome and waits
+        for the next.  The first point that raises, or whose worker
+        dies, raises :class:`SweepError`.  Every worker is joined before
+        this returns or raises: idle ones are told to stop, and the
+        busy ones of a failed sweep are reaped with :func:`_reap`.
+        """
+        args = [_worker_args(spec) for _, spec in pending]
+        #: (conn, process) of each worker waiting for a point
+        idle: List[tuple] = []
+        #: conn -> (fingerprint, process) of each worker running a point
+        busy: Dict = {}
+        sent = 0
+        try:
+            while sent < len(pending) or busy:
+                while sent < len(pending) and len(busy) < self.jobs:
+                    conn, proc = idle.pop() if idle else self._launch(args)
+                    try:
+                        conn.send(sent)
+                    except OSError:  # died while idle: EOF below says so
+                        pass
+                    busy[conn] = (pending[sent][0], proc)
+                    sent += 1
+                for conn in mp_connection.wait(list(busy)):
+                    fp, proc = busy.pop(conn)
+                    try:
+                        status, payload = conn.recv()
+                    except (EOFError, OSError):
+                        status = None
+                    if status == "ok":
+                        idle.append((conn, proc))
+                        (result, seconds), cpu = payload
+                        self._record(fp, result, (seconds, cpu))
+                        continue
+                    _retire(conn, proc)
+                    if status is None:
+                        payload = (f"worker process died (exit code "
+                                   f"{proc.exitcode}); rerun with --jobs 1 "
+                                   "to debug in-process")
+                    raise self._point_error(fp, RuntimeError(payload))
+        finally:
+            for conn, _ in idle:
+                try:
+                    conn.send(None)
+                except OSError:  # died while idle: nothing left to stop
+                    pass
+            for conn, proc in idle:
+                _retire(conn, proc)
+            for conn, (_, proc) in busy.items():
+                _reap(proc)
+                conn.close()
 
     # -------------------------------------------------------------- store
 
@@ -759,8 +608,6 @@ class SweepScheduler:
                 key = (exp_id, spec.label)
                 if not spec.check or key in self._checked:
                     continue
-                if fp not in self._results:
-                    continue
                 try:
                     spec.workload.check(self._result(fp, spec))
                 except AssertionError as exc:
@@ -776,24 +623,15 @@ class SweepScheduler:
         result carries its label's own config.
 
         Raises :class:`SweepError` if ``exp_id`` was never added (a
-        rejected :meth:`add` adds nothing), or if any of the
-        experiment's points was excluded by the resilience policy -- a
-        table silently built from a partial grid would be worse than no
-        table.
+        rejected :meth:`add` adds nothing), or if any of its points has
+        not been simulated -- a table silently built from a partial grid
+        would be worse than no table.
         """
         grid = self._grids.get(exp_id)
         if grid is None:
             raise SweepError(
                 f"no experiment {exp_id!r} was added; added: "
                 f"{sorted(self._grids) or 'none'}")
-        dropped = [(spec.label, self.excluded[fp]) for fp, spec in grid
-                   if fp in self.excluded and fp not in self._results]
-        if dropped:
-            details = "; ".join(f"{label!r} ({reason})"
-                                for label, reason in dropped)
-            raise SweepError(
-                f"{exp_id}: {len(dropped)} point(s) excluded by the "
-                f"resilience policy: {details}")
         missing = [spec.label for fp, spec in grid if fp not in self._results]
         if missing:
             raise SweepError(
@@ -801,9 +639,10 @@ class SweepScheduler:
         return {spec.label: self._result(fp, spec) for fp, spec in grid}
 
 
-def execute_specs(specs: List[RunSpec], jobs: int = 1
+def execute_specs(specs: List[RunSpec], jobs: Optional[int] = 1
                   ) -> Dict[str, SystemResult]:
-    """One-shot helper: run a single grid and return label -> result."""
+    """One-shot helper: run a single grid and return label -> result;
+    ``jobs`` as for :class:`SweepScheduler`."""
     scheduler = SweepScheduler(jobs=jobs)
     scheduler.add("adhoc", specs)
     scheduler.run()

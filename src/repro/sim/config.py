@@ -140,8 +140,6 @@ class CoreConfig:
     consistency: ConsistencyModel = ConsistencyModel.TSO
     store_buffer_entries: int = 8
     store_buffer_coalescing: bool = False
-    alu_latency: int = 1
-    atomic_latency: int = 1
     # Exclusive prefetching: while the head store drains, acquire write
     # permission for up to this many queued stores (0 disables).  The
     # writes still *apply* strictly in FIFO order, so TSO is preserved;
@@ -150,8 +148,6 @@ class CoreConfig:
 
     def __post_init__(self) -> None:
         _require(self.store_buffer_entries >= 1, "store_buffer_entries must be >= 1")
-        _require(self.alu_latency >= 1, "alu_latency must be >= 1")
-        _require(self.atomic_latency >= 1, "atomic_latency must be >= 1")
         _require(self.store_prefetch_depth >= 0, "store_prefetch_depth must be >= 0")
 
 
@@ -215,6 +211,8 @@ class SpeculationConfig:
 class SystemConfig:
     """Top-level configuration wiring the whole machine together."""
 
+    # The paper's machine has 16 in-order cores; experiments default to
+    # 8 for simulation speed and sweep up to 16 in the scaling study (E9).
     n_cores: int = 8
     l1: CacheConfig = field(default_factory=CacheConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
@@ -240,9 +238,6 @@ class SystemConfig:
         """A copy of this config with InvisiFence in the given mode."""
         return replace(self, speculation=replace(self.speculation, mode=mode, **kwargs))
 
-    def with_cores(self, n_cores: int) -> "SystemConfig":
-        return replace(self, n_cores=n_cores)
-
     def describe(self) -> str:
         """A one-line summary used in reports and benchmark labels."""
         spec = self.speculation.mode.value
@@ -252,19 +247,3 @@ class SystemConfig:
             f"L1={self.l1.size_bytes // 1024}KB/{self.l1.assoc}way/{self.l1.block_bytes}B, "
             f"spec={spec}"
         )
-
-
-def paper_table2_config() -> SystemConfig:
-    """The default system, mirroring the paper's Table-2-style parameters.
-
-    16 in-order cores is the paper's scale; we default experiments to 8
-    for simulation speed and sweep up to 16 in the scaling study (E9).
-    """
-    return SystemConfig(
-        n_cores=8,
-        l1=CacheConfig(size_bytes=64 * 1024, assoc=4, block_bytes=64, hit_latency=2),
-        memory=MemoryConfig(l2_hit_latency=12, dram_latency=120, directory_latency=4),
-        interconnect=InterconnectConfig(link_latency=5),
-        core=CoreConfig(consistency=ConsistencyModel.TSO, store_buffer_entries=8),
-        speculation=SpeculationConfig(mode=SpeculationMode.NONE),
-    )

@@ -52,15 +52,13 @@ class CoreSummary:
     registers: List[int]
     # Trace-compilation coverage (superblock fusion).  Deliberately NOT
     # part of the stats registry: result fingerprints hash the full
-    # stats snapshot, and fusion must be invisible there.  Defaults keep
-    # summaries pickled by older workers loadable.
-    fused_instructions: int = 0
-    fused_blocks: int = 0
-    # Node-fault outcome (chaos layer).  Defaults keep summaries pickled
-    # by older workers loadable; property checkers read these to decide
-    # which cores count as "live" for convergence/agreement claims.
-    crashed: bool = False
-    crashed_at: Optional[int] = None
+    # stats snapshot, and fusion must be invisible there.
+    fused_instructions: int
+    fused_blocks: int
+    # Node-fault outcome (chaos layer).  Property checkers read these to
+    # decide which cores count as "live" for convergence/agreement claims.
+    crashed: bool
+    crashed_at: Optional[int]
 
     def ordering_stall_cycles(self) -> int:
         return sum(cycles for cause, cycles in self.stall_cycles.items()

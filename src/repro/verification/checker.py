@@ -323,8 +323,8 @@ def check_execution(recorder: ExecutionRecorder,
     violation found is always the same one.
 
     The report includes ``locations_skipped`` (locations the coherence
-    check could not cover because of duplicate written values -- a fuzz
-    run should assert this is zero) and ``pending_at_end`` (speculative
+    and ordering checks could not cover because of duplicate written
+    values -- a fuzz run should assert this is zero) and ``pending_at_end`` (speculative
     records neither committed nor discarded; nonzero raises, because the
     log would not be a complete architectural execution).
     """
@@ -351,5 +351,4 @@ def check_execution(recorder: ExecutionRecorder,
         ordering = order_view(view, model)
         report["ordering_events"] = ordering.events
         report["ordering_edges"] = ordering.edges
-        report["ordering_locations_skipped"] = ordering.locations_skipped
     return report

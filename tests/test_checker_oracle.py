@@ -101,6 +101,12 @@ def compare(recording: Recording, model: Optional[ConsistencyModel],
                    initial, model)
     theirs = outcome(reference.check_execution, recorder_of(recording),
                      initial, model)
+    if isinstance(theirs, dict) and "ordering_locations_skipped" in theirs:
+        # The reference counts the skipped locations twice; the new
+        # report carries the count once.
+        theirs = dict(theirs)
+        assert theirs.pop("ordering_locations_skipped") == \
+            theirs["locations_skipped"], (recording, model, initial)
     assert ours == theirs, (recording, model, initial)
     return ours
 

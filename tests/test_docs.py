@@ -61,6 +61,8 @@ WITHDRAWN = {
     "repro.cpu.core._make_fused_span":
         "the uncompiled superblock executor's deletion",
     "repro.harness.bench": "the grid-timing bench harness's deletion",
+    "repro.harness.parallel.ResilientPointRunner":
+        "the sweep timeout, retry and exclusion policy's deletion",
 }
 
 

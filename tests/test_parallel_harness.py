@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import multiprocessing
 import os
 import pickle
 import re
@@ -18,7 +19,7 @@ import repro.harness.parallel as parallel_module
 import repro.workloads.suite as suite_module
 from repro.consistency import canonical_model
 from repro.faults import PAUSE, FaultPlan, NodeFault, NodeFaultPlan
-from repro.harness import all_experiments
+from repro.harness import Experiment, all_experiments
 from repro.harness.experiments import (
     e1_plan,
     e2_build,
@@ -443,18 +444,21 @@ def test_simulation_error_is_wrapped_with_point_label_parallel():
 
 def _raising_worker(config, programs, initial_memory, fault_plan=None,
                     node_plan=None):
-    raise ValueError("point broke")
+    """Raises on the workload named "trivial" and runs any other."""
+    if programs[0].name.startswith("trivial."):
+        raise ValueError("point broke")
+    return simulate_point(config, programs, initial_memory, fault_plan)
 
 
-@pytest.mark.parametrize("options", [dict(jobs=1),
-                                     dict(jobs=2, point_timeout=30.0)],
-                         ids=["in-process", "in-worker"])
-def test_failing_point_names_every_label_that_shares_it(options):
+@pytest.mark.parametrize("jobs", [1, 2], ids=["in-process", "in-worker"])
+def test_failing_point_names_every_label_that_shares_it(jobs):
     wl = _trivial_workload()
     tso = RunSpec("w|tso", small_config(1).with_consistency(_TSO), wl)
     rmo = RunSpec("w|if-rmo", small_config(1).with_consistency(_RMO), wl)
-    scheduler = SweepScheduler(worker=_raising_worker, **options)
-    scheduler.add("E1", [tso])
+    # A second point, so that jobs=2 runs both in worker processes.
+    other = RunSpec("other", small_config(1), _trivial_workload(name="other"))
+    scheduler = SweepScheduler(jobs=jobs, worker=_raising_worker)
+    scheduler.add("E1", [tso, other])
     scheduler.add("E2", [rmo])
     with pytest.raises(SweepError) as info:
         scheduler.run()
@@ -507,8 +511,71 @@ def test_dead_worker_surfaces_clear_error_instead_of_hanging():
         RunSpec("a", small_config(1), _trivial_workload()),
         RunSpec("b", small_config(1), _trivial_workload(name="b")),
     ])
-    with pytest.raises(SweepError, match="worker process died"):
+    with pytest.raises(SweepError, match=r"worker process died \(exit code "
+                       r"13\); rerun with --jobs 1 to debug in-process"):
         scheduler.run()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 2.0, "2"],
+                         ids=["zero", "negative", "float", "string"])
+def test_jobs_that_is_not_an_integer_of_at_least_one_is_rejected(jobs):
+    message = rf"jobs must be None \(one per CPU\) or an integer >= 1, " \
+        rf"got {re.escape(repr(jobs))}$"
+    with pytest.raises(ValueError, match=message):
+        SweepScheduler(jobs=jobs)
+    with pytest.raises(ValueError, match=message):
+        execute_specs([RunSpec("p", small_config(1), _trivial_workload())],
+                      jobs=jobs)
+
+
+def test_jobs_none_means_one_worker_per_cpu(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert SweepScheduler().jobs == 3
+    assert SweepScheduler(jobs=None).jobs == 3
+
+
+@pytest.fixture
+def one_point_experiment(monkeypatch):
+    """A one-point experiment, and the ``jobs`` of each of its runs."""
+    seen_jobs = []
+
+    def recording_execute_specs(specs, jobs=1):
+        seen_jobs.append(jobs)
+        return execute_specs(specs, jobs=jobs)
+
+    def one_point_plan():
+        return [RunSpec("p", small_config(1), _trivial_workload())]
+
+    def one_point_build(results):
+        return results["p"]
+
+    monkeypatch.setattr(experiments_module, "execute_specs",
+                        recording_execute_specs)
+    return Experiment("T", one_point_plan, one_point_build), seen_jobs
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "abc", "1.5"])
+def test_bad_repro_jobs_is_rejected_naming_the_variable(
+        monkeypatch, one_point_experiment, value):
+    experiment, seen_jobs = one_point_experiment
+    monkeypatch.setenv("REPRO_JOBS", value)
+    with pytest.raises(ValueError,
+                       match=rf"REPRO_JOBS must be an integer >= 1, "
+                             rf"got {re.escape(repr(value))}$"):
+        experiment()
+    assert seen_jobs == []                      # nothing was simulated
+
+
+@pytest.mark.parametrize("value,jobs", [("", 1), ("2", 2)],
+                         ids=["empty", "two"])
+def test_repro_jobs_sets_an_experiments_workers(
+        monkeypatch, one_point_experiment, value, jobs):
+    experiment, seen_jobs = one_point_experiment
+    monkeypatch.setenv("REPRO_JOBS", value)
+    assert experiment().cycles > 0
+    assert experiment(jobs=1).cycles > 0        # an argument wins
+    assert seen_jobs == [jobs, 1]
 
 
 def test_validation_failure_is_wrapped():
@@ -536,9 +603,8 @@ def test_check_false_skips_validation():
 # ------------------------------------------------------ execution paths
 #
 # run() has exactly two paths: in this process (jobs=1 or one pending
-# point, no resilience option) and up to ``jobs`` worker processes that
-# each run point after point through ResilientPointRunner (everything
-# else).
+# point) and up to ``jobs`` worker processes that each run point after
+# point (everything else).
 
 _PID_DIR_ENV = "REPRO_TEST_PID_DIR"
 
@@ -585,9 +651,10 @@ def _order_recording_worker(config, programs, initial_memory,
 
 def test_points_start_longest_first_with_ties_in_declared_order(
         tmp_path, monkeypatch):
-    # The runner (forced by point_timeout) has one worker, which sees
-    # the points in the order they were handed out: most cores first,
-    # then most static instructions, equal estimates as declared.
+    # run() sorts the points once, before either path, so the
+    # in-process path runs them in the order workers are handed them:
+    # most cores first, then most static instructions, equal estimates
+    # as declared.
     monkeypatch.setenv(_PID_DIR_ENV, str(tmp_path))
     declared = [                        # name, cores, extra nops: estimate
         ("one-short", 1, 0),            # (1, 4)
@@ -597,8 +664,7 @@ def test_points_start_longest_first_with_ties_in_declared_order(
         ("one-short-b", 1, 0),          # (1, 4): ties one-short
         ("four-short", 4, 0),           # (4, 16)
     ]
-    scheduler = SweepScheduler(jobs=1, worker=_order_recording_worker,
-                               point_timeout=30.0)
+    scheduler = SweepScheduler(jobs=1, worker=_order_recording_worker)
     scheduler.add("g", [
         RunSpec(name, small_config(cores),
                 _trivial_workload(cores, name, extra_nops=nops))
@@ -607,14 +673,6 @@ def test_points_start_longest_first_with_ties_in_declared_order(
     order = (tmp_path / "order").read_text().split()
     assert order == ["four-short.t0", "two-short.t0", "two-short-b.t0",
                      "one-long.t0", "one-short.t0", "one-short-b.t0"]
-
-
-def test_resilience_option_isolates_a_serial_sweep(tmp_path, monkeypatch):
-    # A timeout can only be enforced on a point in its own process.
-    monkeypatch.setenv(_PID_DIR_ENV, str(tmp_path))
-    spec = RunSpec("only", small_config(1), _trivial_workload())
-    [pid] = _worker_pids(tmp_path, [spec], jobs=1, point_timeout=30.0)
-    assert pid != os.getpid()
 
 
 # --------------------------------------------------------------- pickling

@@ -11,7 +11,6 @@ from repro.sim.config import (
     SpeculationConfig,
     SpeculationMode,
     SystemConfig,
-    paper_table2_config,
 )
 
 
@@ -94,9 +93,6 @@ class TestSystemConfig:
         assert cfg.speculation.mode is SpeculationMode.ON_DEMAND
         assert cfg.speculation.rollback_penalty == 99
 
-    def test_with_cores(self):
-        assert SystemConfig().with_cores(16).n_cores == 16
-
     def test_zero_cores_rejected(self):
         with pytest.raises(ValueError):
             SystemConfig(n_cores=0)
@@ -107,7 +103,7 @@ class TestSystemConfig:
         assert "TSO" in text
 
     def test_paper_config_matches_documented_defaults(self):
-        cfg = paper_table2_config()
+        cfg = SystemConfig()
         assert cfg.l1.size_bytes == 64 * 1024
         assert cfg.memory.dram_latency == 120
         assert not cfg.speculation.enabled

@@ -1,11 +1,10 @@
-"""Resilient sweep execution: timeouts, retries, exclusion, store resume.
+"""Sweep failures, worker lifetime and resume from the result store.
 
 The acceptance bar: a sweep interrupted mid-run and resumed from its
 result store must reuse the already-completed points and still
-produce tables bit-identical to an uninterrupted run; hung or crashing
-points must be retried with backoff and then excluded instead of
-sinking the grid; deterministic failures must raise immediately, naming
-the offending (config, workload) point.
+produce tables bit-identical to an uninterrupted run; a failing point
+must fail the sweep at once, naming the offending (config, workload)
+point, and leave no worker process behind.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ import time
 import pytest
 
 from repro.faults import FaultPlan
+import repro.harness.parallel as parallel_module
 from repro.harness.parallel import (
-    ResilientPointRunner,
     RunSpec,
     SweepError,
     SweepScheduler,
@@ -37,9 +36,6 @@ from repro.harness.store import STORE_FORMAT_VERSION, ResultStore
 from repro.isa.program import Assembler
 from repro.workloads.base import Workload
 from tests.conftest import small_config
-
-_CRASH_MARKER_ENV = "REPRO_TEST_CRASH_MARKER"
-
 
 def _workload(name: str = "w", value: int = 1) -> Workload:
     asm = Assembler(f"{name}.t0")
@@ -54,36 +50,10 @@ def _grid(n: int = 3):
             for i in range(n)]
 
 
-def _hanging_worker(config, programs, initial_memory, fault_plan=None, node_plan=None):
-    time.sleep(60)
-
-
-def _crash_once_worker(config, programs, initial_memory, fault_plan=None, node_plan=None):
-    """Dies hard on the first attempt, succeeds on the second (the marker
-    file persists across the retry's fresh process)."""
-    marker = os.environ[_CRASH_MARKER_ENV]
-    if not os.path.exists(marker):
-        with open(marker, "w") as fh:
-            fh.write("crashed")
-        os._exit(1)
-    return simulate_point(config, programs, initial_memory, fault_plan)
-
-
-def _broken_worker(config, programs, initial_memory, fault_plan=None, node_plan=None):
-    raise ValueError("intentionally broken point")
-
-
 def _fails_on_w1_worker(config, programs, initial_memory, fault_plan=None,
                         node_plan=None):
     if programs[0].name == "w1.t0":
         raise ValueError("intentionally broken point")
-    return simulate_point(config, programs, initial_memory, fault_plan)
-
-
-def _hangs_on_w1_worker(config, programs, initial_memory, fault_plan=None,
-                        node_plan=None):
-    if programs[0].name == "w1.t0":
-        time.sleep(60)
     return simulate_point(config, programs, initial_memory, fault_plan)
 
 
@@ -225,25 +195,6 @@ def test_failed_sweep_keeps_completed_points_in_the_store(tmp_path):
     assert fixed.results_for("g")["p2"].read_word(0x1_0000) == 3
 
 
-def test_excluded_point_is_not_written_to_the_store(tmp_path):
-    store = str(tmp_path / "store")
-    scheduler = SweepScheduler(jobs=1, worker=_hangs_on_w1_worker,
-                               point_timeout=1.0, retries=0,
-                               term_grace=0.5, store_dir=store)
-    scheduler.add("g", _grid(3))
-    report = scheduler.run()
-    assert list(report.excluded) == ["p1"]
-    assert sorted(_records(store)) == sorted(
-        _record_path(store, spec) for spec in _grid(3) if spec.label != "p1")
-
-    # A later sweep over the same store retries only the excluded point.
-    retry = SweepScheduler(jobs=1, store_dir=store)
-    retry.add("g", _grid(3))
-    report = retry.run()
-    assert (report.unique_points, report.store_hits) == (1, 2)
-    assert retry.results_for("g")["p1"].read_word(0x1_0000) == 2
-
-
 def test_chaos_point_round_trips_through_the_store(tmp_path):
     # A link-fault and node-fault point restores with its crashed core
     # and its fault and recovery counters, as the live run produced them.
@@ -279,165 +230,36 @@ def test_chaos_point_round_trips_through_the_store(tmp_path):
     assert counters == direct.stats.snapshot()
 
 
-# -------------------------------------------------- timeouts and exclusion
-
-def test_hung_point_times_out_retries_then_lands_on_skip_list():
-    scheduler = SweepScheduler(jobs=1, worker=_hanging_worker,
-                               point_timeout=0.2, retries=1,
-                               retry_backoff=0.05)
-    scheduler.add("g", [RunSpec("stuck", small_config(1), _workload())])
-    report = scheduler.run()                    # does not raise, does not hang
-    assert report.retries == 1
-    assert list(report.excluded) == ["stuck"]
-    assert "timed out" in report.excluded["stuck"]
-    assert "gave up after 2 attempt(s)" in report.excluded["stuck"]
-    with pytest.raises(SweepError, match="excluded by the resilience policy"):
-        scheduler.results_for("g")
-
-
-def test_excluded_points_are_not_reattempted_on_rerun():
-    scheduler = SweepScheduler(jobs=1, worker=_hanging_worker,
-                               point_timeout=0.2, retries=0,
-                               retry_backoff=0.05)
-    scheduler.add("g", [RunSpec("stuck", small_config(1), _workload())])
-    scheduler.run()
-    assert len(scheduler.excluded) == 1
-    started = time.monotonic()
-    report = scheduler.run()                    # skip list, not another 0.2s
-    assert time.monotonic() - started < 0.15
-    assert report.retries == 0
-
-
-def test_healthy_grid_excludes_nothing_under_resilience_policy():
-    resilient = SweepScheduler(jobs=1, point_timeout=30.0, retries=2)
-    resilient.add("g", _grid(3))
-    report = resilient.run()
-    assert not report.excluded and report.retries == 0
-
-    plain = SweepScheduler(jobs=1)
-    plain.add("g", _grid(3))
-    plain.run()
-    for label, result in plain.results_for("g").items():
-        assert result_fingerprint(resilient.results_for("g")[label]) == \
-            result_fingerprint(result)
-
-
-# ------------------------------------------------------- crashes and errors
-
-def test_crashed_point_is_retried_and_recovers(tmp_path, monkeypatch):
-    marker = str(tmp_path / "crashed-once")
-    monkeypatch.setenv(_CRASH_MARKER_ENV, marker)
-    scheduler = SweepScheduler(jobs=1, worker=_crash_once_worker,
-                               retries=2, retry_backoff=0.05)
-    scheduler.add("g", [RunSpec("flaky", small_config(1), _workload())])
-    report = scheduler.run()
-    assert report.retries == 1
-    assert not report.excluded
-    assert scheduler.results_for("g")["flaky"].read_word(0x1_0000) == 1
-
-
-def test_deterministic_error_raises_immediately_naming_the_point():
-    scheduler = SweepScheduler(jobs=1, worker=_broken_worker,
-                               point_timeout=30.0, retries=5)
-    scheduler.add("g", [RunSpec("bad-point", small_config(1),
-                                _workload("bad-workload"))])
-    started = time.monotonic()
-    with pytest.raises(SweepError) as info:
-        scheduler.run()
-    assert time.monotonic() - started < 5       # no 5-retry backoff dance
-    message = str(info.value)
-    assert "bad-point" in message
-    assert "bad-workload" in message
-    assert "intentionally broken point" in message
-    assert scheduler._retries_this_run == 0
-
-
-def test_resilience_option_validation():
-    with pytest.raises(ValueError, match="point_timeout"):
-        SweepScheduler(point_timeout=0)
-    with pytest.raises(ValueError, match="retries"):
-        SweepScheduler(retries=-1)
-    with pytest.raises(ValueError, match="term_grace"):
-        SweepScheduler(term_grace=0)
-
-
 # ------------------------------------------------------- worker lifetime
 #
-# Workers live for one run() call and run point after point.  A worker
-# that dies or times out costs only its in-flight point; one whose point
-# raised is retired; none outlives run(), whether it returns or raises.
+# Workers live for one run() call and run point after point.  None
+# outlives run(), whether it returns or raises: when a point fails, the
+# workers still busy are reaped (SIGTERM, TERM_GRACE seconds, SIGKILL).
 
 _MID_POINT_ENV = "REPRO_TEST_MID_POINT_MARKER"
+_PID_DIR_ENV = "REPRO_TEST_PID_DIR"
 
 
-def _crash_once_on_w1_worker(config, programs, initial_memory,
-                             fault_plan=None, node_plan=None):
-    """Logs ``program pid`` per attempt; the first attempt at w1 dies
-    hard."""
-    log = os.environ[_CRASH_MARKER_ENV]
-    name = programs[0].name
-    with open(log, "a") as fh:
-        fh.write(f"{name} {os.getpid()}\n")
-    with open(log) as fh:
-        first_attempt = fh.read().count(f"{name} ") == 1
-    if name == "w1.t0" and first_attempt:
-        os._exit(1)
+def _pid_file_worker(config, programs, initial_memory, fault_plan=None,
+                     node_plan=None):
+    """Runs the point, leaving a file named after this process's pid."""
+    open(os.path.join(os.environ[_PID_DIR_ENV], str(os.getpid())),
+         "w").close()
     return simulate_point(config, programs, initial_memory, fault_plan)
 
 
-def test_crashed_point_reruns_on_a_new_worker_and_others_are_unchanged(
-        tmp_path, monkeypatch):
-    log = tmp_path / "attempts"
-    monkeypatch.setenv(_CRASH_MARKER_ENV, str(log))
-    scheduler = SweepScheduler(jobs=2, worker=_crash_once_on_w1_worker,
-                               retries=1, retry_backoff=0.05)
-    scheduler.add("g", _grid(5))
-    report = scheduler.run()
-    assert report.retries == 1 and not report.excluded
-    attempts = [line.split() for line in log.read_text().splitlines()]
-    assert sorted(name for name, _ in attempts) == \
-        ["w0.t0", "w1.t0", "w1.t0", "w2.t0", "w3.t0", "w4.t0"]
-    crashed, retried = [int(pid) for name, pid in attempts
-                        if name == "w1.t0"]
-    assert retried != crashed
-
-    in_process = SweepScheduler(jobs=1)
-    in_process.add("g", _grid(5))
-    in_process.run()
-    for label, result in in_process.results_for("g").items():
-        assert result_fingerprint(scheduler.results_for("g")[label]) == \
-            result_fingerprint(result)
-
-
-def _pid_worker_failing_on_w0(config, programs, initial_memory,
-                              fault_plan=None, node_plan=None):
-    """Answers with its own pid in place of a result; w0 raises, naming
-    the pid."""
-    if programs[0].name == "w0.t0":
-        raise ValueError(os.getpid())
-    return os.getpid(), 0.0
-
-
-def test_worker_whose_point_raised_is_not_reused():
-    runner = ResilientPointRunner(worker=_pid_worker_failing_on_w0, jobs=1)
-    pids, errors = {}, {}
-    runner.run([(spec.label, spec) for spec in _grid(3)],
-               on_result=lambda key, spec, pid, s: pids.__setitem__(key, pid),
-               on_error=lambda key, spec, message: errors.__setitem__(
-                   key, message),
-               on_exclude=lambda key, spec, reason: pytest.fail(reason))
-    assert list(errors) == ["p0"]
-    raised_on = int(errors["p0"].removeprefix("ValueError: "))
-    assert pids["p1"] != raised_on
-    assert pids["p2"] == pids["p1"]             # a worker that answered "ok"
-    assert multiprocessing.active_children() == []
-
-
-def test_no_worker_outlives_a_clean_parallel_sweep():
-    scheduler = SweepScheduler(jobs=2)
+def test_no_worker_outlives_a_clean_parallel_sweep(tmp_path, monkeypatch):
+    monkeypatch.setenv(_PID_DIR_ENV, str(tmp_path))
+    scheduler = SweepScheduler(jobs=2, worker=_pid_file_worker)
     scheduler.add("g", _grid(4))
     scheduler.run()
     assert len(scheduler.results_for("g")) == 4
+    workers = [int(name) for name in os.listdir(tmp_path)]
+    assert len(workers) == 2
+    for pid in workers:
+        # Joined by run(): neither running nor a zombie left to reap.
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
     assert multiprocessing.active_children() == []
 
 
@@ -473,12 +295,32 @@ def test_no_worker_outlives_a_sweep_that_fails_mid_point(tmp_path,
     assert multiprocessing.active_children() == []
 
 
-def test_no_worker_outlives_a_timeout_exclusion():
-    scheduler = SweepScheduler(jobs=2, worker=_hangs_on_w1_worker,
-                               point_timeout=1.0, retries=0)
+def _sigterm_immune_w1_worker(config, programs, initial_memory,
+                              fault_plan=None, node_plan=None):
+    """:func:`_fails_on_w0_while_w1_runs_worker`, with w1 ignoring
+    SIGTERM before it starts."""
+    if programs[0].name == "w1.t0":
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    return _fails_on_w0_while_w1_runs_worker(config, programs,
+                                             initial_memory, fault_plan,
+                                             node_plan)
+
+
+def test_sigterm_immune_worker_is_kill_escalated(tmp_path, monkeypatch):
+    # A busy worker of an aborting sweep gets SIGTERM, then TERM_GRACE
+    # seconds, then SIGKILL: one wedged ignoring SIGTERM (a masked
+    # handler, uninterruptible I/O) cannot hang the abort.
+    marker = tmp_path / "w1-started"
+    monkeypatch.setenv(_MID_POINT_ENV, str(marker))
+    monkeypatch.setattr(parallel_module, "TERM_GRACE", 0.4)
+    scheduler = SweepScheduler(jobs=2, worker=_sigterm_immune_w1_worker)
     scheduler.add("g", _grid(3))
-    report = scheduler.run()
-    assert list(report.excluded) == ["p1"]
+    started = time.monotonic()
+    with pytest.raises(SweepError, match="intentionally broken point"):
+        scheduler.run()
+    assert marker.exists()                      # w1 was mid-point
+    # Within the lowered grace plus slack, and under the default 5 s.
+    assert time.monotonic() - started < 4
     assert multiprocessing.active_children() == []
 
 
@@ -542,94 +384,6 @@ def test_workers_exit_when_their_sweep_process_is_killed(tmp_path):
     while any(map(_running, workers)) and time.monotonic() < give_up:
         time.sleep(0.02)
     assert not any(map(_running, workers))
-
-
-# --------------------------------------------------- regression: timeouts
-#
-# Each point's kill deadline must be budgeted from *its own* launch.  The
-# pre-fix code computed it from a clock captured before the launch loop,
-# so sibling ``proc.start()`` cost was charged against a point's
-# point_timeout and late-launched points were killed early.
-
-class _SlowLaunchRunner(ResilientPointRunner):
-    """Runner whose every launch takes ~1s (expensive-fork stand-in)."""
-
-    LAUNCH_DELAY = 1.0
-
-    def _launch(self, args):
-        time.sleep(self.LAUNCH_DELAY)
-        return super()._launch(args)
-
-
-def _slow_start_worker(config, programs, initial_memory, fault_plan=None, node_plan=None):
-    time.sleep(0.35)
-    return simulate_point(config, programs, initial_memory, fault_plan)
-
-
-def test_point_timeout_excludes_sibling_launch_cost():
-    # Both launches take ~1s; the worker itself needs ~0.35s against a
-    # 1.2s budget.  A fresh per-launch clock gives every point its full
-    # budget; the stale pre-loop clock would have killed both (their
-    # deadlines expire during/just after their own slow launch).
-    runner = _SlowLaunchRunner(worker=_slow_start_worker, jobs=2,
-                               point_timeout=1.2, retries=0)
-    done, excluded = {}, {}
-    runner.run([(spec.fingerprint(), spec) for spec in _grid(2)],
-               on_result=lambda fp, spec, result, s: done.__setitem__(
-                   fp, result),
-               on_error=lambda fp, spec, msg: pytest.fail(msg),
-               on_exclude=lambda fp, spec, reason: excluded.__setitem__(
-                   spec.label, reason))
-    assert excluded == {}
-    assert len(done) == 2
-
-
-# ----------------------------------------- regression: SIGTERM-immune kill
-#
-# The pre-fix timeout path did proc.terminate() then an *unbounded*
-# proc.join(): a worker wedged ignoring SIGTERM hung the sweep forever.
-# The fix joins with term_grace, then escalates to SIGKILL.
-
-def _sigterm_immune_worker(config, programs, initial_memory,
-                           fault_plan=None, node_plan=None):
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    time.sleep(60)
-
-
-def test_sigterm_immune_worker_is_kill_escalated():
-    scheduler = SweepScheduler(jobs=1, worker=_sigterm_immune_worker,
-                               point_timeout=0.3, retries=0,
-                               term_grace=0.4)
-    scheduler.add("g", [RunSpec("wedged", small_config(1), _workload())])
-    started = time.monotonic()
-    report = scheduler.run()                    # pre-fix: hangs forever
-    assert time.monotonic() - started < 30
-    assert list(report.excluded) == ["wedged"]
-    assert "timed out" in report.excluded["wedged"]
-
-
-# ------------------------------------------- regression: report isolation
-#
-# SweepReport.excluded was built from the scheduler's *cumulative*
-# exclusion list, so a second run's report re-reported prior runs'
-# exclusions as its own.
-
-def test_report_excluded_is_scoped_to_its_own_run():
-    scheduler = SweepScheduler(jobs=1, worker=_hanging_worker,
-                               point_timeout=0.2, retries=0)
-    scheduler.add("g", [RunSpec("first-stuck", small_config(1),
-                                _workload("w-first"))])
-    first = scheduler.run()
-    assert list(first.excluded) == ["first-stuck"]
-
-    scheduler.add("g", [RunSpec("second-stuck", small_config(1),
-                                _workload("w-second"))])
-    second = scheduler.run()
-    assert list(second.excluded) == ["second-stuck"]   # pre-fix: both
-    assert len(scheduler.excluded) == 2                # cumulative skip list
-
-    third = scheduler.run()                            # nothing new hangs
-    assert third.excluded == {}
 
 
 # ------------------------------------------- regression: restore validation
