@@ -230,6 +230,93 @@ def test_chaos_point_round_trips_through_the_store(tmp_path):
     assert counters == direct.stats.snapshot()
 
 
+# ---------------------------------------------------------- failure policy
+#
+# One policy on both paths: a point that raises or kills its worker
+# fails run() on its first attempt, a wrong answer fails it once every
+# point has run, and nothing is retried, requeued or excluded -- the
+# next run() attempts the failed point again.
+
+_ATTEMPTS_ENV = "REPRO_TEST_ATTEMPTS"
+
+
+def _log_attempt(programs) -> None:
+    with open(os.environ[_ATTEMPTS_ENV], "a") as fh:
+        fh.write(f"{programs[0].name}\n")
+
+
+def _attempts(path) -> list:
+    return path.read_text().split() if path.exists() else []
+
+
+def _logged_fails_on_w1_worker(config, programs, initial_memory,
+                               fault_plan=None, node_plan=None):
+    _log_attempt(programs)
+    return _fails_on_w1_worker(config, programs, initial_memory, fault_plan)
+
+
+def _logged_dies_on_w1_worker(config, programs, initial_memory,
+                              fault_plan=None, node_plan=None):
+    _log_attempt(programs)
+    if programs[0].name == "w1.t0":
+        os._exit(13)                            # a crash: no reply is sent
+    return simulate_point(config, programs, initial_memory, fault_plan)
+
+
+@pytest.mark.parametrize("jobs", [1, 2], ids=["in-process", "in-worker"])
+def test_raising_point_is_attempted_once(tmp_path, monkeypatch, jobs):
+    attempts = tmp_path / "attempts"
+    monkeypatch.setenv(_ATTEMPTS_ENV, str(attempts))
+    scheduler = SweepScheduler(jobs=jobs, worker=_logged_fails_on_w1_worker)
+    scheduler.add("g", _grid(3))
+    with pytest.raises(SweepError, match="intentionally broken point"):
+        scheduler.run()
+    assert _attempts(attempts).count("w1.t0") == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_point_whose_worker_dies_is_attempted_once(tmp_path, monkeypatch):
+    attempts = tmp_path / "attempts"
+    monkeypatch.setenv(_ATTEMPTS_ENV, str(attempts))
+    scheduler = SweepScheduler(jobs=2, worker=_logged_dies_on_w1_worker)
+    scheduler.add("g", _grid(3))
+    with pytest.raises(SweepError, match=r"'p1'.*worker process died"):
+        scheduler.run()
+    assert _attempts(attempts).count("w1.t0") == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_next_run_attempts_a_failed_point_again(tmp_path, monkeypatch):
+    # No skip list: the point that failed one run() fails the next one
+    # too, while the point completed before it stays cached.
+    attempts = tmp_path / "attempts"
+    monkeypatch.setenv(_ATTEMPTS_ENV, str(attempts))
+    scheduler = SweepScheduler(jobs=1, worker=_logged_fails_on_w1_worker)
+    scheduler.add("g", _grid(3))
+    for _ in range(2):
+        with pytest.raises(SweepError, match="'p1'"):
+            scheduler.run()
+    assert _attempts(attempts) == ["w0.t0", "w1.t0", "w1.t0"]
+
+
+def test_wrong_answer_fails_the_sweep_once_every_point_has_run(tmp_path):
+    def wrong_answer(result):
+        assert False, "wrong answer"
+
+    store = str(tmp_path / "store")
+    p0, p1, p2 = _grid(3)
+    # Equal cost estimates, so p0 runs first, as declared.
+    checked = RunSpec(p0.label, p0.config,
+                      Workload(p0.workload.name, p0.workload.programs, {},
+                               validate=wrong_answer))
+    scheduler = SweepScheduler(jobs=1, store_dir=store)
+    scheduler.add("g", [checked, p1, p2])
+    with pytest.raises(SweepError,
+                       match="'p0' in g produced a wrong answer"):
+        scheduler.run()
+    assert len(_records(store)) == 3            # p1 and p2 ran after p0
+
+
 # ------------------------------------------------------- worker lifetime
 #
 # Workers live for one run() call and run point after point.  None
