@@ -102,6 +102,8 @@ class Experiment:
 
     def __call__(self, jobs: Optional[int] = None,
                  **kwargs) -> ExperimentResult:
+        """Plan, run and build the table; ``jobs=None`` reads
+        ``REPRO_JOBS``, and runs serially when it is unset."""
         if jobs is None:
             jobs = _env_jobs()
         results = execute_specs(self.plan(**kwargs), jobs=jobs)

@@ -47,7 +47,6 @@ import copy
 import gc
 import hashlib
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
@@ -169,8 +168,8 @@ def result_fingerprint(result: SystemResult) -> str:
         hasher.update(f"\x00core{core.core_id}:".encode())
         hasher.update(repr(core.registers).encode())
         hasher.update(f"fin={core.finish_cycle}".encode())
-    for addr in sorted(result._memory):
-        hasher.update(f"\x00{addr}={result._memory[addr]}".encode())
+    for addr, value in result.words():
+        hasher.update(f"\x00{addr}={value}".encode())
     return hasher.hexdigest()
 
 
@@ -322,9 +321,9 @@ class SweepScheduler:
         scheduler.run()                  # each unique point simulated once
         e1 = e1_build(scheduler.results_for("E1"))
 
-    ``jobs`` is ``None`` (one worker per CPU) or an integer of at least
-    1.  With ``jobs=1``, or a single point to simulate, points run in
-    this process, strictly serially (the debugging path).  Every other
+    ``jobs`` is an integer of at least 1, by default 1.  With
+    ``jobs=1``, or a single point to simulate, points run in this
+    process, strictly serially (the debugging path).  Every other
     sweep runs its points in up to ``jobs`` worker processes, each
     running point after point until the sweep ends.  On both paths
     points start longest first, by a static cost estimate (core count,
@@ -353,14 +352,11 @@ class SweepScheduler:
     by other simulator code, are re-simulated rather than trusted.
     """
 
-    def __init__(self, jobs: Optional[int] = None,
+    def __init__(self, jobs: int = 1,
                  worker: Callable = simulate_point,
                  store_dir: Optional[str] = None):
-        if jobs is None:
-            jobs = os.cpu_count() or 1
-        elif not isinstance(jobs, int) or jobs < 1:
-            raise ValueError(f"jobs must be None (one per CPU) or an "
-                             f"integer >= 1, got {jobs!r}")
+        if not isinstance(jobs, int) or jobs < 1:
+            raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
         self.jobs = jobs
         self._worker = worker
         try:
@@ -639,7 +635,7 @@ class SweepScheduler:
         return {spec.label: self._result(fp, spec) for fp, spec in grid}
 
 
-def execute_specs(specs: List[RunSpec], jobs: Optional[int] = 1
+def execute_specs(specs: List[RunSpec], jobs: int = 1
                   ) -> Dict[str, SystemResult]:
     """One-shot helper: run a single grid and return label -> result;
     ``jobs`` as for :class:`SweepScheduler`."""

@@ -15,9 +15,10 @@ one method per opcode plus symbolic labels::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import weakref
+from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Tuple, TypeVar
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
 
 from repro.isa.instructions import FenceKind, Instruction, Opcode, WORD_BYTES
 
@@ -30,6 +31,29 @@ _T = TypeVar("_T")
 
 #: Instance-dict key of the derived-data cache (see Program.derived).
 _DERIVED = "_derived"
+
+#: Every live instruction the assembler has built, keyed by its fields
+#: with the opcode as its value.  The values are weak references: an
+#: entry goes when the last program (or assembler) holding its
+#: instruction does, so a campaign of throwaway programs cannot grow it.
+_interned: "weakref.WeakValueDictionary[tuple, Instruction]" = \
+    weakref.WeakValueDictionary()
+
+
+def _intern(op: Opcode, rd: int, rs: int, rt: int, ru: int, imm: int,
+            fence: Optional[FenceKind], target: Optional[int]) -> Instruction:
+    """The one live :class:`Instruction` with these fields.
+
+    A repeat costs a tuple and a dict lookup: the key holds the opcode's
+    value, not the member, whose hash is a Python-level call, and no
+    ``Instruction`` is built (or validated) unless the fields are new.
+    """
+    key = (op._value_, rd, rs, rt, ru, imm, fence, target)
+    instr = _interned.get(key)
+    if instr is None:
+        instr = _interned[key] = Instruction(op, rd, rs, rt, ru, imm, fence,
+                                             target)
+    return instr
 
 
 @dataclass(frozen=True)
@@ -156,52 +180,54 @@ class Assembler:
         self._labels[name] = len(self._instructions)
         return self
 
-    def _emit(self, instr: Instruction) -> "Assembler":
-        self._instructions.append(instr)
+    def _emit(self, op: Opcode, rd: int = 0, rs: int = 0, rt: int = 0,
+              ru: int = 0, imm: int = 0,
+              fence: Optional[FenceKind] = None) -> "Assembler":
+        self._instructions.append(_intern(op, rd, rs, rt, ru, imm, fence, None))
         return self
 
     def _emit_branch(self, op: Opcode, rs: int, rt: int, label: str) -> "Assembler":
         self._fixups.append((len(self._instructions), label))
-        return self._emit(Instruction(op, rs=rs, rt=rt))
+        return self._emit(op, rs=rs, rt=rt)
 
     # ---------------------------------------------------------------- ALU
 
     def li(self, rd: int, imm: int) -> "Assembler":
-        return self._emit(Instruction(Opcode.LI, rd=rd, imm=imm))
+        return self._emit(Opcode.LI, rd=rd, imm=imm)
 
     def mov(self, rd: int, rs: int) -> "Assembler":
-        return self._emit(Instruction(Opcode.MOV, rd=rd, rs=rs))
+        return self._emit(Opcode.MOV, rd=rd, rs=rs)
 
     def add(self, rd: int, rs: int, rt: int) -> "Assembler":
-        return self._emit(Instruction(Opcode.ADD, rd=rd, rs=rs, rt=rt))
+        return self._emit(Opcode.ADD, rd=rd, rs=rs, rt=rt)
 
     def addi(self, rd: int, rs: int, imm: int) -> "Assembler":
-        return self._emit(Instruction(Opcode.ADDI, rd=rd, rs=rs, imm=imm))
+        return self._emit(Opcode.ADDI, rd=rd, rs=rs, imm=imm)
 
     def sub(self, rd: int, rs: int, rt: int) -> "Assembler":
-        return self._emit(Instruction(Opcode.SUB, rd=rd, rs=rs, rt=rt))
+        return self._emit(Opcode.SUB, rd=rd, rs=rs, rt=rt)
 
     def mul(self, rd: int, rs: int, rt: int) -> "Assembler":
-        return self._emit(Instruction(Opcode.MUL, rd=rd, rs=rs, rt=rt))
+        return self._emit(Opcode.MUL, rd=rd, rs=rs, rt=rt)
 
     def and_(self, rd: int, rs: int, rt: int) -> "Assembler":
-        return self._emit(Instruction(Opcode.AND, rd=rd, rs=rs, rt=rt))
+        return self._emit(Opcode.AND, rd=rd, rs=rs, rt=rt)
 
     def or_(self, rd: int, rs: int, rt: int) -> "Assembler":
-        return self._emit(Instruction(Opcode.OR, rd=rd, rs=rs, rt=rt))
+        return self._emit(Opcode.OR, rd=rd, rs=rs, rt=rt)
 
     def xor(self, rd: int, rs: int, rt: int) -> "Assembler":
-        return self._emit(Instruction(Opcode.XOR, rd=rd, rs=rs, rt=rt))
+        return self._emit(Opcode.XOR, rd=rd, rs=rs, rt=rt)
 
     def slt(self, rd: int, rs: int, rt: int) -> "Assembler":
-        return self._emit(Instruction(Opcode.SLT, rd=rd, rs=rs, rt=rt))
+        return self._emit(Opcode.SLT, rd=rd, rs=rs, rt=rt)
 
     def slti(self, rd: int, rs: int, imm: int) -> "Assembler":
-        return self._emit(Instruction(Opcode.SLTI, rd=rd, rs=rs, imm=imm))
+        return self._emit(Opcode.SLTI, rd=rd, rs=rs, imm=imm)
 
     def exec_(self, cycles: int) -> "Assembler":
         """A block of pure computation taking ``cycles`` cycles."""
-        return self._emit(Instruction(Opcode.EXEC, imm=cycles))
+        return self._emit(Opcode.EXEC, imm=cycles)
 
     # ------------------------------------------------------------- memory
 
@@ -212,35 +238,34 @@ class Assembler:
 
     def load(self, rd: int, base: int, offset: int = 0) -> "Assembler":
         self._check_offset(offset)
-        return self._emit(Instruction(Opcode.LOAD, rd=rd, rs=base, imm=offset))
+        return self._emit(Opcode.LOAD, rd=rd, rs=base, imm=offset)
 
     def store(self, value: int, base: int, offset: int = 0) -> "Assembler":
         """Store register ``value`` to ``[base + offset]``."""
         self._check_offset(offset)
-        return self._emit(Instruction(Opcode.STORE, rs=base, rt=value, imm=offset))
+        return self._emit(Opcode.STORE, rs=base, rt=value, imm=offset)
 
     def tas(self, rd: int, base: int, offset: int = 0) -> "Assembler":
         self._check_offset(offset)
-        return self._emit(Instruction(Opcode.TAS, rd=rd, rs=base, imm=offset))
+        return self._emit(Opcode.TAS, rd=rd, rs=base, imm=offset)
 
     def swap(self, rd: int, base: int, value: int, offset: int = 0) -> "Assembler":
         self._check_offset(offset)
-        return self._emit(Instruction(Opcode.SWAP, rd=rd, rs=base, rt=value, imm=offset))
+        return self._emit(Opcode.SWAP, rd=rd, rs=base, rt=value, imm=offset)
 
     def cas(self, rd: int, base: int, expected: int, new: int, offset: int = 0) -> "Assembler":
         self._check_offset(offset)
-        return self._emit(
-            Instruction(Opcode.CAS, rd=rd, rs=base, rt=expected, ru=new, imm=offset)
-        )
+        return self._emit(Opcode.CAS, rd=rd, rs=base, rt=expected, ru=new,
+                          imm=offset)
 
     def fetch_add(self, rd: int, base: int, addend: int, offset: int = 0) -> "Assembler":
         self._check_offset(offset)
-        return self._emit(Instruction(Opcode.FETCH_ADD, rd=rd, rs=base, rt=addend, imm=offset))
+        return self._emit(Opcode.FETCH_ADD, rd=rd, rs=base, rt=addend, imm=offset)
 
     # ----------------------------------------------------------- ordering
 
     def fence(self, kind: FenceKind = FenceKind.FULL) -> "Assembler":
-        return self._emit(Instruction(Opcode.FENCE, fence=kind))
+        return self._emit(Opcode.FENCE, fence=kind)
 
     # ------------------------------------------------------------ control
 
@@ -258,13 +283,13 @@ class Assembler:
 
     def jmp(self, label: str) -> "Assembler":
         self._fixups.append((len(self._instructions), label))
-        return self._emit(Instruction(Opcode.JMP))
+        return self._emit(Opcode.JMP)
 
     def nop(self) -> "Assembler":
-        return self._emit(Instruction(Opcode.NOP))
+        return self._emit(Opcode.NOP)
 
     def halt(self) -> "Assembler":
-        return self._emit(Instruction(Opcode.HALT))
+        return self._emit(Opcode.HALT)
 
     # -------------------------------------------------------------- build
 
@@ -272,13 +297,17 @@ class Assembler:
         """Resolve labels and freeze the program.
 
         Appends a trailing HALT if the program does not already end with
-        one, so every thread terminates explicitly.
+        one, so every thread terminates explicitly.  Equal instructions
+        are one shared object, in this program and in every other live
+        program the assembler built (see :func:`_intern`).
         """
         instructions = list(self._instructions)
         if not instructions or instructions[-1].op is not Opcode.HALT:
-            instructions.append(Instruction(Opcode.HALT))
+            instructions.append(_intern(Opcode.HALT, 0, 0, 0, 0, 0, None, None))
         for index, label in self._fixups:
             if label not in self._labels:
                 raise AssemblyError(f"undefined label {label!r}")
-            instructions[index] = replace(instructions[index], target=self._labels[label])
+            branch = instructions[index]
+            instructions[index] = _intern(branch.op, 0, branch.rs, branch.rt, 0,
+                                          0, None, self._labels[label])
         return Program(self.name, tuple(instructions), dict(self._labels))

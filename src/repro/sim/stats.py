@@ -11,6 +11,7 @@ figures.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 
@@ -160,10 +161,49 @@ class StatsRegistry:
     :meth:`accumulator` / :meth:`histogram` to create-or-fetch their
     stats; the harness reads them back with :meth:`get` /
     :meth:`snapshot` / :meth:`report`.
+
+    A registry pickles as columns -- names, one kind letter per stat,
+    and values -- and a loaded registry interns its names
+    (``sys.intern``), so the results a sweep's workers send back share
+    one string per stat name instead of each carrying its own.
     """
 
     def __init__(self) -> None:
         self._stats: Dict[str, object] = {}
+
+    def __getstate__(self) -> tuple:
+        kinds = []
+        values = []
+        for stat in self._stats.values():
+            if isinstance(stat, Counter):
+                kinds.append("c")
+                values.append(stat.value)
+            elif isinstance(stat, Accumulator):
+                kinds.append("a")
+                values.append((stat.total, stat.count, stat.minimum,
+                               stat.maximum))
+            else:
+                kinds.append("h")
+                values.append((stat.bucket_width, stat.log2, stat.buckets,
+                               stat.total, stat.count))
+        return tuple(self._stats), "".join(kinds), tuple(values)
+
+    def __setstate__(self, state: tuple) -> None:
+        names, kinds, values = state
+        stats = self._stats = {}
+        for name, kind, value in zip(names, kinds, values):
+            name = sys.intern(name)
+            if kind == "c":
+                stat = Counter(name)
+                stat.value = value
+            elif kind == "a":
+                stat = Accumulator(name)
+                stat.total, stat.count, stat.minimum, stat.maximum = value
+            else:
+                width, log2, buckets, total, count = value
+                stat = Histogram(name, width, log2)
+                stat.buckets, stat.total, stat.count = buckets, total, count
+            stats[name] = stat
 
     def counter(self, name: str) -> Counter:
         stat = self._stats.get(name)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.baselines.chunk import CommitArbiter
 from repro.coherence.cache import CacheState
@@ -72,15 +72,17 @@ class SystemResult:
     """Picklable outcome of one simulation run.
 
     Everything the harness, validators and benchmarks read -- cycle
-    count, per-core summaries and an architectural memory snapshot -- is
-    captured by value at construction time.  The one exception is
-    ``stats``: it is the run's live :class:`StatsRegistry`, not a copy,
-    so every result taken from one machine (a fuzz case and its twin,
-    see :func:`repro.verification.fuzz.execute_case`) shares one
-    registry.  That is safe only because a :class:`System` runs once.
-    Nothing else refers back to the live :class:`System`, so results
-    survive ``pickle``, which lets the parallel sweep runner ship them
-    back from worker processes.
+    count, per-core summaries and an architectural memory image, one
+    tuple of words per block -- is captured by value at construction
+    time.  The one exception is ``stats``: it is the run's live
+    :class:`StatsRegistry`, not a copy, so every result taken from one
+    machine (a fuzz case and its twin, see
+    :func:`repro.verification.fuzz.execute_case`) shares one registry.
+    That is safe only because a :class:`System` runs once.  Nothing
+    else refers back to the live :class:`System`, so results survive
+    ``pickle``, which lets the parallel sweep runner ship them back
+    from worker processes; a loaded result's registry shares its stat
+    names with every other loaded one (:class:`StatsRegistry`).
 
     :meth:`System.run` builds its result before it disconnects the
     machine; a result built later from the same disconnected
@@ -109,7 +111,8 @@ class SystemResult:
             )
             for c in system.cores
         ]
-        self._memory = system.memory_snapshot()
+        #: block address -> the block's words: one tuple per block
+        self._blocks = system.memory_blocks()
 
     def crashed_core_ids(self) -> List[int]:
         """Cores the node-fault plan crash-stopped (empty when clean)."""
@@ -120,8 +123,19 @@ class SystemResult:
         return [c.core_id for c in self.cores if not c.crashed]
 
     def read_word(self, addr: int) -> int:
-        """Architectural memory value after the run (L1-dirty-aware)."""
-        return self._memory.get(addr, 0)
+        """Architectural value after the run (L1-dirty-aware) of the
+        word containing byte ``addr``, as :meth:`System.read_word`."""
+        block_addr = self.config.l1.block_of(addr)
+        data = self._blocks.get(block_addr)
+        return 0 if data is None else data[(addr - block_addr) >> 3]
+
+    def words(self) -> Iterator[Tuple[int, int]]:
+        """Every ``(address, value)`` word of the memory image, in
+        address order: the words :meth:`System.memory_snapshot` lists."""
+        blocks = self._blocks
+        for block_addr in sorted(blocks):
+            for i, value in enumerate(blocks[block_addr]):
+                yield block_addr + 8 * i, value
 
     def core_reg(self, core_id: int, reg: int) -> int:
         return self.cores[core_id].read_reg(reg)
@@ -425,24 +439,30 @@ class System:
         home = self.home_map.home_index(block_addr)
         return self.directories[home].peek_word(addr)
 
-    def memory_snapshot(self) -> Dict[int, int]:
-        """Every architecturally known memory word, dirty-L1-aware.
+    def memory_blocks(self) -> Dict[int, Tuple[int, ...]]:
+        """Every architecturally known memory block, dirty-L1-aware:
+        block address -> its words.
 
         The directory/L2 backing store is overlaid with any MODIFIED L1
-        copies; words never touched by the run are absent (they read as
+        copies; blocks never touched by the run are absent (they read as
         zero, matching :meth:`read_word`).
         """
-        snapshot: Dict[int, int] = {}
+        blocks: Dict[int, Tuple[int, ...]] = {}
         for directory in self.directories:
             for block_addr, data in directory.backing_blocks():
-                for i, value in enumerate(data):
-                    snapshot[block_addr + 8 * i] = value
+                blocks[block_addr] = tuple(data)
         for l1 in self.l1s:
             for block in l1.array:
                 if block.state is CacheState.MODIFIED:
-                    for i, value in enumerate(block.data):
-                        snapshot[block.addr + 8 * i] = value
-        return snapshot
+                    blocks[block.addr] = tuple(block.data)
+        return blocks
+
+    def memory_snapshot(self) -> Dict[int, int]:
+        """Every architecturally known memory word (see
+        :meth:`memory_blocks`): word address -> value."""
+        return {block_addr + 8 * i: value
+                for block_addr, data in self.memory_blocks().items()
+                for i, value in enumerate(data)}
 
     def check_swmr(self) -> None:
         """Single-writer/multiple-reader: for every block, at most one L1

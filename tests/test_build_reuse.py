@@ -14,6 +14,7 @@ plan mutated after planning changes no later plan.
 
 from __future__ import annotations
 
+import gc
 import pickle
 from dataclasses import replace
 
@@ -22,11 +23,12 @@ import pytest
 import repro.coherence.l1 as l1_module
 import repro.core.invisifence as invisifence_module
 import repro.cpu.core as core_module
+import repro.isa.program as program_module
 import repro.workloads.randmix as randmix
 import repro.workloads.suite as suite_module
 from repro.harness.experiments import e1_plan, e2_plan
 from repro.harness.parallel import SweepScheduler, result_fingerprint
-from repro.isa import Assembler
+from repro.isa import Assembler, Opcode
 from repro.isa.interpreter import ReferenceInterpreter
 from repro.sim.config import SpeculationConfig, SpeculationMode
 from repro.system import System
@@ -123,27 +125,80 @@ def _span_program():
     return asm.halt().build()
 
 
+def _private_copy(program):
+    """An equal program sharing no instruction object with ``program``."""
+    copy = pickle.loads(pickle.dumps(program))
+    assert copy == program
+    assert not {id(i) for i in copy} & {id(i) for i in program}
+    return copy
+
+
+def test_equal_programs_assembled_apart_share_instruction_objects():
+    first, second = _span_program(), _span_program()
+    assert first is not second and first.instructions is not second.instructions
+    assert all(a is b for a, b in zip(first, second))
+    # Equal instructions within one program are one object too.
+    asm = Assembler("twice")
+    asm.li(1, 5).li(2, 5).li(1, 5)
+    asm.label("top").bne(1, 0, "top").bne(1, 0, "top")
+    program = asm.build()
+    assert program[0] is program[2] and program[0] is not program[1]
+    assert program[3] is program[4] and program[3].target == 3
+    # Across plans: a rebuilt suite's programs share the first build's.
+    old = standard_suite(2, 0.1)["locks-tas"].programs
+    clear_build_memos()
+    new = standard_suite(2, 0.1)["locks-tas"].programs
+    assert new[0] is not old[0]
+    assert [p.instructions for p in new] == [p.instructions for p in old]
+    assert all(a is b for p, q in zip(old, new) for a, b in zip(p, q))
+
+
 @pytest.mark.parametrize("mode", [SpeculationMode.NONE,
                                   SpeculationMode.ON_DEMAND,
                                   SpeculationMode.CONTINUOUS])
-def test_cores_sharing_one_program_object_match_equal_copies(mode):
+def test_cores_sharing_instructions_match_private_copies(mode):
     config = replace(small_config(2),
                      speculation=SpeculationConfig(mode=mode))
 
     def run(programs):
         result = System(config, programs).run()
-        return (result_fingerprint(result), result.events,
+        return (result_fingerprint(result), result.events, result.cycles,
                 result.fused_instructions())
 
     shared = _span_program()
     assert [(s.start, s.stop)
             for s in core_module.superblock_spans(shared)] == [(3, 7)]
-    one_object = run([shared, shared])
-    copies = run([_span_program(), _span_program()])
-    assert one_object == copies
-    assert run([shared, shared]) == copies  # and again, plans warm
+    private = run([_private_copy(shared), _private_copy(shared)])
+    assert run([shared, shared]) == private
+    assert run([shared, _span_program()]) == private
+    assert run([shared, shared]) == private  # and again, plans warm
     if mode is not SpeculationMode.CONTINUOUS:
-        assert copies[2] > 0  # the spans really ran fused
+        assert private[3] > 0  # the spans really ran fused
+
+
+def test_intern_table_forgets_what_no_program_holds():
+    # An E11-style campaign: fresh random litmus programs, compiled,
+    # simulated and checked one after another.
+    clear_build_memos()
+    gc.collect()
+    before = set(program_module._interned.keys())
+    for seed in range(randmix.LITMUS_MEMO_SIZE + 8):
+        case = fuzz.FuzzCase(threads=tuple(map(tuple, random_litmus_ops(
+                                 2, 8, seed=10_000 + seed))),
+                             model=fuzz.ConsistencyModel.TSO,
+                             spec=SpeculationMode.ON_DEMAND, seed=seed)
+        fuzz.execute_case(case)
+    assert set(program_module._interned.keys()) - before  # it grew
+    clear_build_memos()
+    gc.collect()
+    assert set(program_module._interned.keys()) <= before
+    # One program alone: its unique instruction goes with it, by
+    # reference counting.
+    program = Assembler("unique").li(1, 0x5EED_1234).build()
+    key = (Opcode.LI.value, 1, 0, 0, 0, 0x5EED_1234, None, None)
+    assert program_module._interned[key] is program[0]
+    del program
+    assert key not in program_module._interned
 
 
 def test_litmus_compiles_are_shared_but_every_call_gets_its_own_list():

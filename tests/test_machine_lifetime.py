@@ -280,10 +280,11 @@ def _assert_reads_as_returned(system: System, result: SystemResult) -> None:
     assert (again.events, again.cycles) == (result.events, result.cycles)
     assert [c.fused_instructions for c in again.cores] == \
         [c.fused_instructions for c in result.cores]
-    assert result._memory
-    for addr, value in result._memory.items():
+    words = dict(result.words())
+    assert words
+    for addr, value in words.items():
         assert system.read_word(addr) == value
-    assert system.memory_snapshot() == result._memory
+    assert system.memory_snapshot() == words
     system.check_swmr()
 
 

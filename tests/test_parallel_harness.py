@@ -520,8 +520,7 @@ def test_dead_worker_surfaces_clear_error_instead_of_hanging():
 @pytest.mark.parametrize("jobs", [0, -1, 2.0, "2"],
                          ids=["zero", "negative", "float", "string"])
 def test_jobs_that_is_not_an_integer_of_at_least_one_is_rejected(jobs):
-    message = rf"jobs must be None \(one per CPU\) or an integer >= 1, " \
-        rf"got {re.escape(repr(jobs))}$"
+    message = rf"jobs must be an integer >= 1, got {re.escape(repr(jobs))}$"
     with pytest.raises(ValueError, match=message):
         SweepScheduler(jobs=jobs)
     with pytest.raises(ValueError, match=message):
@@ -529,10 +528,17 @@ def test_jobs_that_is_not_an_integer_of_at_least_one_is_rejected(jobs):
                       jobs=jobs)
 
 
-def test_jobs_none_means_one_worker_per_cpu(monkeypatch):
+def test_jobs_none_is_refused_and_the_default_is_one_worker(monkeypatch):
+    # ``None`` means "REPRO_JOBS, else 1" only where an experiment is
+    # called; a sweep takes a count, and by default runs in-process.
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert SweepScheduler().jobs == 3
-    assert SweepScheduler(jobs=None).jobs == 3
+    assert SweepScheduler().jobs == 1
+    message = r"jobs must be an integer >= 1, got None$"
+    with pytest.raises(ValueError, match=message):
+        SweepScheduler(jobs=None)
+    with pytest.raises(ValueError, match=message):
+        execute_specs([RunSpec("p", small_config(1), _trivial_workload())],
+                      jobs=None)
 
 
 @pytest.fixture
