@@ -2,14 +2,16 @@
 share.
 
 Within a process, litmus compiles, fuzz configs, standard suites, each
-program's decode data and point digest, and each component's stat names
-are built once and shared by every case or plan that needs them.  A
-case builds its own ``System`` unless its TSO/RMO twin's finished run
-is held for it (``tests/test_fuzz_twins.py``).  These tests check that
-sharing them is invisible: a case gives the same result whether its
-build products are warm or freshly built, whatever ran before it, and
-whether its cores run one ``Program`` object or equal copies; and a
-plan mutated after planning changes no later plan.
+program's decode data and point digest, each component's stat names
+and every assembled instruction are built once and shared by every
+case or plan that needs them.  A case builds its own ``System`` unless
+its TSO/RMO twin's finished run is held for it
+(``tests/test_fuzz_twins.py``).  These tests check that sharing them is
+invisible: a case gives the same result whether its build products are
+warm or freshly built, whatever ran before it, and whether its cores
+run shared instruction objects or private copies; a plan mutated after
+planning changes no later plan; and the instruction intern table holds
+nothing that no program holds.
 """
 
 from __future__ import annotations

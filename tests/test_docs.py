@@ -186,7 +186,7 @@ QUOTED = [
 ] + [
     ("docs/PERF.md", artifact,
      f"workloads.{workload}.end_to_end.{metric}.{side}_median", fmt)
-    for artifact in ("BENCH_6.json", "BENCH_7.json")
+    for artifact in ("BENCH_6.json", "BENCH_7.json", "BENCH_8.json")
     for workload in ("paper-tables", "mesh-contention", "verify-campaign")
     for metric, fmt in (("wall_s", "{:.3f}"), ("cpu_s", "{:.3f}"),
                         ("setup_s", "{:.3f}"), ("sim_instr_per_s", "{:,.0f}"),
