@@ -12,8 +12,8 @@ Run with:  pytest benchmarks/ --benchmark-only -s
 Sweeps fan out over ``REPRO_JOBS`` worker processes when that variable
 is set to an integer of at least 1 (e.g. ``REPRO_JOBS=4 pytest
 benchmarks/``; any other value raises ``ValueError``): every experiment
-callable reads it, and results are bit-identical to the serial run --
-only the wall-clock changes.
+and ablation callable (E1-E14, A1-A6) reads it, and results are
+bit-identical to the serial run -- only the wall-clock changes.
 """
 
 import math

@@ -20,7 +20,8 @@ from repro import (
     SpeculationMode,
     SystemConfig,
 )
-from repro.harness.runner import compare_configs, six_point_configs
+from repro.harness.parallel import RunSpec, execute_specs
+from repro.harness.runner import six_point_configs
 from repro.system import System
 from repro.workloads.base import Layout, Workload
 from repro.workloads import primitives
@@ -90,7 +91,9 @@ def main():
 
     # Sweep the six main configurations.
     base = SystemConfig(n_cores=workload.n_threads)
-    results = compare_configs(workload, six_point_configs(base))
+    results = execute_specs([RunSpec(label, config, workload)
+                             for label, config
+                             in six_point_configs(base).items()])
     rmo = results["base-rmo"].cycles
     print(f"{'config':<10s} {'cycles':>8s} {'vs base-rmo':>12s} "
           f"{'ordering stalls':>16s}")

@@ -32,9 +32,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.cli import at_least  # noqa: E402
 from repro.faults import (  # noqa: E402
-    CRASH,
     PAUSE,
-    DeadlockError,
     FaultPlan,
     NodeFault,
     NodeFaultPlan,
@@ -45,9 +43,9 @@ from repro.harness.experiments import (  # noqa: E402
     E14_PAUSE_CYCLES,
     E14_WINDOW,
     e14_chaos,
+    e14_failstop_dump,
 )
 from repro.harness.parallel import result_fingerprint  # noqa: E402
-from repro.isa.program import Assembler  # noqa: E402
 from repro.sim.config import SystemConfig  # noqa: E402
 from repro.system import System  # noqa: E402
 from repro.verification.protocols import ProtocolViolation  # noqa: E402
@@ -57,26 +55,8 @@ from repro.workloads.protocols import gossip, leader_election  # noqa: E402
 def demo_failstop() -> None:
     """Crash one core into the dropped-request deadlock: the dump names it."""
     print("--- watchdog demo: fail-stop node + one dropped request ---")
-    programs = []
-    for tid in range(3):
-        asm = Assembler(f"chaos-demo.t{tid}")
-        if tid == 2:
-            asm.exec_(600)
-        asm.li(1, 0x1_0000).li(2, tid + 1)
-        asm.store(2, base=1, offset=8 * tid)
-        asm.halt()
-        programs.append(asm.build())
-    link = FaultPlan(seed=0, drop_first_n=1, retries_enabled=False)
-    node = NodeFaultPlan(seed=0, faults=(NodeFault(2, CRASH, 100),))
-    system = System(SystemConfig(n_cores=3), programs, fault_plan=link,
-                    node_plan=node)
-    try:
-        system.run(watchdog=Watchdog(system, check_interval=500))
-    except DeadlockError as exc:
-        print(exc)
-        print("--- end demo (the dump names the crash-stopped node) ---\n")
-    else:
-        raise AssertionError("demo unexpectedly completed")
+    print(e14_failstop_dump())
+    print("--- end demo (the dump names the crash-stopped node) ---\n")
 
 
 # ------------------------------------------------------------- selftest

@@ -14,19 +14,18 @@ Usage:
     python examples/run_experiments.py --times        # per-point wall times
     python examples/run_experiments.py --store DIR    # reuse/persist results
 
-Experiments (E*) declare their run grids up front; one shared scheduler
-keys each (config, workload) point by the machine it builds (an RMO
-point builds its TSO twin's machine) and simulates each distinct
-machine exactly once, across experiments -- fanned out over ``--jobs``
-worker processes (default: all CPUs) -- and the tables are built from
-the cached results.  Every simulation point is deterministic, so the
-tables are bit-identical for any ``--jobs`` value.  With ``--store DIR``
-every simulated point is also written to a persistent result store, and
-points already there are read back instead of simulated: repeating a
-run, or restarting one that was killed, simulates only what is missing.
-Ablations (A*) run in-process after the sweep.  ``--quick`` shrinks the
-experiments and ablations named in ``QUICK_OVERRIDES``; the others run
-at their default size.
+Experiments (E*) and ablations (A*) declare their run grids up front;
+one shared scheduler keys each (config, workload) point by the machine
+it builds (an RMO point builds its TSO twin's machine) and simulates
+each distinct machine exactly once, across tables -- fanned out over
+``--jobs`` worker processes (default: all CPUs) -- and the tables are
+built from the cached results.  Every simulation point is deterministic,
+so the tables are bit-identical for any ``--jobs`` value.  With
+``--store DIR`` every simulated point is also written to a persistent
+result store, and points already there are read back instead of
+simulated: repeating a run, or restarting one that was killed,
+simulates only what is missing.  ``--quick`` shrinks the tables named
+in ``QUICK_OVERRIDES``; the others run at their default size.
 
 Each experiment prints an ASCII table; EXPERIMENTS.md records a full-
 scale run and compares it against the paper's claims.
@@ -36,7 +35,7 @@ import os
 import sys
 import time
 
-from repro.harness import Experiment, SweepScheduler, all_ablations, all_experiments
+from repro.harness import SweepScheduler, all_ablations, all_experiments
 
 
 QUICK_OVERRIDES = {
@@ -106,8 +105,8 @@ def main(argv):
                   f"{exc.strerror or exc}")
             return 1
 
-    # Phase 1: declare every experiment's grid; the shared scheduler
-    # keys points by the machine they build and simulates each distinct
+    # Phase 1: declare every table's grid; the shared scheduler keys
+    # points by the machine they build and simulates each distinct
     # machine exactly once.
     try:
         scheduler = SweepScheduler(jobs=jobs, store_dir=store_dir)
@@ -117,11 +116,9 @@ def main(argv):
         return 1
     kwargs_for = {}
     for exp_id in targets:
-        entry = registry[exp_id]
         kwargs = QUICK_OVERRIDES.get(exp_id, {}) if quick else {}
         kwargs_for[exp_id] = kwargs
-        if isinstance(entry, Experiment):
-            scheduler.add(exp_id, entry.plan(**kwargs))
+        scheduler.add(exp_id, registry[exp_id].plan(**kwargs))
 
     if scheduler.unique_points:
         report = scheduler.run()
@@ -132,16 +129,12 @@ def main(argv):
                 print(f"  {seconds:8.2f}s  {label}")
         print()
 
-    # Phase 2: build each table from the cached results (ablations
-    # still run in-process here).
+    # Phase 2: build each table from the cached results.
     for exp_id in targets:
-        entry = registry[exp_id]
         kwargs = kwargs_for[exp_id]
         started = time.time()
-        if isinstance(entry, Experiment):
-            result = entry.build(scheduler.results_for(exp_id), **kwargs)
-        else:
-            result = entry(**kwargs)
+        result = registry[exp_id].build(scheduler.results_for(exp_id),
+                                        **kwargs)
         print(result.render())
         print(f"  ({time.time() - started:.1f}s)\n")
         if csv_dir:

@@ -104,9 +104,6 @@ class CacheArray:
     def words_per_block(self) -> int:
         return self.config.block_bytes // 8
 
-    def _set_for(self, addr: int) -> int:
-        return (addr >> self._offset_bits) & self._set_mask
-
     def lookup(self, addr: int, touch: bool = True) -> Optional[CacheBlock]:
         """Return the resident block containing ``addr`` (or None).
 

@@ -2,11 +2,10 @@
 
 ``repro.harness.parallel`` supplies the sweep machinery (RunSpec,
 SweepScheduler) that deduplicates identical simulation points across
-experiments and fans unique points out over worker processes;
-``repro.harness.store`` persists their results across runs.
+experiments and ablations and fans unique points out over worker
+processes; ``repro.harness.store`` persists their results across runs.
 """
 
-from repro.harness.runner import compare_configs, run_workload
 from repro.harness.parallel import (
     RunSpec,
     SweepError,
@@ -37,8 +36,6 @@ from repro.harness.experiments import (
 )
 
 __all__ = [
-    "compare_configs",
-    "run_workload",
     "RunSpec",
     "SweepError",
     "SweepReport",

@@ -9,48 +9,71 @@
   (work-stealing, reader-writer) which stress rotating CAS targets;
 * A6 -- energy-delay view: stall time removed vs speculative work
   wasted, through the first-order energy model.
+
+Each is an :class:`~repro.harness.experiments.Experiment` written the
+way E1-E9 are: ``plan`` declares ``name|variant`` points and ``build``
+makes the table from their results, so one shared sweep deduplicates
+the ablations' points against every other table's.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Sequence
+from typing import Dict, List, Sequence
 
-from repro.harness.experiments import ExperimentResult, _default_config
-from repro.harness.runner import run_workload
+from repro.analysis.energy import estimate_energy
+from repro.harness.experiments import Experiment, ExperimentResult, Results
+from repro.harness.parallel import RunSpec
 from repro.sim.config import (
+    ConsistencyModel,
     InterconnectConfig,
     RollbackStrategy,
     SpeculationMode,
     SystemConfig,
     Topology,
 )
-from repro.workloads import rwlock, tasks
+from repro.workloads import randmix, rwlock, streaming, tasks
 from repro.workloads.suite import standard_suite
 
+_SC = ConsistencyModel.SC
+_ON_DEMAND = SpeculationMode.ON_DEMAND
 
-def a1_topology(n_cores: int = 8, scale: float = 1.0) -> ExperimentResult:
+
+# --------------------------------------------------------------------- A1
+
+_A1_WORKLOADS = ("streaming-writer", "producer-consumer", "locks-ticket")
+
+
+def a1_plan(n_cores: int = 8, scale: float = 1.0) -> List[RunSpec]:
+    suite = standard_suite(n_cores, scale)
+    specs = []
+    for name in _A1_WORKLOADS:
+        for topology in Topology:
+            base = replace(SystemConfig(n_cores=n_cores).with_consistency(_SC),
+                           interconnect=InterconnectConfig(topology=topology))
+            specs.append(RunSpec(f"{name}|{topology.value}|base-sc", base,
+                                 suite[name]))
+            specs.append(RunSpec(f"{name}|{topology.value}|if-sc",
+                                 base.with_speculation(_ON_DEMAND),
+                                 suite[name]))
+    return specs
+
+
+def a1_build(results: Results, n_cores: int = 8,
+             scale: float = 1.0) -> ExperimentResult:
     """Crossbar vs 2D mesh: the headline result (InvisiFence-SC recovers
     conventional SC's loss) must survive a real NoC, not just an
     idealised crossbar."""
-    from repro.sim.config import ConsistencyModel
-
     result = ExperimentResult(
         exp_id="A1",
         title="Interconnect ablation: base-SC vs IF-SC per fabric",
         headers=["workload", "fabric", "base-sc cycles", "if-sc cycles",
                  "speedup"],
     )
-    suite = standard_suite(n_cores, scale)
-    for name in ("streaming-writer", "producer-consumer", "locks-ticket"):
-        workload = suite[name]
+    for name in _A1_WORKLOADS:
         for topology in Topology:
-            base_cfg = replace(
-                _default_config(n_cores).with_consistency(ConsistencyModel.SC),
-                interconnect=InterconnectConfig(topology=topology))
-            if_cfg = base_cfg.with_speculation(SpeculationMode.ON_DEMAND)
-            base = run_workload(base_cfg, workload)
-            invisi = run_workload(if_cfg, workload)
+            base = results[f"{name}|{topology.value}|base-sc"]
+            invisi = results[f"{name}|{topology.value}|if-sc"]
             result.rows.append([
                 name, topology.value, base.cycles, invisi.cycles,
                 round(base.cycles / invisi.cycles, 3),
@@ -58,6 +81,8 @@ def a1_topology(n_cores: int = 8, scale: float = 1.0) -> ExperimentResult:
             result.data[(name, topology.value)] = (base, invisi)
     return result
 
+
+# --------------------------------------------------------------------- A2
 
 def _repeat_store_workload(n_threads: int, bursts: int = 12,
                            stores_per_burst: int = 6):
@@ -91,7 +116,22 @@ def _repeat_store_workload(n_threads: int, bursts: int = 12,
     return Workload("repeat-stores", programs, {}, validate=validate)
 
 
-def a2_coalescing(n_cores: int = 8, scale: float = 1.0) -> ExperimentResult:
+def a2_plan(n_cores: int = 8, scale: float = 1.0) -> List[RunSpec]:
+    suite = standard_suite(n_cores, scale)
+    workloads = {"repeat-stores": _repeat_store_workload(n_cores),
+                 "producer-consumer": suite["producer-consumer"]}
+    specs = []
+    for name, workload in workloads.items():
+        for coalescing in (False, True):
+            config = SystemConfig(n_cores=n_cores)
+            config = replace(config, core=replace(
+                config.core, store_buffer_coalescing=coalescing))
+            specs.append(RunSpec(f"{name}|{coalescing}", config, workload))
+    return specs
+
+
+def a2_build(results: Results, n_cores: int = 8,
+             scale: float = 1.0) -> ExperimentResult:
     """Store-buffer coalescing: repeat-address bursts collapse to one
     drain each; workloads without such bursts are unaffected."""
     result = ExperimentResult(
@@ -99,23 +139,17 @@ def a2_coalescing(n_cores: int = 8, scale: float = 1.0) -> ExperimentResult:
         title="Store-buffer coalescing ablation",
         headers=["workload", "coalescing", "cycles", "stores drained"],
     )
-    cases = {
-        "repeat-stores": lambda: _repeat_store_workload(n_cores),
-        "producer-consumer": lambda: standard_suite(n_cores, scale)["producer-consumer"],
-    }
-    for name, build in cases.items():
+    for name in ("repeat-stores", "producer-consumer"):
         for coalescing in (False, True):
-            workload = build()
-            config = _default_config(n_cores)
-            config = replace(config, core=replace(config.core,
-                                                  store_buffer_coalescing=coalescing))
-            run = run_workload(config, workload)
+            run = results[f"{name}|{coalescing}"]
             drained = int(run.stats.sum(
                 f"core.{i}.stores_drained" for i in range(n_cores)))
             result.rows.append([name, coalescing, run.cycles, drained])
             result.data[(name, coalescing)] = run
     return result
 
+
+# --------------------------------------------------------------------- A3
 
 def _dirty_rewrite_workload(n_threads: int, iterations: int = 20,
                             dirty_blocks: int = 12):
@@ -162,7 +196,23 @@ def _dirty_rewrite_workload(n_threads: int, iterations: int = 20,
     return Workload("dirty-rewrite", programs, {}, validate=validate)
 
 
-def a3_rollback_strategy(n_cores: int = 4) -> ExperimentResult:
+def a3_plan(n_cores: int = 4) -> List[RunSpec]:
+    workloads = {
+        "dirty-rewrite": _dirty_rewrite_workload(n_cores),
+        "work-stealing": tasks.work_stealing(n_cores, tasks_per_thread=8),
+    }
+    specs = []
+    for name, workload in workloads.items():
+        for strategy in RollbackStrategy:
+            config = SystemConfig(n_cores=n_cores).with_speculation(
+                _ON_DEMAND, rollback_strategy=strategy,
+                victim_buffer_entries=8)
+            specs.append(RunSpec(f"{name}|{strategy.value}", config,
+                                 workload))
+    return specs
+
+
+def a3_build(results: Results, n_cores: int = 4) -> ExperimentResult:
     """Clean-before-write vs victim buffer.
 
     Clean-before-write spends writeback bandwidth up front on every
@@ -175,16 +225,9 @@ def a3_rollback_strategy(n_cores: int = 4) -> ExperimentResult:
         headers=["workload", "strategy", "cycles", "violations",
                  "clean-writebacks"],
     )
-    workloads = {
-        "dirty-rewrite": _dirty_rewrite_workload(n_cores),
-        "work-stealing": tasks.work_stealing(n_cores, tasks_per_thread=8),
-    }
-    for name, workload in workloads.items():
+    for name in ("dirty-rewrite", "work-stealing"):
         for strategy in RollbackStrategy:
-            config = _default_config(n_cores).with_speculation(
-                SpeculationMode.ON_DEMAND, rollback_strategy=strategy,
-                victim_buffer_entries=8)
-            run = run_workload(config, workload)
+            run = results[f"{name}|{strategy.value}"]
             cleans = int(run.stats.sum(
                 f"l1.{i}.clean_before_write" for i in range(n_cores)))
             result.rows.append([name, strategy.value, run.cycles,
@@ -193,43 +236,46 @@ def a3_rollback_strategy(n_cores: int = 4) -> ExperimentResult:
     return result
 
 
-def a4_store_prefetch(n_cores: int = 8,
-                      depths: Sequence[int] = (0, 1, 2, 4, 8)) -> ExperimentResult:
+# --------------------------------------------------------------------- A4
+
+def a4_plan(n_cores: int = 8,
+            depths: Sequence[int] = (0, 1, 2, 4, 8)) -> List[RunSpec]:
+    workload = streaming.streaming_writer(n_cores, iterations=30)
+    specs = []
+    for depth in depths:
+        config = SystemConfig(n_cores=n_cores)
+        config = replace(config, core=replace(config.core,
+                                              store_prefetch_depth=depth))
+        specs.append(RunSpec(f"depth{depth}|base", config, workload))
+        specs.append(RunSpec(f"depth{depth}|if",
+                             config.with_speculation(_ON_DEMAND), workload))
+    return specs
+
+
+def a4_build(results: Results, n_cores: int = 8,
+             depths: Sequence[int] = (0, 1, 2, 4, 8)) -> ExperimentResult:
     """Exclusive-prefetch depth: how much store-miss overlap matters.
 
     Depth 0 reverts to a serial drain; the streaming workload shows the
     overlap directly (both baseline and InvisiFence benefit -- the knob
     is about modelling fidelity, not the mechanism).
     """
-    from repro.workloads import streaming
-
     result = ExperimentResult(
         exp_id="A4",
         title="Store exclusive-prefetch depth ablation",
         headers=["prefetch depth", "base-TSO cycles", "if-TSO cycles"],
     )
-    workload = streaming.streaming_writer(n_cores, iterations=30)
     for depth in depths:
-        config = _default_config(n_cores)
-        config = replace(config, core=replace(config.core,
-                                              store_prefetch_depth=depth))
-        base = run_workload(config, workload)
-        invisi = run_workload(
-            config.with_speculation(SpeculationMode.ON_DEMAND), workload)
+        base = results[f"depth{depth}|base"]
+        invisi = results[f"depth{depth}|if"]
         result.rows.append([depth, base.cycles, invisi.cycles])
         result.data[depth] = (base, invisi)
     return result
 
 
-def a5_sync_rich_workloads(n_cores: int = 4) -> ExperimentResult:
-    """The CAS-dense workloads: does transparency hold beyond spinlocks?"""
-    result = ExperimentResult(
-        exp_id="A5",
-        title="Transparency on CAS-dense workloads (normalised to base-RMO)",
-        headers=["workload", "base-sc", "base-rmo", "if-sc", "violations"],
-    )
-    from repro.sim.config import ConsistencyModel
+# --------------------------------------------------------------------- A5
 
+def a5_plan(n_cores: int = 4) -> List[RunSpec]:
     workloads = {
         "work-stealing": tasks.work_stealing(n_cores, tasks_per_thread=10,
                                              task_cycles=20),
@@ -237,16 +283,28 @@ def a5_sync_rich_workloads(n_cores: int = 4) -> ExperimentResult:
                                               reader_iterations=12,
                                               writer_iterations=8),
     }
-    for name, workload in workloads.items():
-        base_sc = run_workload(
-            _default_config(n_cores).with_consistency(ConsistencyModel.SC),
-            workload)
-        base_rmo = run_workload(
-            _default_config(n_cores).with_consistency(ConsistencyModel.RMO),
-            workload)
-        if_sc = run_workload(
-            _default_config(n_cores).with_consistency(ConsistencyModel.SC)
-            .with_speculation(SpeculationMode.ON_DEMAND), workload)
+    base_sc = SystemConfig(n_cores=n_cores).with_consistency(_SC)
+    configs = {
+        "base-sc": base_sc,
+        "base-rmo": SystemConfig(n_cores=n_cores).with_consistency(
+            ConsistencyModel.RMO),
+        "if-sc": base_sc.with_speculation(_ON_DEMAND),
+    }
+    return [RunSpec(f"{name}|{label}", config, workload)
+            for name, workload in workloads.items()
+            for label, config in configs.items()]
+
+
+def a5_build(results: Results, n_cores: int = 4) -> ExperimentResult:
+    """The CAS-dense workloads: does transparency hold beyond spinlocks?"""
+    result = ExperimentResult(
+        exp_id="A5",
+        title="Transparency on CAS-dense workloads (normalised to base-RMO)",
+        headers=["workload", "base-sc", "base-rmo", "if-sc", "violations"],
+    )
+    for name in ("work-stealing", "reader-writer"):
+        base_sc, base_rmo, if_sc = (results[f"{name}|{label}"] for label
+                                    in ("base-sc", "base-rmo", "if-sc"))
         rmo = base_rmo.cycles
         result.rows.append([
             name,
@@ -259,7 +317,30 @@ def a5_sync_rich_workloads(n_cores: int = 4) -> ExperimentResult:
     return result
 
 
-def a6_energy(n_cores: int = 8, scale: float = 1.0) -> ExperimentResult:
+# --------------------------------------------------------------------- A6
+
+_A6_WORKLOADS = ("streaming-writer", "producer-consumer", "false-sharing")
+
+
+def a6_plan(n_cores: int = 8, scale: float = 1.0) -> List[RunSpec]:
+    suite = standard_suite(n_cores, scale)
+    workloads = {
+        "streaming-writer": suite["streaming-writer"],
+        "producer-consumer": suite["producer-consumer"],
+        "false-sharing": randmix.false_sharing(min(n_cores, 8),
+                                               iterations=40, fence_every=2),
+    }
+    specs = []
+    for name, workload in workloads.items():
+        base = SystemConfig(n_cores=workload.n_threads).with_consistency(_SC)
+        specs.append(RunSpec(f"{name}|base-sc", base, workload))
+        specs.append(RunSpec(f"{name}|if-sc",
+                             base.with_speculation(_ON_DEMAND), workload))
+    return specs
+
+
+def a6_build(results: Results, n_cores: int = 8,
+             scale: float = 1.0) -> ExperimentResult:
     """Energy-delay view (extension): what does speculation cost in work?
 
     Speculation removes stall time but adds wasted (rolled-back) work;
@@ -267,34 +348,16 @@ def a6_energy(n_cores: int = 8, scale: float = 1.0) -> ExperimentResult:
     the energy-delay product improves with runtime; on the adversarial
     false-sharing stressor the wasted-work column shows the price.
     """
-    from repro.analysis.energy import estimate_energy
-    from repro.sim.config import ConsistencyModel
-    from repro.workloads import randmix
-
     result = ExperimentResult(
         exp_id="A6",
         title="Energy-delay (arbitrary units): base-SC vs IF-SC",
         headers=["workload", "config", "cycles", "energy", "wasted%",
                  "energy-delay (norm)"],
     )
-    suite = standard_suite(n_cores, scale)
-    cases = {
-        "streaming-writer": suite["streaming-writer"],
-        "producer-consumer": suite["producer-consumer"],
-        "false-sharing": randmix.false_sharing(min(n_cores, 8),
-                                               iterations=40, fence_every=2),
-    }
-    for name, workload in cases.items():
-        cores = workload.n_threads
-        base_cfg = (SystemConfig(n_cores=cores)
-                    .with_consistency(ConsistencyModel.SC))
-        runs = {
-            "base-sc": run_workload(base_cfg, workload),
-            "if-sc": run_workload(
-                base_cfg.with_speculation(SpeculationMode.ON_DEMAND), workload),
-        }
+    for name in _A6_WORKLOADS:
         base_edp = None
-        for label, run in runs.items():
+        for label in ("base-sc", "if-sc"):
+            run = results[f"{name}|{label}"]
             report = estimate_energy(run)
             edp = report.energy_delay_product(run.cycles)
             if base_edp is None:
@@ -308,7 +371,16 @@ def a6_energy(n_cores: int = 8, scale: float = 1.0) -> ExperimentResult:
     return result
 
 
-def all_ablations():
+a1_topology = Experiment("A1", a1_plan, a1_build)
+a2_coalescing = Experiment("A2", a2_plan, a2_build)
+a3_rollback_strategy = Experiment("A3", a3_plan, a3_build)
+a4_store_prefetch = Experiment("A4", a4_plan, a4_build)
+a5_sync_rich_workloads = Experiment("A5", a5_plan, a5_build)
+a6_energy = Experiment("A6", a6_plan, a6_build)
+
+
+def all_ablations() -> Dict[str, Experiment]:
+    """The ablation registry, used by the CLI example."""
     return {
         "A1": a1_topology,
         "A2": a2_coalescing,

@@ -14,10 +14,11 @@ Splitting the phases lets one shared
 points across experiments (the six-point grids repeat ``base-rmo`` etc.
 constantly) and execute unique points concurrently.  Calling an
 experiment directly -- ``e2_transparency(n_cores=8)`` -- still works and
-runs its own grid, serially by default (``jobs=`` or the ``REPRO_JOBS``
-environment variable fan it out).  Benchmarks in ``benchmarks/`` call
-these and assert the qualitative shape; EXPERIMENTS.md records the
-measured numbers.
+runs its own grid, serially by default (the keyword ``jobs=`` or the
+``REPRO_JOBS`` environment variable fan it out).  The ablations A1-A6
+in :mod:`repro.harness.ablations` are experiments of the same kind.
+Benchmarks in ``benchmarks/`` call these and assert the qualitative
+shape; EXPERIMENTS.md records the measured numbers.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.analysis.tables import ascii_table
 from repro.baselines.per_store import PerStoreDesign, coverage_at_depth
 from repro.core.storage import StorageModel
 from repro.cpu.core import StallCause
-from repro.harness.parallel import RunSpec, execute_specs
+from repro.harness.parallel import RunSpec, SweepScheduler
 from repro.harness.runner import six_point_configs
 from repro.sim.config import (
     CacheConfig,
@@ -84,11 +85,12 @@ class ExperimentResult:
 class Experiment:
     """One reproduced artifact: a declared run grid plus a result builder.
 
-    Instances are callable with the experiment's historical signature
+    Instances are callable with the experiment's keyword arguments
     (``e2_transparency(n_cores=4, scale=0.3)``); the call plans the
-    grid, executes it (serially unless ``jobs``/``REPRO_JOBS`` says
-    otherwise), and builds the table.  ``plan``/``build`` stay exposed
-    for the shared-scheduler path in ``examples/run_experiments.py``.
+    grid, executes it as a sweep named ``exp_id`` (serially unless
+    ``jobs``/``REPRO_JOBS`` says otherwise), and builds the table.
+    ``plan``/``build`` stay exposed for the shared-scheduler path in
+    ``examples/run_experiments.py``.
     """
 
     def __init__(self, exp_id: str,
@@ -100,14 +102,16 @@ class Experiment:
         self.__name__ = build.__name__.replace("_build", "")
         self.__doc__ = build.__doc__
 
-    def __call__(self, jobs: Optional[int] = None,
+    def __call__(self, *, jobs: Optional[int] = None,
                  **kwargs) -> ExperimentResult:
         """Plan, run and build the table; ``jobs=None`` reads
         ``REPRO_JOBS``, and runs serially when it is unset."""
         if jobs is None:
             jobs = _env_jobs()
-        results = execute_specs(self.plan(**kwargs), jobs=jobs)
-        return self.build(results, **kwargs)
+        scheduler = SweepScheduler(jobs=jobs)
+        scheduler.add(self.exp_id, self.plan(**kwargs))
+        scheduler.run()
+        return self.build(scheduler.results_for(self.exp_id), **kwargs)
 
     def __repr__(self) -> str:
         return f"<Experiment {self.exp_id}>"
@@ -128,10 +132,6 @@ def _env_jobs() -> int:
     return jobs
 
 
-def _default_config(n_cores: int) -> SystemConfig:
-    return SystemConfig(n_cores=n_cores)
-
-
 # --------------------------------------------------------------------- E1
 
 def e1_plan(n_cores: int = 8, scale: float = 1.0) -> List[RunSpec]:
@@ -140,7 +140,7 @@ def e1_plan(n_cores: int = 8, scale: float = 1.0) -> List[RunSpec]:
         for model in ConsistencyModel:
             specs.append(RunSpec(
                 label=f"{name}|{model.value}",
-                config=_default_config(n_cores).with_consistency(model),
+                config=SystemConfig(n_cores=n_cores).with_consistency(model),
                 workload=workload))
     return specs
 
@@ -186,7 +186,7 @@ def e2_plan(n_cores: int = 8, scale: float = 1.0,
             mode: SpeculationMode = SpeculationMode.ON_DEMAND
             ) -> List[RunSpec]:
     specs = []
-    grid = six_point_configs(_default_config(n_cores), mode)
+    grid = six_point_configs(SystemConfig(n_cores=n_cores), mode)
     for name, workload in standard_suite(n_cores, scale).items():
         for label, cfg in grid.items():
             specs.append(RunSpec(f"{name}|{label}", cfg, workload))
@@ -231,7 +231,7 @@ def e3_plan(n_cores: int = 8, scale: float = 1.0) -> List[RunSpec]:
         for mode in _E3_MODES:
             specs.append(RunSpec(
                 label=f"{name}|{mode.value}",
-                config=_default_config(n_cores).with_speculation(mode),
+                config=SystemConfig(n_cores=n_cores).with_speculation(mode),
                 workload=workload))
     return specs
 
@@ -281,7 +281,8 @@ def mem_plan(n_cores: int = 8, scale: float = 1.0) -> List[RunSpec]:
     Not a reproduced figure, so there is no ``mem_build``.
     """
     suite = standard_suite(n_cores, scale)
-    grid = six_point_configs(_default_config(n_cores), SpeculationMode.ON_DEMAND)
+    grid = six_point_configs(SystemConfig(n_cores=n_cores),
+                             SpeculationMode.ON_DEMAND)
     specs = []
     for name in _MEM_WORKLOADS:
         workload = suite[name]
@@ -290,7 +291,7 @@ def mem_plan(n_cores: int = 8, scale: float = 1.0) -> List[RunSpec]:
         for mode in _E3_MODES:
             specs.append(RunSpec(
                 f"{name}|{mode.value}",
-                _default_config(n_cores).with_speculation(mode),
+                SystemConfig(n_cores=n_cores).with_speculation(mode),
                 workload))
     return specs
 
@@ -317,7 +318,7 @@ def e4_plan(n_cores: int = 4) -> List[RunSpec]:
     # (a) granularity ablation on read-side false sharing
     wl = _e4_sharing_workload(n_cores)
     for granularity in ViolationGranularity:
-        config = _default_config(n_cores).with_speculation(
+        config = SystemConfig(n_cores=n_cores).with_speculation(
             SpeculationMode.ON_DEMAND, granularity=granularity)
         specs.append(RunSpec(f"granularity|{granularity.value}", config, wl))
     # (b) L1-size sweep on a store-heavy workload (capacity pressure)
@@ -386,16 +387,17 @@ def e5_plan(n_cores: int = 8) -> List[RunSpec]:
         wl = randmix.fence_density_sweep_program(
             n_cores, work_units=60, ops_per_fence=ops_per_fence)
         specs.append(RunSpec(f"density|{ops_per_fence}|base",
-                             _default_config(n_cores), wl))
+                             SystemConfig(n_cores=n_cores), wl))
         specs.append(RunSpec(
             f"density|{ops_per_fence}|if",
-            _default_config(n_cores).with_speculation(
+            SystemConfig(n_cores=n_cores).with_speculation(
                 SpeculationMode.ON_DEMAND), wl))
     conflict_cores = min(n_cores, 8)
     wl = _e5_conflict_workload(n_cores)
-    specs.append(RunSpec("penalty|base", _default_config(conflict_cores), wl))
+    specs.append(RunSpec("penalty|base",
+                         SystemConfig(n_cores=conflict_cores), wl))
     for penalty in _E5_PENALTIES:
-        config = _default_config(conflict_cores).with_speculation(
+        config = SystemConfig(n_cores=conflict_cores).with_speculation(
             SpeculationMode.ON_DEMAND, rollback_penalty=penalty)
         specs.append(RunSpec(f"penalty|{penalty}", config, wl))
     return specs
@@ -444,7 +446,7 @@ def e6_plan(n_cores: int = 8, scale: float = 1.0) -> List[RunSpec]:
     # simulates them once for both experiments.)
     specs = []
     for name, workload in standard_suite(n_cores, scale).items():
-        config = _default_config(n_cores).with_speculation(
+        config = SystemConfig(n_cores=n_cores).with_speculation(
             SpeculationMode.CONTINUOUS)
         specs.append(RunSpec(f"continuous|{name}", config, workload))
     return specs
@@ -509,11 +511,12 @@ def e7_plan(scale: float = 1.0,
             workload = suite[name]
             specs.append(RunSpec(
                 f"{n}|{name}|local",
-                _default_config(n).with_speculation(SpeculationMode.ON_DEMAND),
+                SystemConfig(n_cores=n).with_speculation(
+                    SpeculationMode.ON_DEMAND),
                 workload))
             specs.append(RunSpec(
                 f"{n}|{name}|arb",
-                _default_config(n).with_speculation(
+                SystemConfig(n_cores=n).with_speculation(
                     SpeculationMode.ON_DEMAND, commit_arbitration=True,
                     arbitration_latency=arbitration_latency),
                 workload))
@@ -608,15 +611,15 @@ def e9_plan(core_counts: Sequence[int] = (2, 4, 8, 16),
             workload = suite[name]
             specs.append(RunSpec(
                 f"{n}|{name}|base-sc",
-                _default_config(n).with_consistency(ConsistencyModel.SC),
+                SystemConfig(n_cores=n).with_consistency(ConsistencyModel.SC),
                 workload))
             specs.append(RunSpec(
                 f"{n}|{name}|base-rmo",
-                _default_config(n).with_consistency(ConsistencyModel.RMO),
+                SystemConfig(n_cores=n).with_consistency(ConsistencyModel.RMO),
                 workload))
             specs.append(RunSpec(
                 f"{n}|{name}|if-sc",
-                _default_config(n).with_consistency(ConsistencyModel.SC)
+                SystemConfig(n_cores=n).with_consistency(ConsistencyModel.SC)
                 .with_speculation(SpeculationMode.ON_DEMAND),
                 workload))
     return specs
@@ -932,27 +935,20 @@ def e14_plan(seeds: Sequence[int] = (0, 1, 2),
     return specs
 
 
-def _e14_directed_scenarios(n_cores: int = 4) -> Dict:
-    """The two directed chaos demonstrations that ride along with the grid.
+def e14_failstop_dump() -> str:
+    """Run E14's directed fail-stop machine; returns the deadlock dump.
 
-    * **fail-stop deadlock**: one dropped coherence request with retries
-      disabled (the PR 4 watchdog demo) *plus* a crash-stopped third
-      core -- the resulting :class:`~repro.faults.DeadlockError` dump
-      must name the dead node, so a chaos hang is diagnosable at a
-      glance;
-    * **recovery**: a paused gossip core resumes mid-protocol, rejoins,
-      and the convergence property still holds -- fail-recover is a real
-      recovery, not a euphemism for a crash.
+    Three cores each store one word.  The first coherence request is
+    dropped with retries disabled, so core 0 never drains, and core 2,
+    kept busy, crash-stops at cycle 100.  The watchdog's
+    :class:`~repro.faults.DeadlockError` dump is returned; a run that
+    completes raises ``AssertionError``.
     """
-    from repro.faults import (CRASH, PAUSE, DeadlockError, FaultPlan,
-                              NodeFault, NodeFaultPlan, Watchdog)
+    from repro.faults import (CRASH, DeadlockError, FaultPlan, NodeFault,
+                              NodeFaultPlan, Watchdog)
     from repro.isa.program import Assembler
     from repro.system import System
-    from repro.workloads.protocols import gossip
 
-    out: Dict = {}
-
-    # --- fail-stop deadlock: the dump names the crashed core ----------
     programs = []
     for tid in range(3):
         asm = Assembler(f"chaos-demo.t{tid}")
@@ -969,15 +965,35 @@ def _e14_directed_scenarios(n_cores: int = 4) -> Dict:
     try:
         system.run(watchdog=Watchdog(system, check_interval=500))
     except DeadlockError as exc:
-        dump = str(exc)
-        if "CRASHED" not in dump or "core 2" not in dump:
-            raise AssertionError(
-                "fail-stop deadlock dump does not name the crashed core:\n"
-                + dump)
-        out["failstop"] = {"caught": True, "dump": dump}
-    else:
+        return str(exc)
+    raise AssertionError("directed fail-stop scenario unexpectedly completed")
+
+
+def _e14_directed_scenarios(n_cores: int = 4) -> Dict:
+    """The two directed chaos demonstrations that ride along with the grid.
+
+    * **fail-stop deadlock** (:func:`e14_failstop_dump`): one dropped
+      coherence request with retries disabled (the ``run_faults.py
+      --demo-deadlock`` shape) *plus* a crash-stopped third core -- the
+      resulting :class:`~repro.faults.DeadlockError` dump must name the
+      dead node, so a chaos hang is diagnosable at a glance;
+    * **recovery**: a paused gossip core resumes mid-protocol, rejoins,
+      and the convergence property still holds -- fail-recover is a real
+      recovery, not a euphemism for a crash.
+    """
+    from repro.faults import PAUSE, NodeFault, NodeFaultPlan, Watchdog
+    from repro.system import System
+    from repro.workloads.protocols import gossip
+
+    out: Dict = {}
+
+    # --- fail-stop deadlock: the dump names the crashed core ----------
+    dump = e14_failstop_dump()
+    if "CRASHED" not in dump or "core 2" not in dump:
         raise AssertionError(
-            "directed fail-stop scenario unexpectedly completed")
+            "fail-stop deadlock dump does not name the crashed core:\n"
+            + dump)
+    out["failstop"] = {"caught": True, "dump": dump}
 
     # --- recovery: a paused core resumes and the property holds -------
     workload = gossip(n_cores)

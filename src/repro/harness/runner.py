@@ -1,34 +1,11 @@
-"""Shared run helpers for experiments, examples and benchmarks."""
+"""The paper's six-point comparison grid, shared by experiments,
+examples and the benchmark."""
 
 from __future__ import annotations
 
 from typing import Dict
 
 from repro.sim.config import ConsistencyModel, SpeculationMode, SystemConfig
-from repro.system import SystemResult, run_system
-from repro.workloads.base import Workload
-
-
-def run_workload(config: SystemConfig, workload: Workload,
-                 check: bool = True) -> SystemResult:
-    """Run one workload on one configuration, validating the answer."""
-    if len(workload.programs) != config.n_cores:
-        raise ValueError(
-            f"workload {workload.name!r} has {len(workload.programs)} threads "
-            f"but config has {config.n_cores} cores"
-        )
-    result = run_system(config, workload.programs, workload.initial_memory)
-    if check:
-        workload.check(result)
-    return result
-
-
-def compare_configs(workload: Workload,
-                    configs: Dict[str, SystemConfig],
-                    check: bool = True) -> Dict[str, SystemResult]:
-    """Run one workload under several named configurations."""
-    return {name: run_workload(cfg, workload, check=check)
-            for name, cfg in configs.items()}
 
 
 def six_point_configs(base: SystemConfig,

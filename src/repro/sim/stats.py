@@ -76,35 +76,23 @@ class Accumulator:
 class Histogram:
     """A histogram over non-negative integer samples.
 
-    Buckets are either linear (``bucket_width``) or power-of-two
+    Buckets are either one per sample value or power-of-two
     (``log2=True``).  Also tracks exact sum/count so means stay precise.
     """
 
-    __slots__ = ("name", "bucket_width", "log2", "buckets", "total", "count")
+    __slots__ = ("name", "log2", "buckets", "total", "count")
 
-    def __init__(self, name: str, bucket_width: int = 1, log2: bool = False):
-        if bucket_width < 1:
-            raise ValueError("bucket_width must be >= 1")
+    def __init__(self, name: str, log2: bool = False):
         self.name = name
-        self.bucket_width = bucket_width
         self.log2 = log2
         self.buckets: Dict[int, int] = {}
         self.total = 0
         self.count = 0
 
-    def _bucket_of(self, sample: int) -> int:
-        if self.log2:
-            return 0 if sample <= 0 else sample.bit_length()
-        return sample // self.bucket_width
-
     def add(self, sample: int, weight: int = 1) -> None:
         if sample < 0:
             raise ValueError(f"Histogram {self.name}: negative sample {sample}")
-        # _bucket_of inlined: add() runs once per store/message on hot paths.
-        if self.log2:
-            bucket = 0 if sample <= 0 else sample.bit_length()
-        else:
-            bucket = sample // self.bucket_width
+        bucket = sample.bit_length() if self.log2 else sample
         buckets = self.buckets
         buckets[bucket] = buckets.get(bucket, 0) + weight
         self.total += sample * weight
@@ -128,22 +116,20 @@ class Histogram:
         for bucket in sorted(self.buckets):
             seen += self.buckets[bucket]
             if seen >= target:
-                if self.log2:
-                    return 0 if bucket == 0 else 1 << (bucket - 1)
-                return bucket * self.bucket_width
-        last = max(self.buckets)
-        if self.log2:
-            return 0 if last == 0 else 1 << (last - 1)
-        return last * self.bucket_width
+                return self._edge(bucket)
+        return self._edge(max(self.buckets))
+
+    def _edge(self, bucket: int) -> int:
+        """The lower edge of ``bucket``: a power of two under ``log2``,
+        else the sample value itself."""
+        if self.log2 and bucket:
+            return 1 << (bucket - 1)
+        return bucket
 
     def items(self) -> Iterator[Tuple[int, int]]:
         """Yield (bucket lower edge, count) in ascending order."""
         for bucket in sorted(self.buckets):
-            if self.log2:
-                edge = 0 if bucket == 0 else 1 << (bucket - 1)
-            else:
-                edge = bucket * self.bucket_width
-            yield edge, self.buckets[bucket]
+            yield self._edge(bucket), self.buckets[bucket]
 
     def reset(self) -> None:
         self.buckets.clear()
@@ -184,8 +170,8 @@ class StatsRegistry:
                                stat.maximum))
             else:
                 kinds.append("h")
-                values.append((stat.bucket_width, stat.log2, stat.buckets,
-                               stat.total, stat.count))
+                values.append((stat.log2, stat.buckets, stat.total,
+                               stat.count))
         return tuple(self._stats), "".join(kinds), tuple(values)
 
     def __setstate__(self, state: tuple) -> None:
@@ -200,8 +186,8 @@ class StatsRegistry:
                 stat = Accumulator(name)
                 stat.total, stat.count, stat.minimum, stat.maximum = value
             else:
-                width, log2, buckets, total, count = value
-                stat = Histogram(name, width, log2)
+                log2, buckets, total, count = value
+                stat = Histogram(name, log2)
                 stat.buckets, stat.total, stat.count = buckets, total, count
             stats[name] = stat
 
@@ -238,19 +224,18 @@ class StatsRegistry:
             raise TypeError(f"stat {name!r} already exists with type {type(stat).__name__}")
         return stat
 
-    def histogram(self, name: str, bucket_width: int = 1, log2: bool = False) -> Histogram:
+    def histogram(self, name: str, log2: bool = False) -> Histogram:
         existing = self._stats.get(name)
         if existing is not None:
             if not isinstance(existing, Histogram):
                 raise TypeError(f"stat {name!r} already exists with type {type(existing).__name__}")
-            if existing.bucket_width != bucket_width or existing.log2 != log2:
+            if existing.log2 != log2:
                 raise ValueError(
                     f"histogram {name!r} already exists with "
-                    f"bucket_width={existing.bucket_width}, log2={existing.log2}; "
-                    f"requested bucket_width={bucket_width}, log2={log2}"
+                    f"log2={existing.log2}; requested log2={log2}"
                 )
             return existing
-        hist = Histogram(name, bucket_width=bucket_width, log2=log2)
+        hist = Histogram(name, log2=log2)
         self._stats[name] = hist
         return hist
 

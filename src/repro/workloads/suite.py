@@ -38,7 +38,8 @@ SUITE_NAMES = (
 
 #: Built suites kept by :func:`standard_suite`.  A full
 #: ``run_experiments.py`` run plans four distinct ``(n_cores, scale)``
-#: pairs, and ``--quick`` two more.
+#: pairs for its experiments and ablations together, and ``--quick``
+#: two others.
 SUITE_MEMO_SIZE = 8
 
 

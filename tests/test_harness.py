@@ -5,8 +5,6 @@ that every experiment runs, produces rows, renders, and carries the raw
 data the benchmarks rely on.
 """
 
-import pytest
-
 from repro.harness import (
     all_experiments,
     e1_ordering_breakdown,
@@ -129,24 +127,3 @@ def test_a5_small():
     result = a5_sync_rich_workloads(n_cores=2)
     assert len(result.rows) == 2
 
-
-def test_compare_configs_forwards_check():
-    from repro.harness import compare_configs
-    from repro.isa.program import Assembler
-    from repro.workloads.base import Workload
-    from tests.conftest import small_config
-
-    def always_fails(result):
-        raise AssertionError("validation ran")
-
-    asm = Assembler("t0")
-    asm.li(1, 0x1_0000).store(1, base=1, offset=0)
-    asm.halt()
-    workload = Workload("check-probe", [asm.build()], {},
-                        validate=always_fails)
-    configs = {"only": small_config(1)}
-
-    with pytest.raises(AssertionError, match="validation ran"):
-        compare_configs(workload, configs)  # check defaults to True
-    results = compare_configs(workload, configs, check=False)
-    assert results["only"].cycles > 0

@@ -20,6 +20,7 @@ import repro.workloads.suite as suite_module
 from repro.consistency import canonical_model
 from repro.faults import PAUSE, FaultPlan, NodeFault, NodeFaultPlan
 from repro.harness import Experiment, all_experiments
+from repro.harness.ablations import a2_coalescing, a4_store_prefetch
 from repro.harness.experiments import (
     e1_plan,
     e2_build,
@@ -27,6 +28,7 @@ from repro.harness.experiments import (
     e2_transparency,
     e3_plan,
     e6_plan,
+    e7_commit_arbitration,
 )
 from repro.harness.parallel import (
     DEFAULT_MAX_CYCLES,
@@ -542,13 +544,23 @@ def test_jobs_none_is_refused_and_the_default_is_one_worker(monkeypatch):
 
 
 @pytest.fixture
-def one_point_experiment(monkeypatch):
-    """A one-point experiment, and the ``jobs`` of each of its runs."""
-    seen_jobs = []
+def seen_jobs(monkeypatch):
+    """The ``jobs`` of each sweep that an experiment call runs."""
+    seen = []
 
-    def recording_execute_specs(specs, jobs=1):
-        seen_jobs.append(jobs)
-        return execute_specs(specs, jobs=jobs)
+    class RecordingScheduler(SweepScheduler):
+        def __init__(self, jobs=1, **options):
+            seen.append(jobs)
+            super().__init__(jobs=jobs, **options)
+
+    monkeypatch.setattr(experiments_module, "SweepScheduler",
+                        RecordingScheduler)
+    return seen
+
+
+@pytest.fixture
+def one_point_experiment(seen_jobs):
+    """A one-point experiment, and the ``jobs`` of each of its runs."""
 
     def one_point_plan():
         return [RunSpec("p", small_config(1), _trivial_workload())]
@@ -556,8 +568,6 @@ def one_point_experiment(monkeypatch):
     def one_point_build(results):
         return results["p"]
 
-    monkeypatch.setattr(experiments_module, "execute_specs",
-                        recording_execute_specs)
     return Experiment("T", one_point_plan, one_point_build), seen_jobs
 
 
@@ -582,6 +592,40 @@ def test_repro_jobs_sets_an_experiments_workers(
     assert experiment().cycles > 0
     assert experiment(jobs=1).cycles > 0        # an argument wins
     assert seen_jobs == [jobs, 1]
+
+
+def test_repro_jobs_sets_an_ablations_workers(monkeypatch, seen_jobs):
+    monkeypatch.setenv("REPRO_JOBS", "2")
+    result = a4_store_prefetch(n_cores=2, depths=(0,))
+    assert [row[0] for row in result.rows] == [0]
+    assert seen_jobs == [2]
+
+
+@pytest.mark.parametrize("experiment", [e2_transparency, a4_store_prefetch],
+                         ids=["E2", "A4"])
+def test_an_experiment_takes_no_positional_argument(experiment):
+    # Bound to ``jobs``, e2_transparency(2) would run the default 8-core
+    # grid on 2 workers, and a4_store_prefetch(2) would not mean n_cores=2.
+    with pytest.raises(TypeError):
+        experiment(2)
+
+
+@pytest.mark.parametrize("exp_id,experiment,kwargs,label", [
+    ("E7", e7_commit_arbitration, dict(scale=0.1, core_counts=(2,)),
+     "2|producer-consumer|local"),
+    ("A2", a2_coalescing, dict(n_cores=2, scale=0.1), "repeat-stores|False"),
+], ids=["E7", "A2"])
+def test_a_wrong_answer_names_the_experiment_and_the_label(
+        monkeypatch, exp_id, experiment, kwargs, label):
+    def wrong_answer(workload, result):
+        raise AssertionError("wrong answer")
+
+    monkeypatch.setattr(Workload, "check", wrong_answer)
+    with pytest.raises(SweepError,
+                       match=rf"^sweep point {re.escape(repr(label))} in "
+                             rf"{exp_id} produced a wrong answer: "
+                             r"wrong answer$"):
+        experiment(**kwargs)
 
 
 def test_validation_failure_is_wrapped():

@@ -43,9 +43,9 @@ def test_word_signed_roundtrip(value):
 
 @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1,
                 max_size=200),
-       st.integers(min_value=1, max_value=64))
-def test_histogram_count_sum_mean(samples, width):
-    hist = Histogram("h", bucket_width=width)
+       st.booleans())
+def test_histogram_count_sum_mean(samples, log2):
+    hist = Histogram("h", log2=log2)
     for s in samples:
         hist.add(s)
     assert hist.count == len(samples)

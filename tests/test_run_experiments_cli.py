@@ -2,18 +2,27 @@
 
 These keep the quick-scale CLI path under tier-1 coverage: flag
 parsing, the cross-experiment scheduler, table building, CSV export,
-the serial/parallel equivalence guarantee, and a repeated run served
-from the ``--store`` result store.
+the serial/parallel equivalence guarantee, the quick ablation tables
+against their golden text, and a repeated run served from the
+``--store`` result store.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import pathlib
+import re
+from typing import List
 
 import pytest
 
-from repro.harness import ExperimentResult
+from repro.harness import (
+    Experiment,
+    ExperimentResult,
+    all_ablations,
+    all_experiments,
+)
 
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -27,11 +36,15 @@ def cli():
     return module
 
 
-def _tables_only(output: str) -> str:
-    """CLI output with timing lines stripped (wall times vary)."""
-    return "\n".join(
-        line for line in output.splitlines()
-        if not line.startswith("sweep:") and "s)" not in line)
+_TIMING = re.compile(r"  \([0-9.]+s\)")
+
+
+def _tables_only(output: str) -> List[str]:
+    """CLI output without its ``sweep:`` and ``(N.Ns)`` timing lines
+    (wall times vary) or blank lines."""
+    return [line for line in output.splitlines()
+            if line and not line.startswith("sweep:")
+            and not _TIMING.fullmatch(line)]
 
 
 def _sweep_line(output: str) -> str:
@@ -77,16 +90,49 @@ def test_quick_sweep_dedups_across_experiments(cli, capsys):
 def test_quick_shrinks_the_ablations(cli, capsys, monkeypatch):
     calls = []
 
-    def a1_stub(**kwargs):
+    def a1_stub_plan(**kwargs):
         calls.append(kwargs)
+        return []
+
+    def a1_stub_build(results, **kwargs):
         return ExperimentResult("A1", "stub", ["column"])
 
     ablations = cli.all_ablations()
+    stub = Experiment("A1", a1_stub_plan, a1_stub_build)
     monkeypatch.setattr(cli, "all_ablations",
-                        lambda: {**ablations, "A1": a1_stub})
+                        lambda: {**ablations, "A1": stub})
     assert cli.main(["A1", "--quick"]) == 0
     assert "[A1] stub" in capsys.readouterr().out
     assert calls == [dict(n_cores=4, scale=0.3)]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_quick_ablation_tables_match_their_golden(cli, capsys, jobs):
+    # The golden holds the tables the ablations printed when they ran
+    # outside the sweep: moving them into it must not change a digit.
+    ablations = ["A1", "A2", "A3", "A4", "A5", "A6"]
+    assert cli.main(ablations + ["--quick", "--jobs", jobs]) == 0
+    golden = (_ROOT / "tests" / "golden_ablations_quick.txt").read_text()
+    assert _tables_only(capsys.readouterr().out) == golden.splitlines()
+
+
+def _keywords(function, skip=0):
+    """A function's parameters after the first ``skip``, with defaults."""
+    params = list(inspect.signature(function).parameters.values())[skip:]
+    return [(p.name, p.kind, p.default) for p in params]
+
+
+def test_every_table_plans_and_builds_alike_and_quick_fits_its_plan(cli):
+    registry = {**all_experiments(), **all_ablations()}
+    for exp_id, entry in registry.items():
+        assert isinstance(entry, Experiment), exp_id
+        assert entry.exp_id == exp_id
+        # ``build`` takes the results first, then ``plan``'s keywords.
+        assert _keywords(entry.build, skip=1) == _keywords(entry.plan), \
+            exp_id
+    for exp_id, kwargs in cli.QUICK_OVERRIDES.items():
+        assert exp_id in registry, exp_id
+        inspect.signature(registry[exp_id].plan).bind(**kwargs)
 
 
 def test_csv_export(cli, capsys, tmp_path):

@@ -51,11 +51,11 @@ class TestAccumulator:
 
 class TestHistogram:
     def test_linear_buckets(self):
-        h = Histogram("h", bucket_width=10)
+        h = Histogram("h")
         h.add(5)
         h.add(15)
-        h.add(19)
-        assert dict(h.items()) == {0: 1, 10: 2}
+        h.add(15)
+        assert dict(h.items()) == {5: 1, 15: 2}
 
     def test_log2_buckets(self):
         h = Histogram("h", log2=True)
@@ -65,7 +65,7 @@ class TestHistogram:
         assert dict(h.items()) == {0: 1, 1: 1, 2: 2, 4: 1, 8: 1}
 
     def test_mean_is_exact(self):
-        h = Histogram("h", bucket_width=100)
+        h = Histogram("h", log2=True)
         h.add(1)
         h.add(3)
         assert h.mean == 2.0
@@ -95,10 +95,6 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram("h").add(-1)
 
-    def test_bad_bucket_width_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram("h", bucket_width=0)
-
     def test_percentile_log2_fallback_returns_bucket_edge(self):
         # The final fallback cannot be reached through add() alone (the
         # target rank never exceeds the running count), so simulate
@@ -116,11 +112,11 @@ class TestHistogram:
         h.count = 2
         assert h.percentile(1.0) == 0
 
-    def test_percentile_linear_fallback_scales_by_width(self):
-        h = Histogram("h", bucket_width=10)
-        h.add(25)      # bucket index 2, lower edge 20
+    def test_percentile_linear_fallback_returns_the_sample(self):
+        h = Histogram("h")
+        h.add(25)      # a linear bucket is the sample itself
         h.count = 2
-        assert h.percentile(1.0) == 20
+        assert h.percentile(1.0) == 25
 
 
 class TestStatsRegistry:
@@ -152,13 +148,11 @@ class TestStatsRegistry:
 
     def test_histogram_param_mismatch_raises(self):
         reg = StatsRegistry()
-        first = reg.histogram("h", bucket_width=2)
-        with pytest.raises(ValueError, match="bucket_width"):
-            reg.histogram("h", bucket_width=4)
+        first = reg.histogram("h")
         with pytest.raises(ValueError, match="log2"):
-            reg.histogram("h", bucket_width=2, log2=True)
+            reg.histogram("h", log2=True)
         # Matching parameters still fetch the same instance.
-        assert reg.histogram("h", bucket_width=2) is first
+        assert reg.histogram("h") is first
 
     def test_names_prefix_filter(self):
         reg = StatsRegistry()

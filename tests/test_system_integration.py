@@ -23,7 +23,7 @@ from repro.workloads.locks import lock_contention
 from repro.workloads.producer_consumer import pingpong
 from repro.workloads.protocols import gossip, leader_election, replicated_log
 from repro.harness.parallel import result_fingerprint, simulate_point
-from repro.harness.runner import compare_configs, run_workload, six_point_configs
+from repro.harness.runner import six_point_configs
 from tests.conftest import small_config
 
 
@@ -152,20 +152,6 @@ class TestArbitratedCommit:
 
 
 class TestHarnessRunner:
-    def test_run_workload_validates_thread_count(self):
-        suite = standard_suite(2, scale=0.1)
-        with pytest.raises(ValueError):
-            run_workload(small_config(4), suite["locks-tas"])
-
-    def test_compare_configs(self):
-        suite = standard_suite(2, scale=0.1)
-        results = compare_configs(suite["locks-tas"], {
-            "sc": small_config(2).with_consistency(ConsistencyModel.SC),
-            "tso": small_config(2).with_consistency(ConsistencyModel.TSO),
-        })
-        assert set(results) == {"sc", "tso"}
-        assert all(r.cycles > 0 for r in results.values())
-
     def test_six_point_grid(self):
         grid = six_point_configs(small_config(2))
         assert len(grid) == 6
